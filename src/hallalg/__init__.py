@@ -7,7 +7,7 @@ realization of the product through a push-forward calculus on locally finite
 homotopy types.
 """
 
-from .catalog import Catalog, CatalogEntry, IsoClassId, catalog_build
+from .catalog import Catalog, CatalogEntry, catalog_build
 from .derived import (
     ChainMap,
     Complex,
@@ -22,6 +22,7 @@ from .errors import (
     EnumerationCapError,
     HallAlgError,
     InputError,
+    InvariantError,
     OutOfUniverseError,
 )
 from .fq import (

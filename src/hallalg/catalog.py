@@ -1,55 +1,112 @@
 """The bounded universe of isomorphism classes of quiver representations.
 
 A Catalog holds one canonical representative per isomorphism class with
-dimension vector <= a componentwise bound.  Enumeration is an exhaustive
-orbit scan over all arrow-matrix tuples per dimension vector, deduplicated
-by explicit isomorphism testing; the canonical representative is the
-lexicographically least matrix tuple in its orbit (the first one seen, since
-candidates are generated in lexicographic order).
+dimension vector <= a componentwise bound.  The classes of dimension vector d
+are the orbits of GL_d = prod_v GL_{d_v}(F_p) on Rep_d, the arrow-matrix
+tuples of that shape, acting by g.(M_a) = (g_t M_a g_s^-1).  The build walks
+Rep_d in lexicographic order of its entry tuples and sweeps the whole orbit of
+each tuple not yet seen, by a search under elementary transvections and a
+primitive-root scaling; that first tuple is the lexicographically least
+member of its orbit and becomes the canonical representative.
 
-Hom dimensions, Ext^1 dimensions, automorphism data and Hom-fingerprints are
-cached lazily, so large classes whose automorphism groups are never consumed
-cost nothing.
+The sweep records the class of every key in Rep_d, so classification is a
+lookup, and orbit-stabilizer gives |Aut M| = |GL_d| / |orbit| for free.  Orbit
+divisibility and the mass formula sum_[M] |GL_d| / |Aut M| = |Rep_d| are
+checked at build time.  Hom and Ext^1 dimensions are cached lazily.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from .errors import EnumerationCapError, InputError, OutOfUniverseError
-from .fq import FqMatrix, check_prime
+from .errors import EnumerationCapError, InputError, InvariantError, OutOfUniverseError
+from .fq import FqMatrix, check_prime, inv_mod
 from .quivers import Quiver
 from . import reps
 from .reps import Representation
 
 
-def _all_matrices(p: int, rows: int, cols: int) -> list:
-    return [
-        FqMatrix(p, rows, cols, data)
-        for data in itertools.product(range(p), repeat=rows * cols)
-    ]
+def _gl_order(n: int, p: int) -> int:
+    """|GL_n(F_p)| = prod_{i<n} (p^n - p^i)."""
+    return math.prod(p ** n - p ** i for i in range(n))
 
 
-@dataclass(frozen=True)
-class IsoClassId:
-    """Stable identifier of a catalog class."""
+def _primitive_root(p: int) -> int:
+    return next(
+        r for r in range(2, p) if len({pow(r, k, p) for k in range(1, p)}) == p - 1
+    )
 
-    index: int
-    dim_vector: tuple
-    fingerprint: tuple  # dim Hom(I, -) over the catalog indecomposables
 
-    @property
-    def name(self) -> str:
-        return f"c{self.index}"
+def _generators(quiver: Quiver, p: int, dims: tuple) -> list:
+    """Generators of GL_d as moves on arrow-matrix tuples.
+
+    At each vertex v the generators are g = I + c E_ij: the transvections
+    (i != j, c = 1), which generate SL, and for p > 2 diag(r, 1, ..., 1) with
+    r a primitive root.  g acts on the arrows into v by left multiplication
+    (row i += c row j) and on the arrows out of v by right multiplication
+    with g^-1 = I + c' E_ij (column j += c' column i).  A move is a tuple of
+    (arrow, updates) steps applied in order, so a loop gets both; an update
+    (k, m, c) sets entry k to entry k + c * entry m of the step's input.
+    """
+    r = _primitive_root(p) if p > 2 else 1
+    moves = []
+    for v, n in enumerate(dims):
+        elems = [(i, j, 1, p - 1) for i in range(n) for j in range(n) if i != j]
+        if r != 1 and n:
+            elems.append((0, 0, r - 1, inv_mod(r, p) - 1))
+        for i, j, c, c_inv in elems:
+            move = []
+            for a, (s, t) in enumerate(quiver.arrows):
+                cols = dims[s]
+                if t == v and cols:
+                    move.append((a, tuple(
+                        (i * cols + k, j * cols + k, c) for k in range(cols))))
+                if s == v and dims[t]:
+                    move.append((a, tuple(
+                        (k * n + j, k * n + i, c_inv) for k in range(dims[t]))))
+            if move:
+                moves.append(tuple(move))
+    return moves
+
+
+def _act(state: tuple, move: tuple, p: int) -> tuple:
+    mats = list(state)
+    for a, updates in move:
+        src = mats[a]
+        out = list(src)
+        for k, m, c in updates:
+            out[k] = (src[k] + c * src[m]) % p
+        mats[a] = tuple(out)
+    return tuple(mats)
+
+
+def _orbit(start: tuple, moves: list, p: int) -> set:
+    orbit = {start}
+    todo = [start]
+    while todo:
+        state = todo.pop()
+        for move in moves:
+            image = _act(state, move, p)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
+def _fmt_dims(dims: tuple) -> str:
+    return "(" + ",".join(map(str, dims)) + ")"
 
 
 @dataclass
 class CatalogEntry:
     index: int
     rep: Representation
+    aut_order: int
     indecomposable: bool = False
 
     @property
@@ -58,24 +115,25 @@ class CatalogEntry:
 
 
 class Catalog:
-    """All iso classes with dim vector <= bound, with cached invariants."""
+    """All iso classes with dim vector <= bound, with cached invariants.
+
+    `class_of_key` maps the key() of every representation in the universe to
+    its class index.
+    """
 
     def __init__(self, quiver: Quiver, p: int, bound: Sequence[int],
-                 entries: Sequence[CatalogEntry], cap: int):
+                 entries: Sequence[CatalogEntry], class_of_key: dict):
         self.quiver = quiver
         self.p = p
         self.bound = tuple(bound)
         self.entries = list(entries)
-        self.cap = cap
+        self._class_of_key = class_of_key
         self._by_dims: dict = {}
         for e in self.entries:
             self._by_dims.setdefault(e.dims, []).append(e.index)
         self._hom_dim: dict = {}
         self._ext1: dict = {}
-        self._aut_order: dict = {}
         self._fingerprint: dict = {}
-        self._classify_memo: dict = {}
-        self._sum_memo: dict = {}
         self._mark_indecomposables()
 
     # -- construction ------------------------------------------------------
@@ -91,53 +149,59 @@ class Catalog:
             raise InputError("bound must be componentwise >= 0")
 
         entries: list = []
+        class_of_key: dict = {}
         dim_vectors = sorted(
             itertools.product(*(range(b + 1) for b in bound)),
             key=lambda d: (sum(d), d),
         )
         for dims in dim_vectors:
-            found: list = []
-            total_candidates = 1
             shapes = [(dims[t], dims[s]) for s, t in quiver.arrows]
-            for r, c in shapes:
-                total_candidates *= p ** (r * c)
-                if total_candidates > cap:
-                    raise EnumerationCapError(
-                        f"{total_candidates}+ arrow-matrix tuples at dims "
-                        f"{dims} exceed cap {cap}"
-                    )
-            entry_iters = [_all_matrices(p, r, c) for r, c in shapes]
-            for mats in itertools.product(*entry_iters) if shapes else [()]:
-                cand = Representation(quiver, p, dims, mats)
-                if any(reps.is_isomorphic(cand, prev, cap=cap) for prev in found):
+            exponent = sum(r * c for r, c in shapes)
+            size = p ** exponent
+            if size > cap:
+                raise EnumerationCapError(
+                    f"catalog.build(dims {_fmt_dims(dims)}): {p}^{exponent} = "
+                    f"{size} arrow-matrix tuples exceed cap {cap}"
+                )
+            gl = math.prod(_gl_order(n, p) for n in dims)
+            moves = _generators(quiver, p, dims)
+            mass = Fraction(0)
+            for state in itertools.product(
+                *(itertools.product(range(p), repeat=r * c) for r, c in shapes)
+            ):
+                if (dims, state) in class_of_key:
                     continue
-                found.append(cand)
-            for cand in found:
-                entries.append(CatalogEntry(len(entries), cand))
-        return cls(quiver, p, bound, entries, cap)
+                orbit = _orbit(state, moves, p)
+                if gl % len(orbit):
+                    raise InvariantError(
+                        f"catalog.build(dims {_fmt_dims(dims)}): orbit of size "
+                        f"{len(orbit)} does not divide |GL_d| = {gl}"
+                    )
+                index = len(entries)
+                for member in orbit:
+                    class_of_key[(dims, member)] = index
+                mats = [FqMatrix(p, r, c, data) for (r, c), data in zip(shapes, state)]
+                aut = gl // len(orbit)
+                entries.append(
+                    CatalogEntry(index, Representation(quiver, p, dims, mats), aut)
+                )
+                mass += Fraction(gl, aut)
+            if mass != size:
+                raise InvariantError(
+                    f"catalog.build(dims {_fmt_dims(dims)}): mass formula "
+                    f"sum |GL_d|/|Aut M| = {mass} != |Rep_d| = {p}^{exponent}"
+                )
+        return cls(quiver, p, bound, entries, class_of_key)
 
     def _mark_indecomposables(self) -> None:
-        nonzero = [e for e in self.entries if not e.rep.is_zero()]
-        for e in self.entries:
-            if e.rep.is_zero():
-                e.indecomposable = False
-                continue
-            decomposable = False
-            for a in nonzero:
-                if decomposable:
-                    break
-                for b in nonzero:
-                    if a.index > b.index:
-                        continue
-                    dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-                    if dims != e.dims:
-                        continue
-                    if reps.is_isomorphic(
-                        reps.direct_sum(a.rep, b.rep), e.rep, cap=self.cap
-                    ):
-                        decomposable = True
-                        break
-            e.indecomposable = not decomposable
+        nonzero = [e.index for e in self.entries if not e.rep.is_zero()]
+        for i in nonzero:
+            self.entries[i].indecomposable = True
+        for a, b in itertools.combinations_with_replacement(nonzero, 2):
+            dims = tuple(x + y for x, y in zip(self.dims(a), self.dims(b)))
+            if all(d <= c for d, c in zip(dims, self.bound)):
+                split = self.classify(reps.direct_sum(self.rep(a), self.rep(b)))
+                self.entries[split].indecomposable = False
 
     # -- lookups -------------------------------------------------------------
 
@@ -161,23 +225,8 @@ class Catalog:
     def indecomposable_indices(self) -> list:
         return [e.index for e in self.entries if e.indecomposable]
 
-    def class_id(self, index: int) -> IsoClassId:
-        e = self.entries[index]
-        return IsoClassId(index, e.dims, self.fingerprint_of_entry(index))
-
     def name(self, index: int) -> str:
         return f"c{index}"
-
-    def index_of_name(self, name: str) -> int:
-        if not name.startswith("c"):
-            raise InputError(f"bad class name {name!r}")
-        try:
-            idx = int(name[1:])
-        except ValueError as exc:
-            raise InputError(f"bad class name {name!r}") from exc
-        if not 0 <= idx < len(self.entries):
-            raise InputError(f"unknown class {name!r}")
-        return idx
 
     # -- cached invariants ----------------------------------------------------
 
@@ -194,59 +243,34 @@ class Catalog:
         return self._ext1[key]
 
     def aut_order(self, index: int) -> int:
-        if index not in self._aut_order:
-            self._aut_order[index] = reps.aut_order(self.rep(index))
-        return self._aut_order[index]
+        """|Aut| of a class: |GL_d| / |orbit|, recorded by the build."""
+        return self.entries[index].aut_order
 
     def fingerprint_of_entry(self, index: int) -> tuple:
+        """dim Hom(I, -) over the catalog indecomposables I; by Krull-Schmidt
+        it separates the classes of one dimension vector."""
         if index not in self._fingerprint:
             self._fingerprint[index] = tuple(
                 self.hom_dim(i, index) for i in self.indecomposable_indices
             )
         return self._fingerprint[index]
 
-    def fingerprint(self, rep: Representation) -> tuple:
-        """Hom-fingerprint of an arbitrary representation against the
-        catalog indecomposables."""
-        return tuple(
-            reps.hom_dim(self.rep(i), rep) for i in self.indecomposable_indices
-        )
-
-    def direct_sum_index(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        if key not in self._sum_memo:
-            self._sum_memo[key] = self.classify(
-                reps.direct_sum(self.rep(key[0]), self.rep(key[1]))
-            )
-        return self._sum_memo[key]
-
     # -- classification ---------------------------------------------------------
 
     def classify(self, rep: Representation) -> int:
-        """Catalog index of the class of rep.
-
-        Dimension-vector filter, Hom-fingerprint filter, then an invertible
-        intertwiner search against the remaining candidate confirms.
-        """
+        """Catalog index of the class of rep, by lookup of rep.key()."""
         if rep.quiver != self.quiver or rep.p != self.p:
             raise InputError("representation not over this catalog's quiver")
-        memo_key = rep.key()
-        hit = self._classify_memo.get(memo_key)
+        hit = self._class_of_key.get(rep.key())
         if hit is not None:
             return hit
         if any(d > b for d, b in zip(rep.dims, self.bound)):
             raise OutOfUniverseError(
                 f"dimension vector {rep.dims} exceeds catalog bound {self.bound}"
             )
-        candidates = self._by_dims.get(rep.dims, [])
-        fp = self.fingerprint(rep)
-        narrowed = [i for i in candidates if self.fingerprint_of_entry(i) == fp]
-        for i in narrowed:
-            if reps.is_isomorphic(rep, self.rep(i), cap=self.cap):
-                self._classify_memo[memo_key] = i
-                return i
-        raise OutOfUniverseError(
-            f"no catalog class matches dims {rep.dims} (universe inconsistency)"
+        raise InvariantError(
+            f"catalog.classify: key of dims {rep.dims} missing from the orbit "
+            f"table (universe inconsistency)"
         )
 
     # -- export ----------------------------------------------------------------

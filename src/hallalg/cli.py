@@ -9,23 +9,24 @@ Subcommands:
   lf-eval        push-forward / pullback of a function from JSON data
   base-change    check both composites of a base-change square from JSON
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or input
-error, 3 enumeration cap exceeded.  Output is byte-deterministic for a fixed
-configuration: keys are sorted, rationals print as gcd-reduced "num/den"
-with positive denominator.
+Exit codes: 0 success / all checks pass, 1 check failure or violated
+invariant, 2 usage or input error, 3 enumeration cap exceeded.  Output is
+byte-deterministic for a fixed configuration: keys are sorted, rationals
+print as gcd-reduced "num/den" with positive denominator.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .catalog import catalog_build
-from .errors import EnumerationCapError, HallAlgError, InputError
+from .errors import EnumerationCapError, HallAlgError, InputError, InvariantError
 from .hall import EnumerationCaps, HallContext, basis_product
 from .lf import (
     BaseChangeSquare,
@@ -324,8 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_window(argv: list) -> list:
+    """Join `--window -1,1` into `--window=-1,1`: argparse would read a value
+    starting with '-' that is not a plain number as an option."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] == "--window" and re.match(r"-\d", arg):
+            out[-1] = f"--window={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _glue_window(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -335,6 +349,9 @@ def main(argv=None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (InputError, HallAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,3 +19,10 @@ class EnumerationCapError(HallAlgError):
 
 class OutOfUniverseError(HallAlgError):
     """A computed object leaves the configured catalog bound or shift window."""
+
+
+class InvariantError(HallAlgError):
+    """A mathematical invariant the computation relies on failed to hold.
+
+    Raised explicitly rather than asserted, so the check survives python -O.
+    """

@@ -2,11 +2,33 @@ import json
 
 import pytest
 
-from hallalg.catalog import catalog_build
-from hallalg.errors import OutOfUniverseError
+from catalog_oracle import pairwise_catalog
+from hallalg import catalog as catalog_module
+from hallalg.catalog import Catalog, catalog_build
+from hallalg.errors import InvariantError, OutOfUniverseError
 from hallalg.fq import FqMatrix
-from hallalg.quivers import a_n_quiver
-from hallalg.reps import Representation, direct_sum, is_isomorphic
+from hallalg.quivers import Quiver, a_n_quiver
+from hallalg.reps import (
+    Representation,
+    aut_order,
+    direct_sum,
+    enumerate_subreps,
+    is_isomorphic,
+)
+
+KRONECKER = Quiver(2, ((0, 1), (0, 1)))
+
+ORACLE_UNIVERSES = [
+    pytest.param(a_n_quiver(1), 2, (3,), id="A1-p2-3"),
+    pytest.param(a_n_quiver(2), 2, (2, 2), id="A2-p2-22"),
+    pytest.param(a_n_quiver(2), 3, (2, 2), id="A2-p3-22"),
+    pytest.param(a_n_quiver(3), 2, (2, 2, 1), id="A3-p2-221"),
+    pytest.param(KRONECKER, 2, (1, 1), id="kronecker-p2-11"),
+    pytest.param(KRONECKER, 3, (2, 1), id="kronecker-p3-21"),
+    pytest.param(Quiver(2, ((1, 0),)), 2, (2, 2), id="A2-arrow10-p2-22"),
+    # a loop is acted on from both sides by the same vertex matrix
+    pytest.param(Quiver(1, ((0, 0),)), 3, (2,), id="jordan-p3-2"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +151,61 @@ def test_export_schema(a1_cat):
         assert set(cls) == {"id", "dim_vector", "aut_order", "indecomposable"}
     by_dim = {tuple(c["dim_vector"]): c["aut_order"] for c in doc["classes"]}
     assert by_dim == {(0,): 1, (1,): 1, (2,): 6}
+
+
+# -- the orbit sweep against the pairwise-isomorphism oracle -------------------
+
+
+@pytest.mark.parametrize("quiver,p,bound", ORACLE_UNIVERSES)
+def test_sweep_matches_pairwise_oracle(quiver, p, bound):
+    cat = catalog_build(quiver, p, bound)
+    oracle_reps, flags = pairwise_catalog(quiver, p, bound)
+    assert [e.rep.key() for e in cat.entries] == [r.key() for r in oracle_reps]
+    assert [e.indecomposable for e in cat.entries] == flags
+
+
+@pytest.mark.parametrize("quiver,p,bound", ORACLE_UNIVERSES)
+def test_orbit_stabilizer_aut_matches_end_enumeration(quiver, p, bound):
+    cat = catalog_build(quiver, p, bound)
+    for i in range(len(cat)):
+        assert cat.aut_order(i) == aut_order(cat.rep(i)), cat.dims(i)
+
+
+@pytest.mark.parametrize("quiver,p,bound", ORACLE_UNIVERSES)
+def test_classify_matches_isomorphism_search(quiver, p, bound):
+    cat = catalog_build(quiver, p, bound)
+    for e in cat.entries:
+        for sr in enumerate_subreps(e.rep):
+            for obj in (sr.sub, sr.quot):
+                matches = [
+                    i for i in cat.classes_with_dims(obj.dims)
+                    if is_isomorphic(obj, cat.rep(i))
+                ]
+                assert matches == [cat.classify(obj)]
+
+
+# -- build-time invariants -----------------------------------------------------
+
+
+def test_orbit_size_not_dividing_gl_raises(monkeypatch):
+    monkeypatch.setattr(catalog_module, "_gl_order", lambda n, p: 1)
+    with pytest.raises(InvariantError, match="does not divide"):
+        catalog_build(a_n_quiver(2), 3, (1, 1))
+
+
+def test_overlapping_orbits_break_the_mass_formula(monkeypatch):
+    # a move that zeroes the loop entry is no group action: the orbits of 1
+    # and 2 both swallow 0, so their sizes sum past |Rep_d| = 3
+    jordan = Quiver(1, ((0, 0),))
+    zero_entry = ((0, ((0, 0, 2),)),)
+    monkeypatch.setattr(
+        catalog_module, "_generators", lambda q, p, dims: [zero_entry] * dims[0]
+    )
+    with pytest.raises(InvariantError, match="mass formula"):
+        catalog_build(jordan, 3, (1,))
+
+
+def test_in_bound_key_missing_from_table_raises():
+    cat = catalog_build(a_n_quiver(2), 2, (1, 1))
+    with pytest.raises(InvariantError, match="missing"):
+        Catalog(cat.quiver, cat.p, cat.bound, cat.entries, {})

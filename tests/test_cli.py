@@ -145,6 +145,54 @@ def test_cap_exceeded_is_exit_three(capsys, a1_file):
     assert code == 3
 
 
+def test_catalog_aut_beyond_end_cap(capsys, a1_file):
+    # |End(k^5)| = 2**25 exceeds the default cap; |Aut| comes from the orbit
+    code, out, err = run(capsys, [
+        "catalog", "--quiver", a1_file, "-p", "2", "--bound", "5",
+    ])
+    assert code == 0, err
+    by_id = {c["id"]: c for c in json.loads(out)["classes"]}
+    assert by_id["c5"]["aut_order"] == 9_999_360  # |GL_5(F_2)|
+
+
+def test_catalog_a2_p3_bound33(capsys, a2_file):
+    code, out, err = run(capsys, [
+        "catalog", "--quiver", a2_file, "-p", "3", "--bound", "3,3",
+    ])
+    assert code == 0, err
+    assert len(json.loads(out)["classes"]) == 30
+
+
+def test_catalog_cap_error_names_layer_and_object(capsys, a2_file):
+    code, out, err = run(capsys, [
+        "catalog", "--quiver", a2_file, "-p", "3", "--bound", "3,3",
+        "--cap", "1000",
+    ])
+    assert code == 3
+    assert out == ""
+    assert ("catalog.build(dims (3,3)): 3^9 = 19683 arrow-matrix tuples "
+            "exceed cap 1000") in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["derived-table"],
+    ["verify", "--mode", "derived", "--checks", "unit,stalk"],
+], ids=["derived-table", "verify-derived"])
+def test_negative_window_both_spellings(capsys, a1_file, argv):
+    outs = []
+    for window in (["--window", "-1,1"], ["--window=-1,1"]):
+        code, out, err = run(capsys, argv + [
+            "--quiver", a1_file, "-p", "2", "--bound", "1", *window,
+        ])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+    if argv[0] == "derived-table":
+        names = {t["x"] for t in json.loads(outs[0])["table"]}
+        assert {"c1[1]", "c1", "c1[-1]"} <= names
+        assert not any("[2]" in n or "[-2]" in n for n in names)
+
+
 def test_lf_eval_identity(capsys, tmp_path):
     from hallalg.lf import LFType, ProperMapData
 
