@@ -3,7 +3,8 @@
 
 Covers the one-vertex quiver at p = 2, 3 and the two-vertex A_2 quiver at
 p = 2, in both classical and derived modes, with the span cross-check where
-it applies.  Prints one line per (universe, check) and exits nonzero on any
+it applies, plus the Kronecker quiver (two parallel arrows) at p = 2 in
+derived mode.  Prints one line per (universe, check) and exits nonzero on any
 failure.
 """
 
@@ -15,7 +16,7 @@ sys.path.insert(0, "src")
 
 from hallalg.catalog import catalog_build
 from hallalg.hall import HallContext
-from hallalg.quivers import a_n_quiver
+from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.span import build_span_model
 from hallalg.verify import verify_suite
 
@@ -55,6 +56,12 @@ def main():
         "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 1)
     )
     failures += run("A_2 p=2 derived [-1,1]", dctx)
+
+    kronecker = Quiver(2, ((0, 1), (0, 1)))
+    kctx = HallContext(
+        "derived", catalog_build(kronecker, 2, (1, 1)), window=(-1, 1)
+    )
+    failures += run("Kronecker p=2 derived [-1,1]", kctx)
 
     print()
     if failures:

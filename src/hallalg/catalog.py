@@ -261,15 +261,21 @@ class Catalog:
         """Catalog index of the class of rep, by lookup of rep.key()."""
         if rep.quiver != self.quiver or rep.p != self.p:
             raise InputError("representation not over this catalog's quiver")
-        hit = self._class_of_key.get(rep.key())
+        return self.classify_key(rep.key())
+
+    def classify_key(self, key: tuple) -> int:
+        """Catalog index of the class with Representation.key() `key`, a
+        (dims, arrow-matrix entry tuples) pair over this catalog's quiver."""
+        hit = self._class_of_key.get(key)
         if hit is not None:
             return hit
-        if any(d > b for d, b in zip(rep.dims, self.bound)):
+        dims = key[0]
+        if any(d > b for d, b in zip(dims, self.bound)):
             raise OutOfUniverseError(
-                f"dimension vector {rep.dims} exceeds catalog bound {self.bound}"
+                f"dimension vector {dims} exceeds catalog bound {self.bound}"
             )
         raise InvariantError(
-            f"catalog.classify: key of dims {rep.dims} missing from the orbit "
+            f"catalog.classify: key of dims {dims} missing from the orbit "
             f"table (universe inconsistency)"
         )
 

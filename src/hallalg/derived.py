@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence
 
-from .errors import EnumerationCapError, InputError, OutOfUniverseError
+from .errors import EnumerationCapError, InputError, InvariantError, OutOfUniverseError
 from .fq import FqMatrix, RowSpace, complement_basis
 from .catalog import Catalog
 from . import reps
@@ -62,12 +62,6 @@ class DerivedClass:
                 return i
         return None
 
-    def dims_at(self, degree: int, cat: Catalog) -> tuple:
-        i = self.class_at(degree)
-        if i is None:
-            return (0,) * cat.quiver.vertex_count
-        return cat.dims(i)
-
     def euler_vector(self, cat: Catalog) -> tuple:
         """Alternating-sum dimension vector; additive in triangles."""
         n = cat.quiver.vertex_count
@@ -77,9 +71,6 @@ class DerivedClass:
             for v, dim in enumerate(cat.dims(i)):
                 out[v] += sign * dim
         return tuple(out)
-
-    def is_module_stalk(self) -> bool:
-        return all(d == 0 for d, _ in self.entries)
 
     def to_json_list(self, cat: Catalog) -> list:
         return [{"class_id": cat.name(i), "degree": d} for d, i in self.entries]
@@ -96,7 +87,7 @@ class Complex:
     """A bounded cochain complex of representations; d(n): rep(n) -> rep(n+1),
     with d o d = 0 enforced on construction."""
 
-    __slots__ = ("quiver", "p", "lo", "reps", "diffs")
+    __slots__ = ("quiver", "p", "lo", "reps", "diffs", "_zero")
 
     def __init__(self, quiver, p: int, lo: int, reps_: Sequence[Representation],
                  diffs: Sequence[RepMorphism]):
@@ -109,6 +100,7 @@ class Complex:
         self.lo = lo
         self.reps = tuple(reps_)
         self.diffs = tuple(diffs)
+        self._zero = Representation.zero(quiver, p)
         for n, d in enumerate(self.diffs):
             if d.source != self.reps[n] or d.target != self.reps[n + 1]:
                 raise InputError("differential endpoints mismatch")
@@ -123,7 +115,7 @@ class Complex:
     def rep(self, n: int) -> Representation:
         if self.lo <= n <= self.hi:
             return self.reps[n - self.lo]
-        return Representation.zero(self.quiver, self.p)
+        return self._zero
 
     def diff(self, n: int) -> RepMorphism:
         if self.lo <= n < self.hi:
@@ -169,7 +161,12 @@ def homology(c: Complex) -> list:
                 im.add(d_in.mats[v].col(j))
             ker_rows = d_out.mats[v].kernel_basis().row_list()
             comp = complement_basis(im, ker_rows)
-            assert len(comp) == len(ker_rows) - im.dim
+            if len(comp) != len(ker_rows) - im.dim:
+                raise InvariantError(
+                    f"homology: H^{n} at vertex {v}: complement of the "
+                    f"{im.dim}-dim image in the {len(ker_rows)}-dim kernel has "
+                    f"{len(comp)} vectors (d o d != 0)"
+                )
             comp_bases.append(comp)
             rows = [list(w) for w in comp] + [list(r) for r in im.basis()]
             coord_mats.append(
@@ -202,7 +199,10 @@ def _solve_matrix(a: FqMatrix, b) -> tuple:
     from .fq import solve
     res = solve(a, b)
     if res is None:
-        raise AssertionError("inconsistent coordinate solve (not in span)")
+        raise InvariantError(
+            "homology: coordinate solve left the span of the complement and "
+            "image bases"
+        )
     return res[0]
 
 
@@ -597,10 +597,11 @@ class HomotopyClasses:
     class and a canonical coset key for classifying arbitrary chain maps."""
 
     def __init__(self, X: Complex, Z: Complex, cap: int = reps.DEFAULT_CAP,
-                 max_exponent: int = 20):
+                 max_exponent: int = 20, label: str = "HomotopyClasses"):
         self.X = X
         self.Z = Z
         self.p = X.p
+        self.label = label
         self.space, self.cycle_basis = chain_map_space(X, Z)
         self.null = RowSpace(self.p, self.space.total)
         for b in homotopy_boundaries(X, Z, self.space):
@@ -608,8 +609,10 @@ class HomotopyClasses:
         self.complement = complement_basis(self.null, self.cycle_basis)
         self.dim = len(self.complement)
         if self.dim > max_exponent or self.p ** self.dim > cap:
+            limit = (f"cap {cap}" if self.p ** self.dim > cap
+                     else f"hom exponent cap {max_exponent}")
             raise EnumerationCapError(
-                f"{self.p}**{self.dim} homotopy classes exceed the cap"
+                f"{label}: {self.p}**{self.dim} homotopy classes exceed {limit}"
             )
 
     @property
@@ -640,6 +643,180 @@ class HomotopyClasses:
         return self.canon(self.vector_of(f))
 
 
+def _kernel(mat: list, ncols: int, p: int) -> list:
+    """Basis of {v : mat v = 0} for a matrix given as a list of rows."""
+    rs = RowSpace(p, ncols)
+    for r in mat:
+        rs.add(r)
+    out = []
+    for j in sorted(set(range(ncols)) - set(rs.pivots)):
+        v = [0] * ncols
+        v[j] = 1
+        for row, pc in zip(rs.rows, rs.pivots):
+            v[pc] = -row[j] % p
+        out.append(v)
+    return out
+
+
+def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
+    """c.diff(n) at vertex v as int rows, without building a zero morphism
+    outside the complex's range."""
+    if c.lo <= n < c.hi:
+        m = c.diffs[n - c.lo].mats[v]
+        return [list(m.row(r)) for r in range(m.rows)]
+    return [[0] * cols for _ in range(rows)]
+
+
+class ConeClassifier:
+    """The derived class of cone(f) for chain maps f: X -> Z of one Hom
+    table, given as flat vectors in the table's coordinates; None when some
+    H^n leaves the catalog bound.
+
+    What does not depend on f is laid out once per table: the cone's degree
+    range, the -d_X and d_Z blocks of every differential and the
+    block-diagonal arrow matrices.  For each degree n a call writes the
+    f^n and f^(n+1) blocks (read at the GradedMapSpace offsets) into
+    d^(n-1) and d^n and computes H^n vertex by vertex on plain int lists:
+    the image of d^(n-1) and, as the basis of H^n, the kernel vectors of d^n
+    reduced modulo that image, each kept in reduced echelon form as an
+    fq.RowSpace.  The induced arrow matrices give a Representation.key()
+    that the catalog's key table classifies; any basis of H^n does, since
+    that table holds all of Rep_d.  H^n depends on those two blocks only,
+    so its class is memoized per table on their entries.
+
+    Equal to derived_class_of(mapping_cone(table.lift(vec)), cat,
+    strict=False), which builds the objects and serves as its test oracle.
+    """
+
+    OUT_OF_BOUND = -1
+
+    def __init__(self, table: HomotopyClasses, cat: Catalog):
+        X, Z = table.X, table.Z
+        q, p = X.quiver, X.p
+        if not q.is_acyclic():
+            raise InputError("derived classification needs an acyclic quiver")
+        self.label = table.label
+        self.cat = cat
+        self.p = p
+        self._memo: dict = {}
+        nv = q.vertex_count
+        cands = (range(min(X.lo - 1, Z.lo), max(X.hi - 1, Z.hi) + 1)
+                 if X.reps or Z.reps else range(0))
+        # X^(n+1) and Z^n, the two summands of cone^n, fetched once
+        xr = {n: X.rep(n + 1) for n in cands}
+        zr = {n: Z.rep(n) for n in cands}
+        degs = [n for n in cands if xr[n].total_dim or zr[n].total_dim]
+        self.degrees = list(range(degs[0], degs[-1] + 1)) if degs else []
+        # per degree n: cone dims and (arrow, source, target, block-diagonal rows)
+        self.dims = []
+        self.arrows = []
+        for n in self.degrees:
+            self.dims.append([xr[n].dims[v] + zr[n].dims[v] for v in range(nv)])
+            arrows = []
+            for idx, (s, t) in enumerate(q.arrows):
+                xa, za = xr[n].mats[idx], zr[n].mats[idx]
+                rows = [list(xa.row(r)) + [0] * za.cols for r in range(xa.rows)]
+                rows += [[0] * xa.cols + list(za.row(r)) for r in range(za.rows)]
+                arrows.append((idx, s, t, rows))
+            self.arrows.append(arrows)
+        # per differential d^n (n < hi) and vertex: (-d_X rows, d_Z rows,
+        # offset of the f^(n+1) block or None, its width x1); and the slice
+        # of vec holding the f^(n+1) blocks, adjacent in vec
+        self.diffs = []
+        reads = []
+        for n in self.degrees[:-1]:
+            per_vertex = []
+            blocks = []
+            for v in range(nv):
+                x1, z0 = xr[n].dims[v], zr[n].dims[v]
+                x2, z1 = xr[n + 1].dims[v], zr[n + 1].dims[v]
+                top = [[-a % p for a in r] + [0] * z0
+                       for r in _diff_rows(X, n + 1, v, x2, x1)]
+                bottom = _diff_rows(Z, n, v, z1, z0)
+                off = table.space.offsets.get((n + 1, v)) if x1 and z1 else None
+                if off is not None:
+                    blocks.append((off, off + x1 * z1))
+                per_vertex.append((top, bottom, off, x1))
+            self.diffs.append(per_vertex)
+            reads.append(slice(blocks[0][0], blocks[-1][1]) if blocks else slice(0))
+        # H^n reads the f blocks of d^(n-1) and d^n
+        self.reads = [
+            (reads[k - 1] if k else slice(0), reads[k] if k < len(reads) else slice(0))
+            for k in range(len(self.degrees))
+        ]
+
+    def __call__(self, vec) -> Optional[DerivedClass]:
+        vec = tuple(vec)
+        entries = []
+        for k, n in enumerate(self.degrees):
+            f_in, f_out = self.reads[k]
+            key = (k, vec[f_in], vec[f_out])
+            if key not in self._memo:
+                self._memo[key] = self._homology_class(k, vec)
+            idx = self._memo[key]
+            if idx == self.OUT_OF_BOUND:
+                return None
+            if idx is not None:
+                entries.append((n, idx))
+        return DerivedClass(tuple(entries))
+
+    def _diff(self, j: int, vec) -> list:
+        """d^(degrees[j]) with the f blocks of vec written in, per vertex."""
+        mats = []
+        for top, bottom, off, x1 in self.diffs[j]:
+            if off is None:
+                mats.append(top + [[0] * x1 + r for r in bottom])
+            else:
+                mats.append(top + [
+                    list(vec[off + i * x1 : off + (i + 1) * x1]) + r
+                    for i, r in enumerate(bottom)
+                ])
+        return mats
+
+    def _homology_class(self, k: int, vec) -> Optional[int]:
+        """Catalog class of H^(degrees[k]) of cone(vec); None when it is
+        zero, OUT_OF_BOUND when it leaves the catalog bound."""
+        p, n = self.p, self.degrees[k]
+        d_in = self._diff(k - 1, vec) if k else None
+        d_out = self._diff(k, vec) if k < len(self.diffs) else None
+        bases = []   # per vertex: (image, complement), both reduced echelon
+        for v, dim in enumerate(self.dims[k]):
+            im = RowSpace(p, dim)
+            if d_in is not None:
+                for c in range(self.dims[k - 1][v]):
+                    im.add([row[c] for row in d_in[v]])
+            ker = _kernel(d_out[v] if d_out is not None else [], dim, p)
+            comp = RowSpace(p, dim)
+            for u in ker:
+                comp.add(im.reduce(u))
+            if comp.dim != len(ker) - im.dim:
+                raise InvariantError(
+                    f"{self.label}: cone H^{n} at vertex {v}: complement of "
+                    f"the {im.dim}-dim image in the {len(ker)}-dim kernel "
+                    f"has {comp.dim} vectors (d o d != 0)"
+                )
+            bases.append((im, comp))
+        hdims = tuple(comp.dim for _, comp in bases)
+        if not any(hdims):
+            return None
+        if any(d > b for d, b in zip(hdims, self.cat.bound)):
+            return self.OUT_OF_BOUND
+        data = []
+        for idx, s, t, rows in self.arrows[k]:
+            im, comp = bases[t]
+            cols = []
+            for w in bases[s][1].rows:
+                u = im.reduce([sum(a * b for a, b in zip(r, w)) % p for r in rows])
+                if any(comp.reduce(u)):
+                    raise InvariantError(
+                        f"{self.label}: cone H^{n}, arrow {idx}: image of a "
+                        f"cycle is not a cycle"
+                    )
+                cols.append([u[pc] for pc in comp.pivots])
+            data.append(tuple(c[r] for r in range(hdims[t]) for c in cols))
+        return self.cat.classify_key((hdims, tuple(data)))
+
+
 def _derived_cache(cat: Catalog, name: str) -> dict:
     store = getattr(cat, "_derived_caches", None)
     if store is None:
@@ -655,7 +832,10 @@ def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
     if key not in cache:
         P = projective_realization(cat, x)
         C = stalk_realization(cat, z)
-        cache[key] = HomotopyClasses(P, C, cap=cap, max_exponent=max_exponent)
+        cache[key] = HomotopyClasses(
+            P, C, cap=cap, max_exponent=max_exponent,
+            label=f"hom_class_table({x.name(cat)} -> {z.name(cat)})",
+        )
     return cache[key]
 
 
@@ -678,9 +858,14 @@ def stalk_hom_dim(cat: Catalog, a: int, b: int, k: int,
         if cat.rep(a).is_zero() or cat.rep(b).is_zero():
             cache[key] = 0
         else:
-            P = projective_realization(cat, DerivedClass.from_module(a))
-            C = stalk_realization(cat, DerivedClass.from_module(b).shift(k))
-            table = HomotopyClasses(P, C, cap=cap, max_exponent=64)
+            x = DerivedClass.from_module(a)
+            z = DerivedClass.from_module(b).shift(k)
+            P = projective_realization(cat, x)
+            C = stalk_realization(cat, z)
+            table = HomotopyClasses(
+                P, C, cap=cap, max_exponent=64,
+                label=f"stalk_hom_dim({x.name(cat)} -> {z.name(cat)})",
+            )
             cache[key] = table.dim
     return cache[key]
 

@@ -30,14 +30,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Union
 
 from .catalog import Catalog
-from .derived import (
-    DerivedClass,
-    derived_class_of,
-    ext_dim,
-    hom_class_table,
-    mapping_cone,
-)
-from .errors import InputError, OutOfUniverseError
+from .derived import ConeClassifier, DerivedClass, ext_dim, hom_class_table
+from .errors import InputError, InvariantError, OutOfUniverseError
 from . import reps
 
 BasisKey = Union[int, DerivedClass]
@@ -265,7 +259,8 @@ def cone_table(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> list:
 
     The class count is cross-checked against p^ext_dim(x, z, 0) on every
     computation, tying the exhaustive enumeration to the summand-additive
-    Hom dimension route.
+    Hom dimension route.  Cones are classified by ConeClassifier, without
+    building a Complex per class.
     """
     key = (x, z)
     table_rows = ctx._cone_hist.get(key)
@@ -274,15 +269,14 @@ def cone_table(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> list:
         table = hom_class_table(
             cat, x, z, cap=ctx.caps.candidates, max_exponent=ctx.caps.hom_exponent
         )
-        table_rows = []
-        for vec in table.class_vectors():
-            cone = mapping_cone(table.lift(vec))
-            table_rows.append((vec, derived_class_of(cone, cat, strict=False)))
+        classify = ConeClassifier(table, cat)
+        table_rows = [(vec, classify(vec)) for vec in table.class_vectors()]
         expected = cat.p ** ext_dim(x, z, 0, cat, cap=ctx.caps.candidates)
         if len(table_rows) != expected:
-            raise AssertionError(
-                f"hom class count {len(table_rows)} != p^ext_dim {expected} "
-                f"for ({x}, {z}): enumeration routes disagree"
+            raise InvariantError(
+                f"cone_table({x.name(cat)} -> {z.name(cat)}): hom class count "
+                f"{len(table_rows)} != p^ext_dim = {expected}: enumeration "
+                f"routes disagree"
             )
         ctx._cone_hist[key] = table_rows
     return table_rows

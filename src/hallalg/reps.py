@@ -299,7 +299,8 @@ def enumerate_homs(x: Representation, y: Representation,
     d = len(basis)
     if x.p ** d > cap:
         raise EnumerationCapError(
-            f"|Hom| = {x.p}**{d} exceeds cap {cap}"
+            f"enumerate_homs(dims {x.dims} -> {y.dims}): |Hom| = {x.p}**{d} "
+            f"exceeds cap {cap}"
         )
     zero = RepMorphism.zero(x, y)
     scaled = [[b.scale(c) for c in range(x.p)] for b in basis]
@@ -485,7 +486,8 @@ def enumerate_subreps(z: Representation, cap: int = DEFAULT_CAP) -> list:
         total *= len(spaces)
         if total > cap:
             raise EnumerationCapError(
-                f"{total}+ subspace tuples exceed cap {cap}"
+                f"enumerate_subreps(dims {z.dims}): {total}+ subspace tuples "
+                f"exceed cap {cap}"
             )
 
     checkers = []
