@@ -134,6 +134,11 @@ class Catalog:
         self._hom_dim: dict = {}
         self._ext1: dict = {}
         self._fingerprint: dict = {}
+        # derived-category caches, filled by hallalg.derived
+        self.derived_stalks: dict = {}          # DerivedClass -> Complex
+        self.derived_projectives: dict = {}     # DerivedClass -> Complex
+        self.derived_hom_tables: dict = {}      # (x, z) -> HomotopyClasses
+        self.derived_stalk_hom_dims: dict = {}  # (a, b, k) -> int
         self._mark_indecomposables()
 
     # -- construction ------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence
 
 from .errors import EnumerationCapError, InputError, InvariantError, OutOfUniverseError
-from .fq import FqMatrix, RowSpace, complement_basis
+from .fq import FqMatrix, RowSpace, complement_basis, intertwining_rows, kernel_rows
 from .catalog import Catalog
 from . import reps
 from .reps import Representation, RepMorphism
@@ -169,9 +169,7 @@ def homology(c: Complex) -> list:
                 )
             comp_bases.append(comp)
             rows = [list(w) for w in comp] + [list(r) for r in im.basis()]
-            coord_mats.append(
-                FqMatrix.from_rows(p, rows) if rows else FqMatrix(p, 0, amb, ())
-            )
+            coord_mats.append(FqMatrix.from_rows(p, rows, amb))
 
         dims = tuple(len(cb) for cb in comp_bases)
         if not any(dims):
@@ -181,16 +179,12 @@ def homology(c: Complex) -> list:
             res = _solve_matrix(coord_mats[v].transpose(), vec)
             return res[: len(comp_bases[v])]
 
-        mats = []
-        for idx, (s, t) in enumerate(q.arrows):
-            cols = [
-                quot_coords(t, rep_n.mats[idx].mul_vec(w))
-                for w in comp_bases[s]
-            ]
-            if cols:
-                mats.append(FqMatrix.from_rows(p, cols).transpose())
-            else:
-                mats.append(FqMatrix.zeros(p, dims[t], 0))
+        mats = [
+            FqMatrix.from_cols(p, dims[t], [
+                quot_coords(t, rep_n.mats[idx].mul_vec(w)) for w in comp_bases[s]
+            ])
+            for idx, (s, t) in enumerate(q.arrows)
+        ]
         out.append((n, Representation(q, p, dims, mats)))
     return out
 
@@ -232,12 +226,10 @@ def derived_class_of(c: Complex, cat: Catalog, strict: bool = True) -> Optional[
 def stalk_realization(cat: Catalog, dc: DerivedClass) -> Complex:
     """The split realization: class reps placed at their degrees, zero
     differentials."""
-    cache = _derived_cache(cat, "stalk_real")
-    hit = cache.get(dc)
-    if hit is not None:
-        return hit
-    cache[dc] = out = _stalk_realization(cat, dc)
-    return out
+    cache = cat.derived_stalks
+    if dc not in cache:
+        cache[dc] = _stalk_realization(cat, dc)
+    return cache[dc]
 
 
 def _stalk_realization(cat: Catalog, dc: DerivedClass) -> Complex:
@@ -260,12 +252,10 @@ def projective_realization(cat: Catalog, dc: DerivedClass) -> Complex:
     Degree n holds p0(summand at n) (+) p1(summand at n+1); the only nonzero
     differential blocks are the resolution maps delta.
     """
-    cache = _derived_cache(cat, "proj_real")
-    hit = cache.get(dc)
-    if hit is not None:
-        return hit
-    cache[dc] = out = _projective_realization(cat, dc)
-    return out
+    cache = cat.derived_projectives
+    if dc not in cache:
+        cache[dc] = _projective_realization(cat, dc)
+    return cache[dc]
 
 
 def _projective_realization(cat: Catalog, dc: DerivedClass) -> Complex:
@@ -288,24 +278,17 @@ def _projective_realization(cat: Catalog, dc: DerivedClass) -> Complex:
 
     diffs = []
     for n in range(lo, hi):
-        src = reps_[n - lo]
-        dst = reps_[n - lo + 1]
         r_next = res.get(n + 1)
-        mats = []
-        for v in range(q.vertex_count):
-            grid = [[0] * src.dims[v] for _ in range(dst.dims[v])]
-            if r_next is not None:
-                # block p1(summand n+1) -> p0(summand n+1): delta
-                delta = r_next.delta.mats[v]
-                col_off = part0(n).dims[v]
-                for r in range(delta.rows):
-                    for cix in range(delta.cols):
-                        grid[r][col_off + cix] = delta[r, cix]
-            mats.append(
-                FqMatrix.from_rows(p, grid) if dst.dims[v]
-                else FqMatrix(p, 0, src.dims[v], ())
+        # the one block p1(summand n+1) -> p0(summand n+1) is its delta
+        mats = [
+            FqMatrix.blocks(
+                p, (part0(n + 1).dims[v], part1(n + 2).dims[v]),
+                (part0(n).dims[v], part1(n + 1).dims[v]),
+                {(0, 1): r_next.delta.mats[v]} if r_next else {},
             )
-        diffs.append(RepMorphism(src, dst, mats, validate=True))
+            for v in range(q.vertex_count)
+        ]
+        diffs.append(RepMorphism(reps_[n - lo], reps_[n - lo + 1], mats, validate=True))
     return Complex(q, p, lo, reps_, diffs)
 
 
@@ -318,22 +301,16 @@ def augmentation_map(cat: Catalog, dc: DerivedClass) -> "ChainMap":
     q, p = cat.quiver, cat.p
     mats = {}
     for n in P.degrees():
-        src = P.rep(n)
-        dst = C.rep(n)
-        r = res.get(n)
-        vmats = []
-        for v in range(q.vertex_count):
-            grid = [[0] * src.dims[v] for _ in range(dst.dims[v])]
-            if r is not None:
-                aug = r.aug.mats[v]
-                for rr in range(aug.rows):
-                    for cc in range(aug.cols):
-                        grid[rr][cc] = aug[rr, cc]
-            vmats.append(
-                FqMatrix.from_rows(p, grid) if dst.dims[v]
-                else FqMatrix(p, 0, src.dims[v], ())
-            )
-        mats[n] = RepMorphism(src, dst, vmats, validate=False)
+        src, dst, r = P.rep(n), C.rep(n), res.get(n)
+        if r is None:
+            mats[n] = RepMorphism.zero(src, dst)
+            continue
+        # P^n = p0(summand n) (+) p1(summand n+1)
+        mats[n] = RepMorphism(src, dst, [
+            FqMatrix.blocks(p, (dst.dims[v],), (r.p0.dims[v], src.dims[v] - r.p0.dims[v]),
+                            {(0, 0): r.aug.mats[v]})
+            for v in range(q.vertex_count)
+        ], validate=False)
     return ChainMap(P, C, mats)
 
 
@@ -407,27 +384,14 @@ def mapping_cone(f: ChainMap) -> Complex:
         dx = X.diff(n + 1)
         dz = Z.diff(n)
         fb = f.mat(n + 1)
-        mats = []
-        for v in range(q.vertex_count):
-            x1, z0 = X.rep(n + 1).dims[v], Z.rep(n).dims[v]
-            x2, z1 = X.rep(n + 2).dims[v], Z.rep(n + 1).dims[v]
-            grid = [[0] * (x1 + z0) for _ in range(x2 + z1)]
-            m = dx.mats[v]
-            for r in range(x2):
-                for c in range(x1):
-                    grid[r][c] = (-m[r, c]) % p
-            m = fb.mats[v]
-            for r in range(z1):
-                for c in range(x1):
-                    grid[x2 + r][c] = m[r, c]
-            m = dz.mats[v]
-            for r in range(z1):
-                for c in range(z0):
-                    grid[x2 + r][x1 + c] = m[r, c]
-            mats.append(
-                FqMatrix.from_rows(p, grid) if (x2 + z1)
-                else FqMatrix(p, 0, x1 + z0, ())
+        mats = [
+            FqMatrix.blocks(
+                p, (X.rep(n + 2).dims[v], Z.rep(n + 1).dims[v]),
+                (X.rep(n + 1).dims[v], Z.rep(n).dims[v]),
+                {(0, 0): -dx.mats[v], (1, 0): fb.mats[v], (1, 1): dz.mats[v]},
             )
+            for v in range(q.vertex_count)
+        ]
         diffs.append(RepMorphism(src, dst, mats, validate=True))
     return Complex(q, p, lo, cone_reps, diffs)
 
@@ -465,29 +429,14 @@ class GradedMapSpace:
                 total += Z.rep(n + shift).dims[v] * X.rep(n).dims[v]
         self.total = total
 
-    def pos(self, n: int, v: int, r: int, c: int) -> int:
-        return self.offsets[(n, v)] + r * self.X.rep(n).dims[v] + c
-
-    def intertwining_rows(self) -> list:
+    def morphism_rows(self) -> list:
+        """Equations saying every g^n intertwines the arrow maps."""
         rows: list = []
-        q, p = self.X.quiver, self.p
         for n in self.degrees:
-            xr = self.X.rep(n)
-            zr = self.Z.rep(n + self.shift)
-            for idx, (s, t) in enumerate(q.arrows):
-                xa, za = xr.mats[idx], zr.mats[idx]
-                for r in range(zr.dims[t]):
-                    for c in range(xr.dims[s]):
-                        row = [0] * self.total
-                        for k in range(xr.dims[t]):
-                            row[self.pos(n, t, r, k)] = (
-                                row[self.pos(n, t, r, k)] + xa[k, c]
-                            ) % p
-                        for k in range(zr.dims[s]):
-                            row[self.pos(n, s, k, c)] = (
-                                row[self.pos(n, s, k, c)] - za[r, k]
-                            ) % p
-                        rows.append(row)
+            xr, zr = self.X.rep(n), self.Z.rep(n + self.shift)
+            for idx, (s, t) in enumerate(self.X.quiver.arrows):
+                rows += intertwining_rows(self.total, self.offsets[(n, t)], xr.mats[idx],
+                                          self.offsets[(n, s)], zr.mats[idx])
         return rows
 
     def unflatten(self, vec: Sequence[int]) -> Dict[int, RepMorphism]:
@@ -526,57 +475,25 @@ class GradedMapSpace:
 def chain_map_space(X: Complex, Z: Complex) -> tuple:
     """(space, basis) where basis spans {chain maps X -> Z} as flat vectors."""
     gs = GradedMapSpace(X, Z, 0)
-    rows = gs.intertwining_rows()
-    # commutation: d_Z o f^n - f^(n+1) o d_X = 0 at every degree
-    q, p = X.quiver, X.p
-    degs = sorted(set(X.degrees()) | set(Z.degrees()))
-    for n in degs:
-        dz = Z.diff(n)
-        dx = X.diff(n)
-        for v in range(q.vertex_count):
-            n_rows = Z.rep(n + 1).dims[v]
-            n_cols = X.rep(n).dims[v]
-            for r in range(n_rows):
-                for c in range(n_cols):
-                    row = [0] * gs.total
-                    touched = False
-                    if (n, v) in gs.offsets:
-                        for k in range(Z.rep(n).dims[v]):
-                            row[gs.pos(n, v, k, c)] = (
-                                row[gs.pos(n, v, k, c)] + dz.mats[v][r, k]
-                            ) % p
-                            touched = touched or dz.mats[v][r, k] != 0
-                    if (n + 1, v) in gs.offsets:
-                        for k in range(X.rep(n + 1).dims[v]):
-                            row[gs.pos(n + 1, v, r, k)] = (
-                                row[gs.pos(n + 1, v, r, k)] - dx.mats[v][k, c]
-                            ) % p
-                            touched = touched or dx.mats[v][k, c] != 0
-                    if touched:
-                        rows.append(row)
     if gs.total == 0:
         return gs, []
-    if not rows:
-        basis_mat = FqMatrix.identity(X.p, gs.total)
-    else:
-        basis_mat = FqMatrix.from_rows(X.p, rows).kernel_basis()
-    return gs, [basis_mat.row(i) for i in range(basis_mat.rows)]
+    rows = gs.morphism_rows()
+    # commutation: f^(n+1) o d_X - d_Z o f^n = 0 at every degree and vertex
+    for n in sorted(set(X.degrees()) | set(Z.degrees())):
+        dx, dz = X.diff(n), Z.diff(n)
+        for v in range(X.quiver.vertex_count):
+            rows += intertwining_rows(gs.total, gs.offsets.get((n + 1, v)), dx.mats[v],
+                                      gs.offsets.get((n, v)), dz.mats[v])
+    return gs, kernel_rows(X.p, rows, gs.total)
 
 
 def homotopy_boundaries(X: Complex, Z: Complex, gs: GradedMapSpace) -> list:
     """Flat vectors (in gs coordinates) spanning the null-homotopic chain
     maps: d_Z h + h d_X over all degree -1 graded morphisms h."""
     hs = GradedMapSpace(X, Z, -1)
-    if hs.total == 0:
-        return []
-    rows = hs.intertwining_rows()
-    if not rows:
-        hbasis = FqMatrix.identity(X.p, hs.total)
-    else:
-        hbasis = FqMatrix.from_rows(X.p, rows).kernel_basis()
     out = []
-    for i in range(hbasis.rows):
-        hmats = hs.unflatten(hbasis.row(i))
+    for h in kernel_rows(X.p, hs.morphism_rows(), hs.total):
+        hmats = hs.unflatten(h)
 
         def hmat(n: int) -> RepMorphism:
             got = hmats.get(n)
@@ -641,21 +558,6 @@ class HomotopyClasses:
 
     def class_key(self, f: ChainMap) -> tuple:
         return self.canon(self.vector_of(f))
-
-
-def _kernel(mat: list, ncols: int, p: int) -> list:
-    """Basis of {v : mat v = 0} for a matrix given as a list of rows."""
-    rs = RowSpace(p, ncols)
-    for r in mat:
-        rs.add(r)
-    out = []
-    for j in sorted(set(range(ncols)) - set(rs.pivots)):
-        v = [0] * ncols
-        v[j] = 1
-        for row, pc in zip(rs.rows, rs.pivots):
-            v[pc] = -row[j] % p
-        out.append(v)
-    return out
 
 
 def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
@@ -785,7 +687,7 @@ class ConeClassifier:
             if d_in is not None:
                 for c in range(self.dims[k - 1][v]):
                     im.add([row[c] for row in d_in[v]])
-            ker = _kernel(d_out[v] if d_out is not None else [], dim, p)
+            ker = kernel_rows(p, d_out[v] if d_out is not None else [], dim)
             comp = RowSpace(p, dim)
             for u in ker:
                 comp.add(im.reduce(u))
@@ -817,17 +719,9 @@ class ConeClassifier:
         return self.cat.classify_key((hdims, tuple(data)))
 
 
-def _derived_cache(cat: Catalog, name: str) -> dict:
-    store = getattr(cat, "_derived_caches", None)
-    if store is None:
-        store = {}
-        setattr(cat, "_derived_caches", store)
-    return store.setdefault(name, {})
-
-
 def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
                     cap: int = reps.DEFAULT_CAP, max_exponent: int = 20) -> HomotopyClasses:
-    cache = _derived_cache(cat, "hom_tables")
+    cache = cat.derived_hom_tables
     key = (x, z)
     if key not in cache:
         P = projective_realization(cat, x)
@@ -852,7 +746,7 @@ def stalk_hom_dim(cat: Catalog, a: int, b: int, k: int,
     """dim of derived Hom(A, B[k]) for catalog module classes A, B, computed
     from the chain-map space of the projective realization (no vanishing
     assumptions; out-of-range shifts genuinely solve to zero)."""
-    cache = _derived_cache(cat, "stalk_hom")
+    cache = cat.derived_stalk_hom_dims
     key = (a, b, k)
     if key not in cache:
         if cat.rep(a).is_zero() or cat.rep(b).is_zero():

@@ -6,16 +6,19 @@ all canonical forms (reduced row echelon, kernel bases) are deterministic so
 matrices can double as dictionary keys and orbit representatives.
 
 Dimensions stay at desk scale (< ~64), so the cubic Gaussian elimination here
-is the right tool; there is deliberately no sparse or block machinery.
+is the right tool; there is deliberately no sparse machinery.  Block
+matrices are assembled by FqMatrix.blocks, the linear equations saying that
+unknown matrices intertwine two given ones are built by intertwining_rows,
+and kernel_rows solves such systems on plain int lists.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import EnumerationCapError, InputError
+from .errors import EnumerationCapError, InputError, InvariantError
 
 
 def is_prime(n: int) -> bool:
@@ -45,7 +48,7 @@ def inv_mod(a: int, p: int) -> int:
 @dataclass(frozen=True)
 class FqScalar:
     """A residue in F_p.  Matrices store raw ints; this wrapper is the
-    value type exposed at API boundaries (entry accessors, examples)."""
+    value type for scalar arithmetic at API boundaries (examples)."""
 
     value: int
     modulus: int
@@ -95,15 +98,45 @@ class FqMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_rows(cls, p: int, rows: Sequence[Sequence[int]]) -> "FqMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
+    def from_rows(cls, p: int, rows: Sequence[Sequence[int]],
+                  cols: int = 0) -> "FqMatrix":
+        """The matrix with the given rows; `cols` is its width when there
+        are no rows."""
+        c = len(rows[0]) if rows else cols
         flat = []
         for row in rows:
             if len(row) != c:
                 raise InputError("ragged rows")
             flat.extend(row)
-        return cls(p, r, c, flat)
+        return cls(p, len(rows), c, flat)
+
+    @classmethod
+    def from_cols(cls, p: int, rows: int, cols: Sequence[Sequence[int]]) -> "FqMatrix":
+        """The rows x len(cols) matrix with the given columns."""
+        if any(len(col) != rows for col in cols):
+            raise InputError("ragged columns")
+        return cls(p, rows, len(cols), [col[i] for i in range(rows) for col in cols])
+
+    @classmethod
+    def blocks(cls, p: int, row_sizes: Sequence[int], col_sizes: Sequence[int],
+               blocks: Mapping[tuple, "FqMatrix"]) -> "FqMatrix":
+        """The block matrix with block rows of heights row_sizes and block
+        columns of widths col_sizes; blocks maps (i, j) to the block in
+        block row i and block column j, and absent blocks are zero."""
+        row_off = list(itertools.accumulate(row_sizes, initial=0))
+        col_off = list(itertools.accumulate(col_sizes, initial=0))
+        width = col_off[-1]
+        data = [0] * (row_off[-1] * width)
+        for (i, j), b in blocks.items():
+            if b.rows != row_sizes[i] or b.cols != col_sizes[j]:
+                raise InputError(
+                    f"block ({i}, {j}) has shape {b.shape}, expected "
+                    f"({row_sizes[i]}, {col_sizes[j]})"
+                )
+            for r in range(b.rows):
+                start = (row_off[i] + r) * width + col_off[j]
+                data[start : start + b.cols] = b.data[r * b.cols : (r + 1) * b.cols]
+        return cls(p, row_off[-1], width, data)
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FqMatrix":
@@ -117,9 +150,6 @@ class FqMatrix:
         return cls(p, n, n, data)
 
     # -- basic accessors -------------------------------------------------
-
-    def entry(self, i: int, j: int) -> FqScalar:
-        return FqScalar(self.data[i * self.cols + j], self.p)
 
     def __getitem__(self, ij: tuple) -> int:
         i, j = ij
@@ -247,17 +277,6 @@ class FqMatrix:
                 data.extend(m.row(i))
         return FqMatrix(p, rows, sum(m.cols for m in mats), data)
 
-    @staticmethod
-    def vstack(mats: Sequence["FqMatrix"]) -> "FqMatrix":
-        cols = mats[0].cols
-        p = mats[0].p
-        data = []
-        for m in mats:
-            if m.cols != cols or m.p != p:
-                raise InputError("vstack mismatch")
-            data.extend(m.data)
-        return FqMatrix(p, sum(m.rows for m in mats), cols, data)
-
     def is_zero(self) -> bool:
         return not any(self.data)
 
@@ -311,20 +330,11 @@ class FqMatrix:
     def kernel_basis(self) -> "FqMatrix":
         """Rows span {v : self @ v = 0}; canonical form with an identity
         block on the free columns, ordered by free column index."""
-        p = self.p
         red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        vecs = []
-        for j in free:
-            v = [0] * self.cols
-            v[j] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = (-red.data[r * self.cols + j]) % p
-            vecs.append(v)
-        if not vecs:
-            return FqMatrix(p, 0, self.cols, ())
-        return FqMatrix.from_rows(p, vecs)
+        reduced = [red.row(r) for r in range(len(pivots))]
+        return FqMatrix.from_rows(
+            self.p, _kernel_from_rref(self.p, reduced, pivots, self.cols), self.cols
+        )
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -364,6 +374,58 @@ def solve(a: FqMatrix, b: Sequence[int]) -> Optional[tuple]:
     for r, pc in enumerate(pivots):
         x[pc] = red.data[r * (a.cols + 1) + a.cols]
     return tuple(x), a.kernel_basis()
+
+
+def _kernel_from_rref(p: int, rows: Sequence[Sequence[int]],
+                      pivots: Sequence[int], ncols: int) -> list:
+    """Kernel basis of a matrix from the nonzero rows of its RREF and their
+    pivot columns: one vector per free column j, with 1 at j, -rows[r][j]
+    at pivot r and 0 at the other free columns, ordered by j."""
+    pivot_set = set(pivots)
+    out = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        v = [0] * ncols
+        v[j] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[j] % p
+        out.append(v)
+    return out
+
+
+def kernel_rows(p: int, rows: Iterable[Sequence[int]], ncols: int) -> list:
+    """Basis of {v in F_p^ncols : row . v = 0 for every row}, as int lists,
+    in the canonical form of FqMatrix.kernel_basis.  Works on plain lists,
+    so an equation system needs no FqMatrix."""
+    space = RowSpace(p, ncols)
+    for row in rows:
+        space.add(row)
+    return _kernel_from_rref(p, space.rows, space.pivots, ncols)
+
+
+def intertwining_rows(total: int, t_off: Optional[int], a: FqMatrix,
+                      s_off: Optional[int], b: FqMatrix) -> list:
+    """Rows of the linear equations F_t @ a - b @ F_s = 0 on a flat vector
+    of `total` unknowns.  F_t (b.rows x a.rows) and F_s (b.cols x a.cols)
+    are row-major blocks of unknowns starting at t_off and s_off; an offset
+    of None drops that term (its block is zero).  One row per entry of the
+    b.rows x a.cols product, in row-major order."""
+    p = a.p
+    k_t, k_s, width = a.rows, b.cols, a.cols
+    out = []
+    for r in range(b.rows):
+        for c in range(width):
+            row = [0] * total
+            if t_off is not None:
+                for k in range(k_t):
+                    row[t_off + r * k_t + k] = a.data[k * width + c]
+            if s_off is not None:
+                for k in range(k_s):
+                    pos = s_off + k * width + c
+                    row[pos] = (row[pos] - b.data[r * k_s + k]) % p
+            out.append(row)
+    return out
 
 
 class RowSpace:
@@ -452,9 +514,7 @@ class FqSubspace:
 
     @classmethod
     def from_span(cls, p: int, ambient_dim: int, vectors: Sequence[Sequence[int]]) -> "FqSubspace":
-        if not vectors:
-            return cls(ambient_dim, FqMatrix(p, 0, ambient_dim, ()))
-        m = FqMatrix.from_rows(p, vectors)
+        m = FqMatrix.from_rows(p, vectors, ambient_dim)
         if m.cols != ambient_dim:
             raise InputError("vector length != ambient dimension")
         return cls(ambient_dim, m.row_space_basis())
@@ -462,17 +522,6 @@ class FqSubspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def contains(self, v: Sequence[int]) -> bool:
-        rs = RowSpace(self.basis.p, self.ambient_dim)
-        for row in self.basis.row_list():
-            rs.add(row)
-        return rs.contains(v)
-
-
-def enumerate_vectors(p: int, n: int) -> Iterator[tuple]:
-    """All of F_p^n in lexicographic order."""
-    return itertools.product(range(p), repeat=n)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -485,8 +534,13 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     for i in range(k):
         num *= p ** (n - i) - 1
         den *= p ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
+    quot, rem = divmod(num, den)
+    if rem:
+        raise InvariantError(
+            f"gaussian_binomial({n}, {k})_{p}: product formula {num}/{den} "
+            f"is not an integer"
+        )
+    return quot
 
 
 def enumerate_subspaces(p: int, n: int, k: int, cap: int = 10_000_000) -> list:
@@ -513,7 +567,8 @@ def enumerate_subspaces(p: int, n: int, k: int, cap: int = 10_000_000) -> list:
         count = p ** len(free)
         if count > cap:
             raise EnumerationCapError(
-                f"{count} subspace candidates exceed cap {cap}"
+                f"enumerate_subspaces(F_{p}^{n}, k={k}): {count} candidates "
+                f"exceed cap {cap}"
             )
         for assignment in itertools.product(range(p), repeat=len(free)):
             rows = [[0] * n for _ in range(k)]

@@ -62,9 +62,6 @@ class LFType:
     def orders_of(self, comp: ComponentId) -> tuple:
         return self.orders[self.components.index(comp)]
 
-    def has_component(self, comp: ComponentId) -> bool:
-        return comp in set(self.components)
-
     def weight(self, comp: ComponentId) -> Fraction:
         return homotopy_weight(self.orders_of(comp))
 
@@ -215,9 +212,6 @@ class ProperMapData:
                         f"fiber over {tcomp!r} misses part of the preimage"
                     )
 
-    def map_component(self, comp: ComponentId) -> ComponentId:
-        return self.component_map[self.source.components.index(comp)]
-
     def preimage(self, tcomp: ComponentId) -> list:
         return [
             c for c, t in zip(self.source.components, self.component_map)
@@ -228,11 +222,6 @@ class ProperMapData:
         if self.fibers is None:
             raise InputError("this map carries no fiber data")
         return self.fibers[self.target.components.index(tcomp)]
-
-    def is_proper(self) -> bool:
-        """Finitely many source components over each target component; always
-        true for these finite presentations, kept as an explicit witness."""
-        return all(len(self.preimage(t)) < float("inf") for t in self.target.components)
 
     @classmethod
     def identity(cls, x: LFType) -> "ProperMapData":

@@ -21,8 +21,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import EnumerationCapError, InputError
-from .fq import FqMatrix, FqSubspace, RowSpace, check_prime, enumerate_subspaces
+from .errors import EnumerationCapError, InputError, InvariantError
+from .fq import (
+    FqMatrix,
+    RowSpace,
+    check_prime,
+    enumerate_subspaces,
+    intertwining_rows,
+    kernel_rows,
+)
 from .quivers import Quiver, path_target, paths_from
 
 DEFAULT_CAP = 10_000_000
@@ -97,28 +104,37 @@ class Representation:
         return f"Representation(p={self.p}, dims={self.dims})"
 
 
-def direct_sum(x: Representation, y: Representation) -> Representation:
-    """Block-diagonal x (+) y; x's coordinates come first at every vertex."""
-    _check_compatible(x, y)
-    q, p = x.quiver, x.p
-    dims = tuple(a + b for a, b in zip(x.dims, y.dims))
-    mats = []
-    for idx, (s, t) in enumerate(q.arrows):
-        a, b = x.mats[idx], y.mats[idx]
-        m = [[0] * dims[s] for _ in range(dims[t])]
-        for r in range(a.rows):
-            for c in range(a.cols):
-                m[r][c] = a[r, c]
-        for r in range(b.rows):
-            for c in range(b.cols):
-                m[x.dims[t] + r][x.dims[s] + c] = b[r, c]
-        mats.append(FqMatrix.from_rows(p, m) if dims[t] else FqMatrix(p, 0, dims[s], ()))
-    return Representation(q, p, dims, mats)
+def direct_sum(first: Representation, *rest: Representation) -> Representation:
+    """Block-diagonal sum of the summands; the coordinates of earlier
+    summands come first at every vertex."""
+    summands = (first,) + rest
+    for y in rest:
+        _check_compatible(first, y)
+    q, p = first.quiver, first.p
+    sizes = list(zip(*(r.dims for r in summands)))   # per vertex
+    mats = [
+        FqMatrix.blocks(p, sizes[t], sizes[s],
+                        {(k, k): r.mats[idx] for k, r in enumerate(summands)})
+        for idx, (s, t) in enumerate(q.arrows)
+    ]
+    return Representation(q, p, tuple(map(sum, sizes)), mats)
 
 
 def _check_compatible(x: Representation, y: Representation) -> None:
     if x.quiver != y.quiver or x.p != y.p:
         raise InputError("representations live over different quivers or moduli")
+
+
+def _unit(n: int, k: int) -> list:
+    e = [0] * n
+    e[k] = 1
+    return e
+
+
+def _unit_cols(p: int, rows: int, positions: Sequence[int]) -> FqMatrix:
+    """The rows x len(positions) matrix whose column c is the unit vector
+    at positions[c]."""
+    return FqMatrix.from_cols(p, rows, [_unit(rows, k) for k in positions])
 
 
 class RepMorphism:
@@ -264,28 +280,8 @@ def hom_basis(x: Representation, y: Representation) -> tuple:
 
     rows = []
     for idx, (s, t) in enumerate(q.arrows):
-        xa, ya = x.mats[idx], y.mats[idx]
-        # equation block has shape (y.dims[t] x x.dims[s])
-        for r in range(y.dims[t]):
-            for c in range(x.dims[s]):
-                row = [0] * total
-                for k in range(x.dims[t]):
-                    # coefficient of f_t[r, k]
-                    pos = offsets[t] + r * x.dims[t] + k
-                    row[pos] = (row[pos] + xa[k, c]) % p
-                for k in range(y.dims[s]):
-                    # coefficient of f_s[k, c]
-                    pos = offsets[s] + k * x.dims[s] + c
-                    row[pos] = (row[pos] - ya[r, k]) % p
-                rows.append(row)
-
-    if not rows:
-        kernel = FqMatrix.identity(p, total)
-    else:
-        kernel = FqMatrix.from_rows(p, rows).kernel_basis()
-    return tuple(
-        morphism_from_flat(x, y, kernel.row(i)) for i in range(kernel.rows)
-    )
+        rows += intertwining_rows(total, offsets[t], x.mats[idx], offsets[s], y.mats[idx])
+    return tuple(morphism_from_flat(x, y, v) for v in kernel_rows(p, rows, total))
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
@@ -373,17 +369,30 @@ class KernelCokernel:
     cokernel_proj: RepMorphism  # target -> cokernel
 
 
-def _coords_in_rref(basis: FqMatrix, pivots: Sequence[int], v: Sequence[int]) -> tuple:
-    # For an RREF basis, the coordinate along row r is v[pivot_r].
-    return tuple(v[pc] for pc in pivots)
-
-
 def _rref_pivots(basis: FqMatrix) -> tuple:
     pivots = []
     for i in range(basis.rows):
         row = basis.row(i)
         pivots.append(next(j for j, a in enumerate(row) if a))
     return tuple(pivots)
+
+
+def _restrict(x: Representation, bases: Sequence[FqMatrix]) -> tuple:
+    """(sub, inclusion) for the subrepresentation of x on the per-vertex
+    subspaces whose RREF bases are the rows of `bases`; the arrow maps must
+    preserve them.  The coordinate of a vector along RREF row r is its
+    entry at the pivot of r."""
+    q, p = x.quiver, x.p
+    pivots = [_rref_pivots(b) for b in bases]
+    dims = tuple(b.rows for b in bases)
+    mats = []
+    for idx, (s, t) in enumerate(q.arrows):
+        images = (x.mats[idx].mul_vec(w) for w in bases[s].row_list())
+        mats.append(FqMatrix.from_cols(
+            p, dims[t], [tuple(w[pc] for pc in pivots[t]) for w in images]
+        ))
+    sub = Representation(q, p, dims, mats)
+    return sub, RepMorphism(sub, x, tuple(b.transpose() for b in bases), validate=False)
 
 
 def kernel_cokernel(f: RepMorphism) -> KernelCokernel:
@@ -398,25 +407,7 @@ def kernel_cokernel(f: RepMorphism) -> KernelCokernel:
     x, y = f.source, f.target
     q, p = x.quiver, x.p
 
-    ker_bases = [m.kernel_basis().row_space_basis() for m in f.mats]
-    ker_pivots = [_rref_pivots(b) for b in ker_bases]
-    ker_dims = tuple(b.rows for b in ker_bases)
-    ker_mats = []
-    for idx, (s, t) in enumerate(q.arrows):
-        cols = []
-        for r in range(ker_bases[s].rows):
-            w = x.mats[idx].mul_vec(ker_bases[s].row(r))
-            cols.append(_coords_in_rref(ker_bases[t], ker_pivots[t], w))
-        if cols:
-            ker_mats.append(FqMatrix.from_rows(p, cols).transpose())
-        else:
-            ker_mats.append(FqMatrix.zeros(p, ker_dims[t], 0))
-    kernel = Representation(q, p, ker_dims, ker_mats)
-    incl = RepMorphism(
-        kernel, x,
-        tuple(b.transpose() for b in ker_bases),
-        validate=False,
-    )
+    kernel, incl = _restrict(x, [m.kernel_basis().row_space_basis() for m in f.mats])
 
     im_spaces = []
     for v in range(q.vertex_count):
@@ -434,29 +425,20 @@ def kernel_cokernel(f: RepMorphism) -> KernelCokernel:
         red = im_spaces[v].reduce(vec)
         return tuple(red[j] for j in coker_coords[v])
 
-    proj_mats = []
-    for v in range(q.vertex_count):
-        cols = []
-        for j in range(y.dims[v]):
-            e = [0] * y.dims[v]
-            e[j] = 1
-            cols.append(project(v, e))
-        if cols:
-            proj_mats.append(FqMatrix.from_rows(p, cols).transpose())
-        else:
-            proj_mats.append(FqMatrix.zeros(p, coker_dims[v], 0))
-
-    coker_mats = []
-    for idx, (s, t) in enumerate(q.arrows):
-        cols = []
-        for c in coker_coords[s]:
-            e = [0] * y.dims[s]
-            e[c] = 1  # lift of the c-th quotient basis vector
-            cols.append(project(t, y.mats[idx].mul_vec(e)))
-        if cols:
-            coker_mats.append(FqMatrix.from_rows(p, cols).transpose())
-        else:
-            coker_mats.append(FqMatrix.zeros(p, coker_dims[t], 0))
+    proj_mats = [
+        FqMatrix.from_cols(p, coker_dims[v], [
+            project(v, _unit(y.dims[v], j)) for j in range(y.dims[v])
+        ])
+        for v in range(q.vertex_count)
+    ]
+    # column c: the image of the lift e_c of the c-th quotient basis vector
+    coker_mats = [
+        FqMatrix.from_cols(p, coker_dims[t], [
+            project(t, y.mats[idx].mul_vec(_unit(y.dims[s], c)))
+            for c in coker_coords[s]
+        ])
+        for idx, (s, t) in enumerate(q.arrows)
+    ]
     cokernel = Representation(q, p, coker_dims, coker_mats)
     proj = RepMorphism(y, cokernel, tuple(proj_mats), validate=False)
 
@@ -521,22 +503,7 @@ def enumerate_subreps(z: Representation, cap: int = DEFAULT_CAP) -> list:
 
 
 def _induced_subrep(z: Representation, subspaces: tuple) -> Subrep:
-    q, p = z.quiver, z.p
-    bases = [sp.basis for sp in subspaces]
-    pivots = [_rref_pivots(b) for b in bases]
-    dims = tuple(b.rows for b in bases)
-    mats = []
-    for idx, (s, t) in enumerate(q.arrows):
-        cols = []
-        for r in range(bases[s].rows):
-            w = z.mats[idx].mul_vec(bases[s].row(r))
-            cols.append(_coords_in_rref(bases[t], pivots[t], w))
-        if cols:
-            mats.append(FqMatrix.from_rows(p, cols).transpose())
-        else:
-            mats.append(FqMatrix.zeros(p, dims[t], 0))
-    sub = Representation(q, p, dims, mats)
-    incl = RepMorphism(sub, z, tuple(b.transpose() for b in bases), validate=False)
+    sub, incl = _restrict(z, [sp.basis for sp in subspaces])
     kc = kernel_cokernel(incl)
     return Subrep(subspaces, sub, incl, kc.cokernel, kc.cokernel_proj)
 
@@ -606,15 +573,10 @@ def projective_rep(q: Quiver, p: int, vertex: int) -> ProjectiveData:
         for j in range(q.vertex_count)
     )
     dims = tuple(len(ws) for ws in paths_at)
-    mats = []
-    for idx, (s, t) in enumerate(q.arrows):
-        m = [[0] * dims[s] for _ in range(dims[t])]
-        for c, w in enumerate(paths_at[s]):
-            ext = w + (idx,)
-            m[paths_at[t].index(ext)][c] = 1
-        mats.append(
-            FqMatrix.from_rows(p, m) if dims[t] else FqMatrix(p, 0, dims[s], ())
-        )
+    mats = [
+        _unit_cols(p, dims[t], [paths_at[t].index(w + (idx,)) for w in paths_at[s]])
+        for idx, (s, t) in enumerate(q.arrows)
+    ]
     return ProjectiveData(Representation(q, p, dims, mats), paths_at)
 
 
@@ -627,12 +589,10 @@ class Resolution:
     aug: RepMorphism
 
 
-def _apply_path(m: Representation, start: int, path: tuple, vec: Sequence[int]) -> tuple:
+def _apply_path(m: Representation, path: tuple, vec: Sequence[int]) -> tuple:
     v = tuple(vec)
-    at = start
     for idx in path:
         v = m.mats[idx].mul_vec(v)
-        at = m.quiver.arrows[idx][1]
     return v
 
 
@@ -647,85 +607,54 @@ def standard_resolution(m: Representation) -> Resolution:
     p1_blocks = [
         (idx, c) for idx, (i, j) in enumerate(q.arrows) for c in range(m.dims[i])
     ]
-
-    def assemble(blocks, proj_of_block):
-        dims = [0] * q.vertex_count
-        offsets = []  # per block, per vertex, starting row
-        for blk in blocks:
-            pd = proj_of_block(blk)
-            offsets.append(tuple(dims))
-            for v in range(q.vertex_count):
-                dims[v] += pd.rep.dims[v]
-        mats = []
-        for idx, (s, t) in enumerate(q.arrows):
-            grid = [[0] * dims[s] for _ in range(dims[t])]
-            for bi, blk in enumerate(blocks):
-                pd = proj_of_block(blk)
-                sub = pd.rep.mats[idx]
-                ro, co = offsets[bi][t], offsets[bi][s]
-                for r in range(sub.rows):
-                    for c in range(sub.cols):
-                        grid[ro + r][co + c] = sub[r, c]
-            mats.append(
-                FqMatrix.from_rows(p, grid) if dims[t] else FqMatrix(p, 0, dims[s], ())
-            )
-        return Representation(q, p, tuple(dims), mats), offsets
-
-    p0_rep, p0_off = assemble(p0_blocks, lambda blk: projs[blk[0]])
-    p1_rep, p1_off = assemble(p1_blocks, lambda blk: projs[q.arrows[blk[0]][1]])
+    zero = Representation.zero(q, p)
+    p0_rep = direct_sum(zero, *(projs[i].rep for i, _ in p0_blocks))
+    p1_rep = direct_sum(zero, *(projs[q.arrows[a][1]].rep for a, _ in p1_blocks))
 
     # augmentation p0 -> m: block (i, c), basis path w: i -> v  |->  M_w(e_c)
-    aug_mats = []
-    for v in range(q.vertex_count):
-        cols = []
-        for bi, (i, c) in enumerate(p0_blocks):
-            for w in projs[i].paths_at[v]:
-                e = [0] * m.dims[i]
-                e[c] = 1
-                cols.append(_apply_path(m, i, w, e))
-        if cols:
-            aug_mats.append(FqMatrix.from_rows(p, cols).transpose())
-        else:
-            aug_mats.append(FqMatrix.zeros(p, m.dims[v], 0))
-    aug = RepMorphism(p0_rep, m, tuple(aug_mats), validate=False)
+    aug = RepMorphism(p0_rep, m, tuple(
+        FqMatrix.from_cols(p, m.dims[v], [
+            _apply_path(m, w, _unit(m.dims[i], c))
+            for i, c in p0_blocks for w in projs[i].paths_at[v]
+        ])
+        for v in range(q.vertex_count)
+    ), validate=False)
 
     # delta p1 -> p0 on block (a: i->j, c), basis path w: j -> v:
     #   + (path a then w) in block (i, c)
     #   - sum_c' (M_a e_c)_(c') * (path w) in block (j, c')
+    # The two never share a block, since i != j on an acyclic quiver.
     p0_block_index = {blk: bi for bi, blk in enumerate(p0_blocks)}
     delta_mats = []
     for v in range(q.vertex_count):
-        grid = [[0] * p1_rep.dims[v] for _ in range(p0_rep.dims[v])]
-        col = 0
-        for (aidx, c) in p1_blocks:
-            i, j = q.arrows[aidx]
-            for w in projs[j].paths_at[v]:
-                ext = (aidx,) + w
-                bi = p0_block_index[(i, c)]
-                row = p0_off[bi][v] + projs[i].paths_at[v].index(ext)
-                grid[row][col] = (grid[row][col] + 1) % p
-                e = [0] * m.dims[i]
-                e[c] = 1
-                img = m.mats[aidx].mul_vec(e)
-                for c2, coeff in enumerate(img):
-                    if coeff:
-                        bj = p0_block_index[(j, c2)]
-                        row2 = p0_off[bj][v] + projs[j].paths_at[v].index(w)
-                        grid[row2][col] = (grid[row2][col] - coeff) % p
-                col += 1
-        delta_mats.append(
-            FqMatrix.from_rows(p, grid) if p0_rep.dims[v] else FqMatrix(p, 0, p1_rep.dims[v], ())
-        )
+        at = [pd.paths_at[v] for pd in projs]
+        blocks = {}
+        for col, (a, c) in enumerate(p1_blocks):
+            i, j = q.arrows[a]
+            blocks[p0_block_index[(i, c)], col] = _unit_cols(
+                p, len(at[i]), [at[i].index((a,) + w) for w in at[j]]
+            )
+            for c2, coeff in enumerate(m.mats[a].col(c)):
+                if coeff:
+                    blocks[p0_block_index[(j, c2)], col] = (
+                        FqMatrix.identity(p, len(at[j])).scale(-coeff)
+                    )
+        delta_mats.append(FqMatrix.blocks(
+            p, [len(at[i]) for i, _ in p0_blocks],
+            [len(at[q.arrows[a][1]]) for a, _ in p1_blocks], blocks,
+        ))
     delta = RepMorphism(p1_rep, p0_rep, tuple(delta_mats), validate=False)
 
-    assert aug.compose(delta).is_zero()
-    assert delta.is_injective()
-    assert aug.is_surjective()
-    # exactness in the middle: rank(delta_v) == dim ker(aug_v)
-    assert all(
-        aug.mats[v].kernel_basis().rows == delta.mats[v].rank()
-        for v in range(q.vertex_count)
-    )
+    for holds, what in (
+        (aug.compose(delta).is_zero(), "aug o delta is not zero"),
+        (delta.is_injective(), "delta is not injective"),
+        (aug.is_surjective(), "aug is not surjective"),
+        # exactness in the middle: rank(delta_v) == dim ker(aug_v)
+        (all(aug.mats[v].kernel_basis().rows == delta.mats[v].rank()
+             for v in range(q.vertex_count)), "not exact at p0"),
+    ):
+        if not holds:
+            raise InvariantError(f"standard_resolution(dims {m.dims}): {what}")
     return Resolution(p1_rep, p0_rep, delta, aug)
 
 
@@ -748,5 +677,9 @@ def ext1_dim(x: Representation, y: Representation) -> int:
         ext1 = len(b1) - rank
     defect = hom_dim(x, y) - ext1 - euler_form(x.quiver, x.dims, y.dims)
     if defect:
-        raise AssertionError("Euler-form cross-check failed in ext1_dim")
+        raise InvariantError(
+            f"ext1_dim(dims {x.dims} -> {y.dims}): dim Hom - dim Ext^1 = "
+            f"{hom_dim(x, y) - ext1} != Euler form "
+            f"{euler_form(x.quiver, x.dims, y.dims)}"
+        )
     return ext1

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .hall import HallContext, HallElement
 from .lf import Fiber, FiniteSupportFn, LFType, ProperMapData, lf_product, pullback, pushforward
 from . import reps
@@ -84,6 +84,17 @@ def _orbit(seed: RepMorphism, left_gens, right_gens) -> dict:
     return seen
 
 
+def _stabilizer_order(group_order: int, orbit: dict, what: str) -> int:
+    """|Stab| = |group| / |orbit|, which must divide exactly."""
+    stab, rem = divmod(group_order, len(orbit))
+    if rem:
+        raise InvariantError(
+            f"build_span_model({what}): orbit of size {len(orbit)} does not "
+            f"divide the group order {group_order}"
+        )
+    return stab
+
+
 def build_span_model(ctx: HallContext) -> SpanModel:
     """Assemble X0, X1 and both legs over the catalog universe."""
     if ctx.mode != "classical":
@@ -121,8 +132,10 @@ def build_span_model(ctx: HallContext) -> SpanModel:
             for rank, (canon_key, orbit) in enumerate(orbits):
                 comp = ("m", a, b, rank)
                 canon = orbit[canon_key]
-                stab, rem = divmod(auts[a] * auts[b], len(orbit))
-                assert rem == 0
+                stab = _stabilizer_order(
+                    auts[a] * auts[b], orbit,
+                    f"arrows {cat.name(a)} -> {cat.name(b)}, Aut x Aut",
+                )
                 kc = reps.kernel_cokernel(canon)
                 arrow_classes[comp] = ArrowClass(
                     comp_id=comp,
@@ -162,8 +175,9 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                 orbits.append((min(orbit), orbit))
             orbits.sort(key=lambda o: o[0])
             for rank, (canon_key, orbit) in enumerate(orbits):
-                stab, rem = divmod(auts[a], len(orbit))
-                assert rem == 0
+                stab = _stabilizer_order(
+                    auts[a], orbit, f"maps {cat.name(a)} -> {cat.name(z)}, Aut"
+                )
                 fib_pairs.append((("f", z, a, rank), (stab,)))
                 fib_incl.append(member_lookup[(a, z)][canon_key])
         t_fibers.append(Fiber(LFType.from_pairs(fib_pairs), tuple(fib_incl)))

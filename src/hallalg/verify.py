@@ -29,7 +29,7 @@ from .derived import (
     hom_class_table,
     projective_realization,
 )
-from .errors import InputError, OutOfUniverseError
+from .errors import InputError, InvariantError, OutOfUniverseError
 from .fq import FqMatrix, solve
 from .hall import (
     BasisKey,
@@ -88,10 +88,12 @@ def _derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
             # only the empty complex: the identity of the zero object
             lifts.append(ChainMap(P, P, {}, validate=False))
             continue
-        a_mat = FqMatrix.from_rows(p, [list(c) for c in cols]).transpose()
-        res = solve(a_mat, vec)
+        res = solve(FqMatrix.from_cols(p, len(vec), cols), vec)
         if res is None:
-            raise AssertionError("automorphism class failed to lift")
+            raise InvariantError(
+                f"derived automorphisms of {x.name(cat)}: class {tuple(vec)} "
+                f"does not lift to a chain map P -> P"
+            )
         coeffs = res[0][: len(eps_cols)]
         g = ChainMap(P, P, {}, validate=False)
         for c, base in zip(coeffs, pp_maps):
@@ -102,7 +104,10 @@ def _derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
                 )
                 g = g + scaled
         if table.canon(table.vector_of(eps.compose(g))) != table.canon(vec):
-            raise AssertionError("lifted automorphism disagrees with its class")
+            raise InvariantError(
+                f"derived automorphisms of {x.name(cat)}: the lift of class "
+                f"{tuple(vec)} lies in another class"
+            )
         lifts.append(g)
     cache[x] = lifts
     return lifts
@@ -121,14 +126,21 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
     by_key = dict(elements)
     seen = set()
     orbits = []
+    label = (f"orbit_stabilizer_check({ctx.key_name(x)}, {ctx.key_name(z)}, "
+             f"{ctx.key_name(y)})")
     for k in keys:
         if k in seen:
             continue
         orbit_keys = sorted(set(act(by_key[k])))
-        assert all(ok in by_key for ok in orbit_keys)
+        if not all(ok in by_key for ok in orbit_keys):
+            raise InvariantError(f"{label}: an orbit of Aut leaves the set [x,z]_y")
         seen.update(orbit_keys)
         stab = sum(1 for ok in act(by_key[k]) if ok == k)
-        assert stab * len(orbit_keys) == aut_size
+        if stab * len(orbit_keys) != aut_size:
+            raise InvariantError(
+                f"{label}: |Stab| {stab} * |orbit| {len(orbit_keys)} != "
+                f"|Aut| {aut_size}"
+            )
         orbits.append({"size": len(orbit_keys), "stabilizer": stab})
 
     inv_sum = sum((Fraction(1, o["stabilizer"]) for o in orbits), Fraction(0))
@@ -258,10 +270,6 @@ def in_bound_triples(ctx: HallContext) -> list:
             out.extend((x, y, z) for y in ys for z in zs)
     out.sort()
     return out
-
-
-def _element_from_terms(ctx: HallContext, terms: dict) -> HallElement:
-    return HallElement(ctx, terms)
 
 
 def verify_suite(ctx: HallContext, span=None, checks: Optional[Sequence[str]] = None,

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallalg.errors import InputError
+from hallalg.errors import EnumerationCapError, InputError
 from hallalg.fq import (
     FqMatrix,
     FqScalar,
@@ -9,6 +9,8 @@ from hallalg.fq import (
     RowSpace,
     enumerate_subspaces,
     gaussian_binomial,
+    intertwining_rows,
+    kernel_rows,
     rref_rank_kernel,
     solve,
 )
@@ -164,3 +166,106 @@ def test_subspace_identity_is_rref_identity():
     a = FqSubspace.from_span(2, 3, [(1, 1, 0), (0, 1, 1)])
     b = FqSubspace.from_span(2, 3, [(1, 0, 1), (0, 1, 1)])
     assert a == b
+
+
+def test_enumerate_subspaces_cap_message():
+    with pytest.raises(EnumerationCapError,
+                       match=r"^enumerate_subspaces\(F_2\^3, k=2\): 4 candidates "
+                             r"exceed cap 3$"):
+        enumerate_subspaces(2, 3, 2, cap=3)
+
+
+# -- block assembly, columns, kernels and intertwining equations ---------------------
+
+
+def matrices(p, rows, cols):
+    return st.lists(st.integers(0, p - 1), min_size=rows * cols,
+                    max_size=rows * cols).map(lambda d: FqMatrix(p, rows, cols, d))
+
+
+def _block_of(offsets, i):
+    return next(k for k in range(len(offsets) - 1) if offsets[k] <= i < offsets[k + 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_blocks_matches_entrywise_fill(data):
+    p = data.draw(st.sampled_from([2, 3]))
+    row_sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    col_sizes = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    blocks = {}
+    for i, r in enumerate(row_sizes):
+        for j, c in enumerate(col_sizes):
+            if data.draw(st.booleans()):
+                blocks[(i, j)] = data.draw(matrices(p, r, c))
+    row_off = [sum(row_sizes[:k]) for k in range(len(row_sizes) + 1)]
+    col_off = [sum(col_sizes[:k]) for k in range(len(col_sizes) + 1)]
+    grid = [[0] * col_off[-1] for _ in range(row_off[-1])]
+    for i in range(row_off[-1]):
+        for j in range(col_off[-1]):
+            bi, bj = _block_of(row_off, i), _block_of(col_off, j)
+            if (bi, bj) in blocks:
+                grid[i][j] = blocks[bi, bj][i - row_off[bi], j - col_off[bj]]
+    want = FqMatrix.from_rows(p, grid, col_off[-1])
+    assert FqMatrix.blocks(p, row_sizes, col_sizes, blocks) == want
+
+
+def test_blocks_rejects_wrong_block_shape():
+    with pytest.raises(InputError, match=r"block \(0, 1\) has shape \(1, 1\)"):
+        FqMatrix.blocks(2, [1], [1, 2], {(0, 1): FqMatrix.identity(2, 1)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_from_cols_matches_entrywise_fill(data):
+    p = data.draw(st.sampled_from([2, 3]))
+    rows = data.draw(st.integers(0, 4))
+    cols = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows), max_size=4))
+    grid = [[0] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, v in enumerate(col):
+            grid[i][j] = v
+    got = FqMatrix.from_cols(p, rows, cols)
+    assert got == FqMatrix.from_rows(p, grid, len(cols))
+    assert got.shape == (rows, len(cols))
+
+
+def test_from_cols_rejects_ragged_columns():
+    with pytest.raises(InputError, match="ragged columns"):
+        FqMatrix.from_cols(2, 2, [(1, 0), (1,)])
+
+
+def test_from_rows_width_without_rows():
+    assert FqMatrix.from_rows(3, [], 4).shape == (0, 4)
+    assert FqMatrix.from_rows(3, []).shape == (0, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_strategy)
+def test_kernel_rows_equals_kernel_basis(m):
+    want = [list(m.kernel_basis().row(i)) for i in range(m.kernel_basis().rows)]
+    assert kernel_rows(m.p, m.row_list(), m.cols) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_intertwining_rows_evaluate_the_equation(data):
+    # F_t (R x K_t) @ a (K_t x C) - b (R x K_s) @ F_s (K_s x C), on a flat
+    # vector holding F_t and F_s at their offsets, or zero for a None offset
+    p = data.draw(st.sampled_from([2, 3]))
+    r, k_t, k_s, c = (data.draw(st.integers(0, 3)) for _ in range(4))
+    a, b = data.draw(matrices(p, k_t, c)), data.draw(matrices(p, r, k_s))
+    f_t, f_s = data.draw(matrices(p, r, k_t)), data.draw(matrices(p, k_s, c))
+    use_t, use_s = data.draw(st.booleans()), data.draw(st.booleans())
+    flat = [7] + list(f_t.data) + list(f_s.data)
+    t_off = 1 if use_t else None
+    s_off = 1 + len(f_t.data) if use_s else None
+    want = FqMatrix.zeros(p, r, c)
+    if use_t:
+        want = want + f_t @ a
+    if use_s:
+        want = want - b @ f_s
+    rows = intertwining_rows(len(flat), t_off, a, s_off, b)
+    assert [sum(x * y for x, y in zip(row, flat)) % p for row in rows] == list(want.data)
+    assert all(row[0] == 0 for row in rows)
