@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run every identity sweep over the standard desk-scale universes.
 
-Covers the one-vertex quiver at p = 2, 3 and the two-vertex A_2 quiver at
-p = 2, in both classical and derived modes, with the span cross-check where
-it applies, plus the Kronecker quiver (two parallel arrows) at p = 2 in
-derived mode.  Prints one line per (universe, check) and exits nonzero on any
+Covers the one-vertex quiver at p = 2, 3, the two-vertex A_2 quiver at
+p = 2 and the three-vertex A_3 quiver at p = 2, classical with the span
+cross-check, the A_2 quiver in derived mode too, plus the Kronecker quiver
+(two parallel arrows) at p = 2 in derived mode.  Prints one line per (universe, check) and exits nonzero on any
 failure.
 """
 
@@ -51,6 +51,9 @@ def main():
 
     ctx = HallContext("classical", catalog_build(a_n_quiver(2), 2, (2, 2)))
     failures += run("A_2 p=2 bound (2,2)", ctx, span=build_span_model(ctx))
+
+    ctx = HallContext("classical", catalog_build(a_n_quiver(3), 2, (2, 2, 1)))
+    failures += run("A_3 p=2 bound (2,2,1)", ctx, span=build_span_model(ctx))
 
     dctx = HallContext(
         "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 1)

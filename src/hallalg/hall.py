@@ -128,9 +128,6 @@ class HallContext:
     def chi(self, key: BasisKey) -> "HallElement":
         return HallElement(self, {key: Fraction(1)})
 
-    def zero_element(self) -> "HallElement":
-        return HallElement(self, {})
-
 
 class HallElement:
     """Finite-support exact-rational combination of basis classes."""

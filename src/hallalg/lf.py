@@ -11,12 +11,18 @@ orders: pi_1 inverted, pi_2 direct, and so on.  The pullback composes with
 the component map; it needs the map to be proper (finite preimages) so that
 finite support is preserved.  All arithmetic is exact Fraction arithmetic;
 there is no floating point anywhere in this module.
+
+Cost model: each map builds two indexes once, on first use (target ->
+preimage, and source -> (image, summed fiber weight)).  After that,
+push-forward and pullback take time proportional to the support of the
+function they are given, not to the size of the map.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Hashable, Mapping, Optional, Sequence
 
@@ -46,7 +52,7 @@ class LFType:
     def __post_init__(self):
         if len(self.components) != len(self.orders):
             raise InputError("components/orders length mismatch")
-        if len(set(self.components)) != len(self.components):
+        if len(self.component_set) != len(self.components):
             raise InputError("duplicate component ids")
         for os in self.orders:
             if any(o < 1 for o in os):
@@ -59,11 +65,9 @@ class LFType:
             tuple(tuple(o) for _, o in pairs),
         )
 
-    def orders_of(self, comp: ComponentId) -> tuple:
-        return self.orders[self.components.index(comp)]
-
-    def weight(self, comp: ComponentId) -> Fraction:
-        return homotopy_weight(self.orders_of(comp))
+    @cached_property
+    def component_set(self) -> frozenset:
+        return frozenset(self.components)
 
     def homotopy_cardinality(self) -> Fraction:
         """Sum over components of the alternating order product."""
@@ -100,7 +104,7 @@ class FiniteSupportFn:
     def __init__(self, base: LFType, values: Optional[Mapping] = None):
         self.base = base
         self.values: Dict[ComponentId, Fraction] = {}
-        comp_set = set(base.components)
+        comp_set = base.component_set
         for k, v in (values or {}).items():
             if k not in comp_set:
                 raise InputError(f"value on unknown component {k!r}")
@@ -193,7 +197,7 @@ class ProperMapData:
     def __post_init__(self):
         if len(self.component_map) != len(self.source.components):
             raise InputError("component_map length mismatch")
-        tset = set(self.target.components)
+        tset = self.target.component_set
         for t in self.component_map:
             if t not in tset:
                 raise InputError(f"component_map hits unknown target {t!r}")
@@ -201,7 +205,7 @@ class ProperMapData:
             if len(self.fibers) != len(self.target.components):
                 raise InputError("need one fiber per target component")
             for tcomp, fib in zip(self.target.components, self.fibers):
-                preimage = set(self.preimage(tcomp))
+                preimage = set(self.preimages.get(tcomp, ()))
                 hit = set(fib.incl)
                 if not hit <= preimage:
                     raise InputError(
@@ -212,11 +216,30 @@ class ProperMapData:
                         f"fiber over {tcomp!r} misses part of the preimage"
                     )
 
+    @cached_property
+    def preimages(self) -> Dict[ComponentId, list]:
+        """target component -> its source components, in source order."""
+        out: Dict[ComponentId, list] = {}
+        for c, t in zip(self.source.components, self.component_map):
+            out.setdefault(t, []).append(c)
+        return out
+
+    @cached_property
+    def fiber_weights(self) -> Dict[ComponentId, tuple]:
+        """source component -> (its image, the summed homotopy weight of the
+        fiber components that include it); validation puts each source only
+        in the fiber over its own image."""
+        if self.fibers is None:
+            raise InputError("pushforward needs fiber data")
+        out: Dict[ComponentId, tuple] = {}
+        for tcomp, fib in zip(self.target.components, self.fibers):
+            for fo, src in zip(fib.lftype.orders, fib.incl):
+                _, w = out.get(src, (tcomp, 0))
+                out[src] = (tcomp, w + homotopy_weight(fo))
+        return out
+
     def preimage(self, tcomp: ComponentId) -> list:
-        return [
-            c for c, t in zip(self.source.components, self.component_map)
-            if t == tcomp
-        ]
+        return list(self.preimages.get(tcomp, ()))
 
     def fiber_over(self, tcomp: ComponentId) -> Fiber:
         if self.fibers is None:
@@ -282,31 +305,27 @@ class ProperMapData:
 def pushforward(f: ProperMapData, alpha: FiniteSupportFn) -> FiniteSupportFn:
     """Integrate alpha along the fibers of f: the value at a target component
     y is the sum over fiber components z of alpha(incl(z)) times the
-    alternating product of the fiber's homotopy group orders at z."""
+    alternating product of the fiber's homotopy group orders at z.  Reads
+    only the support of alpha."""
     if alpha.base != f.source:
         raise InputError("function is not based on the map's source")
-    if f.fibers is None:
-        raise InputError("pushforward needs fiber data")
+    weights = f.fiber_weights
     out = {}
-    for tcomp, fib in zip(f.target.components, f.fibers):
-        total = Fraction(0)
-        for fc, fo, src in zip(fib.lftype.components, fib.lftype.orders, fib.incl):
-            val = alpha(src)
-            if val:
-                total += val * homotopy_weight(fo)
-        if total:
-            out[tcomp] = total
+    for src, val in alpha.values.items():
+        tcomp, w = weights[src]
+        out[tcomp] = out.get(tcomp, 0) + val * w
     return FiniteSupportFn(f.target, out)
 
 
 def pullback(f: ProperMapData, beta: FiniteSupportFn) -> FiniteSupportFn:
-    """Compose with the component map; properness keeps the support finite."""
+    """Compose with the component map; properness keeps the support finite.
+    Reads only the support of beta."""
     if beta.base != f.target:
         raise InputError("function is not based on the map's target")
+    preimages = f.preimages
     out = {}
-    for c, t in zip(f.source.components, f.component_map):
-        val = beta(t)
-        if val:
+    for tcomp, val in beta.values.items():
+        for c in preimages.get(tcomp, ()):
             out[c] = val
     return FiniteSupportFn(f.source, out)
 

@@ -67,14 +67,6 @@ class Representation:
         mats = tuple(FqMatrix.zeros(p, 0, 0) for _ in quiver.arrows)
         return cls(quiver, p, dims, mats)
 
-    @classmethod
-    def simple(cls, quiver: Quiver, p: int, vertex: int) -> "Representation":
-        dims = tuple(1 if v == vertex else 0 for v in range(quiver.vertex_count))
-        mats = tuple(
-            FqMatrix.zeros(p, dims[t], dims[s]) for s, t in quiver.arrows
-        )
-        return cls(quiver, p, dims, mats)
-
     @property
     def total_dim(self) -> int:
         return sum(self.dims)

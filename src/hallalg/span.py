@@ -84,6 +84,18 @@ def _orbit(seed: RepMorphism, left_gens, right_gens) -> dict:
     return seen
 
 
+def _orbits(members, left_gens, right_gens) -> list:
+    """The orbits meeting members, as (least key, orbit) sorted by least key."""
+    seen: set = set()
+    orbits = []
+    for f in members:
+        if f.key() not in seen:
+            orbit = _orbit(f, left_gens, right_gens)
+            seen.update(orbit)
+            orbits.append((min(orbit), orbit))
+    return sorted(orbits, key=lambda o: o[0])
+
+
 def _stabilizer_order(group_order: int, orbit: dict, what: str) -> int:
     """|Stab| = |group| / |orbit|, which must divide exactly."""
     stab, rem = divmod(group_order, len(orbit))
@@ -111,25 +123,19 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     gens = {i: reps.aut_generators(cat.rep(i)) for i in range(n)}
     auts = {i: cat.aut_order(i) for i in range(n)}
 
+    # An Aut(a) x Aut(b)-orbit of Hom(a, b) is an arrow class; its Aut(a)-
+    # orbits are the comma-fiber components over b that include it.  Ranks
+    # follow orbit minima, so the enumeration order never reaches an id.
     arrow_classes: Dict[tuple, ArrowClass] = {}
-    member_lookup: Dict[tuple, dict] = {}
     x1_pairs = []
+    fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
     for a in range(n):
         for b in range(n):
-            seen_keys: set = set()
-            orbits = []
-            for f in reps.enumerate_homs(
+            homs = reps.enumerate_homs(
                 cat.rep(a), cat.rep(b), cap=ctx.caps.candidates
-            ):
-                k = f.key()
-                if k in seen_keys:
-                    continue
-                orbit = _orbit(f, gens[b], gens[a])
-                seen_keys.update(orbit)
-                orbits.append((min(orbit), orbit))
-            orbits.sort(key=lambda o: o[0])
-            lookup = {}
-            for rank, (canon_key, orbit) in enumerate(orbits):
+            )
+            comma = []
+            for rank, (canon_key, orbit) in enumerate(_orbits(homs, gens[b], gens[a])):
                 comp = ("m", a, b, rank)
                 canon = orbit[canon_key]
                 stab = _stabilizer_order(
@@ -148,40 +154,26 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                     cokernel_class=cat.classify(kc.cokernel),
                     kernel_dim=kc.kernel.total_dim,
                 )
-                for k in orbit:
-                    lookup[k] = comp
                 x1_pairs.append((comp, (stab,)))
-            member_lookup[(a, b)] = lookup
+                for sub_key, sub in _orbits(orbit.values(), [], gens[a]):
+                    fstab = _stabilizer_order(
+                        auts[a], sub, f"maps {cat.name(a)} -> {cat.name(b)}, Aut"
+                    )
+                    comma.append((sub_key, fstab, comp))
+            comma.sort(key=lambda o: o[0])
+            for rank, (_, fstab, comp) in enumerate(comma):
+                fiber_parts[b].append((("f", b, a, rank), (fstab,), comp))
 
     x1 = LFType.from_pairs(x1_pairs)
 
     # target leg with comma-groupoid fibers
     t_map = tuple(arrow_classes[c].target_class for c in x1.components)
-    t_fibers = []
-    for z in range(n):
-        fib_pairs = []
-        fib_incl = []
-        for a in range(n):
-            seen_keys = set()
-            orbits = []
-            for f in reps.enumerate_homs(
-                cat.rep(a), cat.rep(z), cap=ctx.caps.candidates
-            ):
-                k = f.key()
-                if k in seen_keys:
-                    continue
-                orbit = _orbit(f, [], gens[a])
-                seen_keys.update(orbit)
-                orbits.append((min(orbit), orbit))
-            orbits.sort(key=lambda o: o[0])
-            for rank, (canon_key, orbit) in enumerate(orbits):
-                stab = _stabilizer_order(
-                    auts[a], orbit, f"maps {cat.name(a)} -> {cat.name(z)}, Aut"
-                )
-                fib_pairs.append((("f", z, a, rank), (stab,)))
-                fib_incl.append(member_lookup[(a, z)][canon_key])
-        t_fibers.append(Fiber(LFType.from_pairs(fib_pairs), tuple(fib_incl)))
-    t = ProperMapData(x1, x0, t_map, tuple(t_fibers))
+    t_fibers = tuple(
+        Fiber(LFType.from_pairs([part[:2] for part in fiber_parts[z]]),
+              tuple(part[2] for part in fiber_parts[z]))
+        for z in range(n)
+    )
+    t = ProperMapData(x1, x0, t_map, t_fibers)
 
     # (source, cone) leg: component map only; its homotopy fibers are never
     # consumed (the product needs pullback here, push-forward along t)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallalg.errors import InputError
+from lf_oracle import dense_pullback, dense_pushforward
 from hallalg.lf import (
     BaseChangeSquare,
     Fiber,
@@ -226,3 +227,58 @@ def test_json_roundtrip():
     assert fn_doc["values"]["a"] == "1/2"
     again = FiniteSupportFn.from_json_dict(back.source, fn_doc)
     assert again == alpha
+
+
+def with_shared_sources(f: ProperMapData, rng: random.Random) -> ProperMapData:
+    """f with extra fiber components, each including a source that some
+    fiber component over the same target already includes."""
+    fibers = []
+    for tcomp, fib in zip(f.target.components, f.fibers):
+        pairs = list(zip(fib.lftype.components, fib.lftype.orders))
+        incl = list(fib.incl)
+        for k in range(rng.randint(0, 3) if incl else 0):
+            pairs.append((f"extra.{tcomp}.{k}",
+                          tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 2)))))
+            incl.append(rng.choice(fib.incl))
+        fibers.append(Fiber(LFType.from_pairs(pairs), tuple(incl)))
+    return ProperMapData(f.source, f.target, f.component_map, tuple(fibers))
+
+
+small_fractions = st.fractions(min_value=-30, max_value=30, max_denominator=30)
+
+
+def random_fn(data, base: LFType) -> FiniteSupportFn:
+    return FiniteSupportFn(base, {
+        c: data.draw(small_fractions) for c in base.components if data.draw(st.booleans())
+    })
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_indexed_push_pull_match_dense_oracle(seed, data):
+    rng = random.Random(seed)
+    square = random_base_change_square(rng)
+    maps = [square.f, square.u, square.v, square.g]
+    maps += [with_shared_sources(m, rng) for m in maps]
+    for f in maps:
+        for alpha in (FiniteSupportFn(f.source), random_fn(data, f.source)):
+            assert pushforward(f, alpha) == dense_pushforward(f, alpha)
+        for beta in (FiniteSupportFn(f.target), random_fn(data, f.target)):
+            assert pullback(f, beta) == dense_pullback(f, beta)
+
+        # contributions that cancel: over a target with at least two
+        # sources, the last source's value offsets all the others
+        for tcomp in f.target.components:
+            pre = f.preimage(tcomp)
+            if len(pre) < 2:
+                continue
+            weight = {
+                s: dense_pushforward(f, FiniteSupportFn.characteristic(f.source, s))(tcomp)
+                for s in pre
+            }
+            vals = {s: data.draw(small_fractions) for s in pre[:-1]}
+            vals[pre[-1]] = -sum(v * weight[s] for s, v in vals.items()) / weight[pre[-1]]
+            alpha = FiniteSupportFn(f.source, vals)
+            got = pushforward(f, alpha)
+            assert tcomp not in got.values
+            assert got == dense_pushforward(f, alpha)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from hallalg.catalog import catalog_build
 from hallalg.derived import DerivedClass
 from hallalg.hall import HallContext
+from hallalg.lf import Fiber, LFType, ProperMapData
 from hallalg.quivers import a_n_quiver
 from hallalg.span import build_span_model
 from hallalg.verify import (
@@ -111,6 +114,39 @@ def test_mutated_table_fails_associativity(a2_ctx):
         f["triple"][0] in named or f["triple"][1] in named
         for f in report["checks"]["assoc"]["failures"]
     )
+
+
+def test_mutated_comma_fiber_fails_span_check(a2_ctx):
+    # Change the order of one comma-fiber component that shares its arrow
+    # class with other components of the same fiber and carries weight into
+    # an in-bound product: the span route must see the change.
+    span = build_span_model(a2_ctx)
+    pairs = set(in_bound_pairs(a2_ctx))
+    target = None
+    for zi, fib in enumerate(span.t.fibers):
+        shared = Counter(fib.incl)
+        for j, src in enumerate(fib.incl):
+            ac = span.arrow_classes[src]
+            pair = (ac.source_class, ac.cokernel_class)
+            if shared[src] > 1 and ac.kernel_dim == 0 and pair in pairs:
+                target = (zi, j, pair)
+    assert target is not None
+    zi, j, (x, y) = target
+    fib = span.t.fibers[zi]
+    orders = list(fib.lftype.orders)
+    orders[j] = (orders[j][0] * 2,) + orders[j][1:]
+    fibers = list(span.t.fibers)
+    fibers[zi] = Fiber(LFType(fib.lftype.components, tuple(orders)), fib.incl)
+    t = ProperMapData(span.t.source, span.t.target, span.t.component_map,
+                      tuple(fibers))
+    mutated = dataclasses.replace(span, t=t)
+
+    assert verify_suite(a2_ctx, span=span, checks=("span",))[
+        "checks"]["span"]["status"] == "pass"
+    check = verify_suite(a2_ctx, span=mutated, checks=("span",))["checks"]["span"]
+    assert check["status"] == "fail"
+    cat = a2_ctx.catalog
+    assert [cat.name(x), cat.name(y)] in [f["pair"] for f in check["failures"]]
 
 
 def test_report_is_json_serializable(a1_ctx):
