@@ -5,8 +5,9 @@ dimension vector <= a componentwise bound.  The classes of dimension vector d
 are the orbits of GL_d = prod_v GL_{d_v}(F_p) on Rep_d, the arrow-matrix
 tuples of that shape, acting by g.(M_a) = (g_t M_a g_s^-1).  The build walks
 Rep_d in lexicographic order of its entry tuples and sweeps the whole orbit of
-each tuple not yet seen, by a search under elementary transvections and a
-primitive-root scaling; that first tuple is the lexicographically least
+each tuple not yet seen with reps.orbit, the package's one orbit search, which
+acts on entry tuples by moves: here elementary transvections and a
+primitive-root scaling.  That first tuple is the lexicographically least
 member of its orbit and becomes the canonical representative.
 
 The sweep records the class of every key in Rep_d, so classification is a
@@ -18,7 +19,6 @@ checked at build time.  Hom and Ext^1 dimensions are cached lazily.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,9 +49,8 @@ def _generators(quiver: Quiver, p: int, dims: tuple) -> list:
     (i != j, c = 1), which generate SL, and for p > 2 diag(r, 1, ..., 1) with
     r a primitive root.  g acts on the arrows into v by left multiplication
     (row i += c row j) and on the arrows out of v by right multiplication
-    with g^-1 = I + c' E_ij (column j += c' column i).  A move is a tuple of
-    (arrow, updates) steps applied in order, so a loop gets both; an update
-    (k, m, c) sets entry k to entry k + c * entry m of the step's input.
+    with g^-1 = I + c' E_ij (column j += c' column i).  The moves are in
+    reps.act's format, one step per end of an arrow at v, so a loop gets two.
     """
     r = _primitive_root(p) if p > 2 else 1
     moves = []
@@ -72,30 +71,6 @@ def _generators(quiver: Quiver, p: int, dims: tuple) -> list:
             if move:
                 moves.append(tuple(move))
     return moves
-
-
-def _act(state: tuple, move: tuple, p: int) -> tuple:
-    mats = list(state)
-    for a, updates in move:
-        src = mats[a]
-        out = list(src)
-        for k, m, c in updates:
-            out[k] = (src[k] + c * src[m]) % p
-        mats[a] = tuple(out)
-    return tuple(mats)
-
-
-def _orbit(start: tuple, moves: list, p: int) -> set:
-    orbit = {start}
-    todo = [start]
-    while todo:
-        state = todo.pop()
-        for move in moves:
-            image = _act(state, move, p)
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
 
 
 def _fmt_dims(dims: tuple) -> str:
@@ -133,7 +108,6 @@ class Catalog:
             self._by_dims.setdefault(e.dims, []).append(e.index)
         self._hom_dim: dict = {}
         self._ext1: dict = {}
-        self._fingerprint: dict = {}
         # derived-category caches, filled by hallalg.derived
         self.derived_stalks: dict = {}          # DerivedClass -> Complex
         self.derived_projectives: dict = {}     # DerivedClass -> Complex
@@ -176,7 +150,7 @@ class Catalog:
             ):
                 if (dims, state) in class_of_key:
                     continue
-                orbit = _orbit(state, moves, p)
+                orbit = reps.orbit(state, moves, p)
                 if gl % len(orbit):
                     raise InvariantError(
                         f"catalog.build(dims {_fmt_dims(dims)}): orbit of size "
@@ -251,15 +225,6 @@ class Catalog:
         """|Aut| of a class: |GL_d| / |orbit|, recorded by the build."""
         return self.entries[index].aut_order
 
-    def fingerprint_of_entry(self, index: int) -> tuple:
-        """dim Hom(I, -) over the catalog indecomposables I; by Krull-Schmidt
-        it separates the classes of one dimension vector."""
-        if index not in self._fingerprint:
-            self._fingerprint[index] = tuple(
-                self.hom_dim(i, index) for i in self.indecomposable_indices
-            )
-        return self._fingerprint[index]
-
     # -- classification ---------------------------------------------------------
 
     def classify(self, rep: Representation) -> int:
@@ -301,9 +266,6 @@ class Catalog:
                 for e in self.entries
             ],
         }
-
-    def export_json(self) -> str:
-        return json.dumps(self.export_json_dict(), sort_keys=True, indent=2)
 
 
 def catalog_build(quiver: Quiver, p: int, bound: Sequence[int],

@@ -324,33 +324,83 @@ def aut_generators(x: Representation) -> tuple:
     generated subgroup.  Deterministic because the element list is.
     """
     elements = aut_elements(x)
-    ident = RepMorphism.identity(x)
+    ident = RepMorphism.identity(x).key()
     gens: list = []
-    closure = {ident.key()}
+    closure = {ident}
     for g in elements:
         if g.key() in closure:
             continue
         gens.append(g)
-        closure = _mulclose_keys(gens, ident)
+        closure = orbit(ident, composition_moves(gens, (), x.dims, x.dims), x.p)
         if len(closure) == len(elements):
             break
     return tuple(gens)
 
 
-def _mulclose_keys(gens: Sequence[RepMorphism], ident: RepMorphism) -> set:
-    seen = {ident.key(): ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = g.compose(a)
-                k = b.key()
-                if k not in seen:
-                    seen[k] = b
-                    nxt.append(b)
-        frontier = nxt
-    return set(seen)
+# -- the orbit search ----------------------------------------------------------
+
+
+def act(state: tuple, move: tuple, p: int) -> tuple:
+    """Apply one move to a tuple of entry tuples.
+
+    A move is a tuple of (component, updates) steps, applied in order.  A
+    step reads src = state[component] and writes a copy out of it, where each
+    update (k, m, c) does out[k] += c * src[m] mod p; so every update of a
+    step reads the step's input, and updates to one entry add up.  The
+    catalog's transvections act on arrow-matrix entries this way, and
+    composition_moves writes h f and f g on Hom-matrix entries this way.
+    """
+    mats = list(state)
+    for a, updates in move:
+        src = mats[a]
+        out = list(src)
+        for k, m, c in updates:
+            out[k] = (out[k] + c * src[m]) % p
+        mats[a] = tuple(out)
+    return tuple(mats)
+
+
+def orbit(start: tuple, moves: Sequence[tuple], p: int) -> set:
+    """Every state reachable from start by moves (see act); an orbit when
+    the moves generate a group action."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        state = todo.pop()
+        for move in moves:
+            image = act(state, move, p)
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
+
+
+def composition_moves(left: Sequence[RepMorphism], right: Sequence[RepMorphism],
+                      src_dims: Sequence[int], dst_dims: Sequence[int]) -> list:
+    """Moves on the keys of Hom(a, b), a and b of dims src_dims and dst_dims:
+    f |-> h f for each automorphism h of b in left, written as
+    f_v += (h_v - I) f_v, and f |-> f g for each automorphism g of a in
+    right, written as f_v += f_v (g_v - I).  Moves that change nothing are
+    dropped."""
+    moves = []
+    for gens, on_left in ((left, True), (right, False)):
+        for g in gens:
+            move = []
+            for v, m in enumerate(g.mats):
+                rows, cols, n = dst_dims[v], src_dims[v], m.rows
+                delta = [(i, k, (m.data[i * n + k] - (i == k)) % m.p)
+                         for i in range(n) for k in range(n)]
+                if on_left:   # (h f)[i, j] += sum_k (h - I)[i, k] f[k, j]
+                    updates = tuple((i * cols + j, k * cols + j, c)
+                                    for i, k, c in delta if c for j in range(cols))
+                else:         # (f g)[i, j] += sum_k f[i, k] (g - I)[k, j]
+                    updates = tuple((i * cols + j, i * cols + k, c)
+                                    for k, j, c in delta if c for i in range(rows))
+                if updates:
+                    move.append((v, updates))
+            if move:
+                moves.append(tuple(move))
+    return moves
 
 
 @dataclass(frozen=True)

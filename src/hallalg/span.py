@@ -20,6 +20,11 @@ chi_x (x) chi_y picks out components with source class x, zero kernel and
 cokernel class y.  The product mu = t_! o (s x c)^* then reproduces the
 classical Hall numbers through homotopy cardinality alone, with no
 subobject counting anywhere on the path.
+
+Every orbit is swept by reps.orbit, the package's one orbit search, which
+acts on the entry tuples of RepMorphism.key(): the generators of Aut(a) and
+Aut(b) become moves on the keys of Hom(a, b) (reps.composition_moves), and
+a morphism is built only for the least key of each arrow class.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import InputError, InvariantError
 from .hall import HallContext, HallElement
 from .lf import Fiber, FiniteSupportFn, LFType, ProperMapData, lf_product, pullback, pushforward
 from . import reps
-from .reps import RepMorphism
+from .reps import RepMorphism, orbit as _orbit
 
 
 @dataclass
@@ -60,43 +65,20 @@ class SpanModel:
     arrow_classes: Dict[tuple, ArrowClass]
 
 
-def _orbit(seed: RepMorphism, left_gens, right_gens) -> dict:
-    """Orbit of a morphism under postcomposition by left_gens and
-    precomposition by right_gens (generators of the acting groups)."""
-    seen = {seed.key(): seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in right_gens:
-                cand = m.compose(g)
-                k = cand.key()
-                if k not in seen:
-                    seen[k] = cand
-                    nxt.append(cand)
-            for h in left_gens:
-                cand = h.compose(m)
-                k = cand.key()
-                if k not in seen:
-                    seen[k] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return seen
-
-
-def _orbits(members, left_gens, right_gens) -> list:
-    """The orbits meeting members, as (least key, orbit) sorted by least key."""
+def _orbits(keys, moves, p: int) -> list:
+    """The orbits of the moves meeting keys, as (least key, orbit) sorted by
+    least key."""
     seen: set = set()
     orbits = []
-    for f in members:
-        if f.key() not in seen:
-            orbit = _orbit(f, left_gens, right_gens)
-            seen.update(orbit)
+    for k in keys:
+        if k not in seen:
+            orbit = _orbit(k, moves, p)
+            seen |= orbit
             orbits.append((min(orbit), orbit))
     return sorted(orbits, key=lambda o: o[0])
 
 
-def _stabilizer_order(group_order: int, orbit: dict, what: str) -> int:
+def _stabilizer_order(group_order: int, orbit: set, what: str) -> int:
     """|Stab| = |group| / |orbit|, which must divide exactly."""
     stab, rem = divmod(group_order, len(orbit))
     if rem:
@@ -131,13 +113,15 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
     for a in range(n):
         for b in range(n):
-            homs = reps.enumerate_homs(
-                cat.rep(a), cat.rep(b), cap=ctx.caps.candidates
-            )
+            ra, rb = cat.rep(a), cat.rep(b)
+            homs = (f.key() for f in reps.enumerate_homs(ra, rb, cap=ctx.caps.candidates))
+            both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
+            pre = reps.composition_moves((), gens[a], ra.dims, rb.dims)
             comma = []
-            for rank, (canon_key, orbit) in enumerate(_orbits(homs, gens[b], gens[a])):
+            for rank, (canon_key, orbit) in enumerate(_orbits(homs, both, cat.p)):
                 comp = ("m", a, b, rank)
-                canon = orbit[canon_key]
+                canon = reps.morphism_from_flat(
+                    ra, rb, [v for data in canon_key for v in data])
                 stab = _stabilizer_order(
                     auts[a] * auts[b], orbit,
                     f"arrows {cat.name(a)} -> {cat.name(b)}, Aut x Aut",
@@ -155,7 +139,7 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                     kernel_dim=kc.kernel.total_dim,
                 )
                 x1_pairs.append((comp, (stab,)))
-                for sub_key, sub in _orbits(orbit.values(), [], gens[a]):
+                for sub_key, sub in _orbits(orbit, pre, cat.p):
                     fstab = _stabilizer_order(
                         auts[a], sub, f"maps {cat.name(a)} -> {cat.name(b)}, Aut"
                     )

@@ -34,7 +34,6 @@ from .fq import FqMatrix, solve
 from .hall import (
     BasisKey,
     HallContext,
-    HallElement,
     basis_product,
     cone_table,
     count_exact_sequences,
@@ -273,33 +272,12 @@ def in_bound_triples(ctx: HallContext) -> list:
 
 
 def verify_suite(ctx: HallContext, span=None, checks: Optional[Sequence[str]] = None,
-                 workers: int = 1, product_override: Optional[dict] = None) -> dict:
-    """Run the selected identity sweeps and return a JSON-ready report.
-
-    product_override maps basis-key pairs to {key: coefficient} dicts and
-    shadows the computed structure constants; it exists so the suite's own
-    failure reporting can be exercised against deliberately corrupted
-    tables.
-    """
+                 workers: int = 1) -> dict:
+    """Run the selected identity sweeps and return a JSON-ready report."""
     selected = tuple(checks) if checks else ALL_CHECKS
     for c in selected:
         if c not in ALL_CHECKS:
             raise InputError(f"unknown check {c!r}")
-
-    def prod(x: BasisKey, y: BasisKey) -> dict:
-        if product_override:
-            hit = product_override.get((x, y))
-            if hit is not None:
-                return hit
-        return basis_product(ctx, x, y)
-
-    def elem_mul(a: HallElement, b: HallElement) -> HallElement:
-        out: dict = {}
-        for x, cx in a.values.items():
-            for y, cy in b.values.items():
-                for z, g in prod(x, y).items():
-                    out[z] = out.get(z, Fraction(0)) + cx * cy * g
-        return HallElement(ctx, out)
 
     report: dict = {
         "schema": 1,
@@ -319,7 +297,7 @@ def verify_suite(ctx: HallContext, span=None, checks: Optional[Sequence[str]] = 
 
     for name in selected:
         runner = _CHECK_RUNNERS[name]
-        report["checks"][name] = runner(ctx, span, pairs, prod, elem_mul)
+        report["checks"][name] = runner(ctx, span, pairs)
 
     report["failures_total"] = sum(
         len(c.get("failures", ())) for c in report["checks"].values()
@@ -327,28 +305,28 @@ def verify_suite(ctx: HallContext, span=None, checks: Optional[Sequence[str]] = 
     return report
 
 
-def _check_unit(ctx, span, pairs, prod, elem_mul):
+def _check_unit(ctx, span, pairs):
     zero = ctx.zero_key()
     chi0 = ctx.chi(zero)
     failures = []
     cases = 0
     for key in ctx.basis_keys():
         a = ctx.chi(key)
-        left = elem_mul(chi0, a)
-        right = elem_mul(a, chi0)
+        left = multiply(chi0, a)
+        right = multiply(a, chi0)
         cases += 1
         if left != a or right != a:
             failures.append({"basis": ctx.key_name(key)})
     return _verdict(cases, failures)
 
 
-def _check_assoc(ctx, span, pairs, prod, elem_mul):
+def _check_assoc(ctx, span, pairs):
     failures = []
     cases = 0
     for x, y, z in in_bound_triples(ctx):
         a, b, c = ctx.chi(x), ctx.chi(y), ctx.chi(z)
-        lhs = elem_mul(elem_mul(a, b), c)
-        rhs = elem_mul(a, elem_mul(b, c))
+        lhs = multiply(multiply(a, b), c)
+        rhs = multiply(a, multiply(b, c))
         cases += 1
         if lhs != rhs:
             failures.append(
@@ -361,7 +339,7 @@ def _check_assoc(ctx, span, pairs, prod, elem_mul):
     return _verdict(cases, failures)
 
 
-def _check_riedtmann(ctx, span, pairs, prod, elem_mul):
+def _check_riedtmann(ctx, span, pairs):
     if ctx.mode != "classical":
         return _skipped("classical contexts only")
     cat = ctx.catalog
@@ -388,7 +366,7 @@ def _check_riedtmann(ctx, span, pairs, prod, elem_mul):
     return _verdict(cases, failures)
 
 
-def _check_stalk(ctx, span, pairs, prod, elem_mul):
+def _check_stalk(ctx, span, pairs):
     if ctx.mode != "derived":
         return _skipped("derived contexts only")
     cat = ctx.catalog
@@ -423,7 +401,7 @@ def _check_stalk(ctx, span, pairs, prod, elem_mul):
     return _verdict(cases, failures)
 
 
-def _check_span(ctx, span, pairs, prod, elem_mul):
+def _check_span(ctx, span, pairs):
     if ctx.mode != "classical":
         return _skipped("classical contexts only")
     if span is None:
@@ -434,7 +412,7 @@ def _check_span(ctx, span, pairs, prod, elem_mul):
     cases = 0
     for x, y in pairs:
         via_span = mu_span(ctx.chi(x), ctx.chi(y), span)
-        via_formula = elem_mul(ctx.chi(x), ctx.chi(y))
+        via_formula = multiply(ctx.chi(x), ctx.chi(y))
         cases += 1
         if via_span != via_formula:
             failures.append(
@@ -471,7 +449,7 @@ def _orbit_triples(ctx: HallContext, pairs) -> list:
     return sorted(triples)
 
 
-def _check_orbit(ctx, span, pairs, prod, elem_mul):
+def _check_orbit(ctx, span, pairs):
     failures = []
     uninverted_failures = 0
     non_free = 0

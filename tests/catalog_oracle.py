@@ -3,7 +3,8 @@
 This is the slow path the orbit sweep replaced: walk every arrow-matrix tuple
 in lexicographic order, keep each candidate not isomorphic to one already
 kept, and call a class decomposable when it is isomorphic to the direct sum
-of two nonzero kept classes.
+of two nonzero kept classes.  It also holds the Hom fingerprint, a
+Krull-Schmidt invariant that the tests compare with is_isomorphic.
 """
 
 import itertools
@@ -44,3 +45,9 @@ def pairwise_catalog(quiver, p, bound):
         )
         flags.append(not decomposable)
     return found_all, flags
+
+
+def fingerprint(cat, index):
+    """dim Hom(I, -) over the catalog indecomposables I; by Krull-Schmidt
+    it separates the classes of one dimension vector."""
+    return tuple(cat.hom_dim(i, index) for i in cat.indecomposable_indices)

@@ -1,8 +1,6 @@
-import json
-
 import pytest
 
-from catalog_oracle import pairwise_catalog
+from catalog_oracle import fingerprint, pairwise_catalog
 from hallalg import catalog as catalog_module
 from hallalg.catalog import Catalog, catalog_build
 from hallalg.errors import InvariantError, OutOfUniverseError
@@ -106,7 +104,7 @@ def test_fingerprint_equality_matches_isomorphism(a2_cat_22):
         for b in range(len(cat)):
             same_fp = (
                 cat.dims(a) == cat.dims(b)
-                and cat.fingerprint_of_entry(a) == cat.fingerprint_of_entry(b)
+                and fingerprint(cat, a) == fingerprint(cat, b)
             )
             assert same_fp == is_isomorphic(cat.rep(a), cat.rep(b))
 
@@ -144,7 +142,7 @@ def test_canonical_representative_is_lex_least(a2_cat):
 
 
 def test_export_schema(a1_cat):
-    doc = json.loads(a1_cat.export_json())
+    doc = a1_cat.export_json_dict()
     assert doc["schema"] == 1
     assert len(doc["classes"]) == 3
     for cls in doc["classes"]:

@@ -101,13 +101,18 @@ def test_derived_suite_smoke_small_window(dctx):
     assert report["checks"]["stalk"]["status"] == "pass"
 
 
-def test_mutated_table_fails_associativity(a2_ctx):
-    cat = a2_ctx.catalog
+def test_mutated_table_fails_associativity():
+    # A fresh context, since the corrupted product cache must not leak into
+    # other tests.  Bound (2, 2), because at (1, 1) every in-bound triple
+    # holding s2 and s1 holds the zero class too, and a unit factor cannot
+    # expose a corrupted s2 * s1.
+    ctx = HallContext("classical", catalog_build(a_n_quiver(2), 2, (2, 2)))
+    cat = ctx.catalog
     s1 = idx_of(cat, (1, 0))
     s2 = idx_of(cat, (0, 1))
     p1 = idx_of(cat, (1, 1), indec=True)
-    override = {(s2, s1): {p1: Fraction(7)}}
-    report = verify_suite(a2_ctx, checks=("assoc",), product_override=override)
+    ctx._product_cache[(s2, s1)] = {p1: Fraction(7)}
+    report = verify_suite(ctx, checks=("assoc",))
     assert report["checks"]["assoc"]["status"] == "fail"
     named = [cat.name(k) for k in (s2, s1)]
     assert any(
