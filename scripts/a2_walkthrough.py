@@ -44,7 +44,7 @@ def main():
         terms = basis_product(ctx, x, y)
         print(f"  {cat.name(x)} * {cat.name(y)} = {fmt_element(ctx, terms)}")
 
-    print("\nspan route (pullback, injectivity mask, push-forward) agrees:")
+    print("\nspan route over monomorphisms (pullback, push-forward) agrees:")
     span = build_span_model(ctx)
     for x, y in in_bound_pairs(ctx):
         via_span = mu_span(ctx.chi(x), ctx.chi(y), span)

@@ -14,7 +14,6 @@ from .derived import (
     DerivedClass,
     derived_class_of,
     ext_dim,
-    hom_classes,
     homology,
     mapping_cone,
 )
@@ -31,7 +30,6 @@ from .fq import (
     FqSubspace,
     enumerate_subspaces,
     gaussian_binomial,
-    rref_rank_kernel,
     solve,
 )
 from .hall import (

@@ -77,14 +77,11 @@ class RunConfig:
     mode: str
     window: Optional[tuple]
     cap: int
-    workers: int
     format: str
 
     def __post_init__(self):
         if self.cap <= 0:
             raise InputError("cap must be positive")
-        if self.workers <= 0:
-            raise InputError("workers must be positive")
         if any(b < 0 for b in self.bound):
             raise InputError("bound must be componentwise >= 0")
 
@@ -123,7 +120,6 @@ def _config(args, mode: str) -> RunConfig:
         mode=mode,
         window=window,
         cap=args.cap,
-        workers=args.workers,
         format=args.format,
     )
 
@@ -166,13 +162,7 @@ def cmd_catalog(args) -> int:
 def _table(args, mode: str) -> int:
     ctx = _context(args, mode)
     table = []
-    pairs = in_bound_pairs(ctx)
-    if args.workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            list(pool.map(lambda xy: basis_product(ctx, *xy), pairs))
-    for x, y in pairs:
+    for x, y in in_bound_pairs(ctx):
         terms = basis_product(ctx, x, y)
         table.append(
             {
@@ -225,7 +215,7 @@ def cmd_verify(args) -> int:
     span = None
     if ctx.mode == "classical" and "span" in checks:
         span = build_span_model(ctx)
-    report = verify_suite(ctx, span=span, checks=checks, workers=args.workers)
+    report = verify_suite(ctx, span=span, checks=checks)
     print(json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK if report["failures_total"] == 0 else EXIT_CHECK_FAILED
 
@@ -276,8 +266,6 @@ def _add_common(parser: argparse.ArgumentParser, derived_mode=False) -> None:
                         help="per-vertex dimension bound, e.g. 2,2")
     parser.add_argument("--cap", type=int, default=10_000_000,
                         help="enumeration candidate cap")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for table cells")
     parser.add_argument("--format", choices=("json", "csv", "pretty"),
                         default="json")
     parser.add_argument("--window", default="-2,2",

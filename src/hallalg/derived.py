@@ -62,19 +62,6 @@ class DerivedClass:
                 return i
         return None
 
-    def euler_vector(self, cat: Catalog) -> tuple:
-        """Alternating-sum dimension vector; additive in triangles."""
-        n = cat.quiver.vertex_count
-        out = [0] * n
-        for d, i in self.entries:
-            sign = 1 if d % 2 == 0 else -1
-            for v, dim in enumerate(cat.dims(i)):
-                out[v] += sign * dim
-        return tuple(out)
-
-    def to_json_list(self, cat: Catalog) -> list:
-        return [{"class_id": cat.name(i), "degree": d} for d, i in self.entries]
-
     def name(self, cat: Catalog) -> str:
         if not self.entries:
             return "0"
@@ -556,9 +543,6 @@ class HomotopyClasses:
     def vector_of(self, f: ChainMap) -> tuple:
         return self.space.flatten(f.mats)
 
-    def class_key(self, f: ChainMap) -> tuple:
-        return self.canon(self.vector_of(f))
-
 
 def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
     """c.diff(n) at vertex v as int rows, without building a zero morphism
@@ -731,14 +715,6 @@ def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
             label=f"hom_class_table({x.name(cat)} -> {z.name(cat)})",
         )
     return cache[key]
-
-
-def hom_classes(x: DerivedClass, z: DerivedClass, cat: Catalog,
-                cap: int = reps.DEFAULT_CAP, max_exponent: int = 20) -> list:
-    """One chain-map representative per derived Hom class x -> z; exactly
-    p^(ext_dim(x, z, 0)) of them, pairwise non-homotopic."""
-    table = hom_class_table(cat, x, z, cap=cap, max_exponent=max_exponent)
-    return [table.lift(v) for v in table.class_vectors()]
 
 
 def stalk_hom_dim(cat: Catalog, a: int, b: int, k: int,

@@ -353,12 +353,6 @@ class FqMatrix:
         return FqMatrix(self.p, n, n, data)
 
 
-def rref_rank_kernel(m: FqMatrix) -> tuple:
-    """One-shot (rref, rank, kernel_basis); rank + kernel rows == cols."""
-    red, pivots = m.rref()
-    return red, len(pivots), m.kernel_basis()
-
-
 def solve(a: FqMatrix, b: Sequence[int]) -> Optional[tuple]:
     """Particular solution of a @ x = b plus kernel description.
 
@@ -511,13 +505,6 @@ class FqSubspace:
 
     ambient_dim: int
     basis: FqMatrix  # rows = basis vectors, in RREF
-
-    @classmethod
-    def from_span(cls, p: int, ambient_dim: int, vectors: Sequence[Sequence[int]]) -> "FqSubspace":
-        m = FqMatrix.from_rows(p, vectors, ambient_dim)
-        if m.cols != ambient_dim:
-            raise InputError("vector length != ambient dimension")
-        return cls(ambient_dim, m.row_space_basis())
 
     @property
     def dim(self) -> int:

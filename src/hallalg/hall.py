@@ -106,9 +106,6 @@ class HallContext:
             return ((0, self.catalog.dims(key)),)
         return tuple((d, self.catalog.dims(i)) for d, i in key.entries)
 
-    def pair_in_bound(self, x: BasisKey, y: BasisKey) -> bool:
-        return self.keys_in_bound((x, y))
-
     def keys_in_bound(self, keys: Iterable[BasisKey]) -> bool:
         """True when the per-degree componentwise dimension sums stay within
         the catalog bound, which guarantees every intermediate product is

@@ -69,10 +69,6 @@ class LFType:
     def component_set(self) -> frozenset:
         return frozenset(self.components)
 
-    def homotopy_cardinality(self) -> Fraction:
-        """Sum over components of the alternating order product."""
-        return sum((homotopy_weight(o) for o in self.orders), Fraction(0))
-
     @classmethod
     def point(cls) -> "LFType":
         return cls(("pt",), ((),))
@@ -115,10 +111,6 @@ class FiniteSupportFn:
     @classmethod
     def characteristic(cls, base: LFType, comp: ComponentId) -> "FiniteSupportFn":
         return cls(base, {comp: Fraction(1)})
-
-    @classmethod
-    def constant_one(cls, base: LFType) -> "FiniteSupportFn":
-        return cls(base, {c: Fraction(1) for c in base.components})
 
     def __call__(self, comp: ComponentId) -> Fraction:
         return self.values.get(comp, Fraction(0))
@@ -240,11 +232,6 @@ class ProperMapData:
 
     def preimage(self, tcomp: ComponentId) -> list:
         return list(self.preimages.get(tcomp, ()))
-
-    def fiber_over(self, tcomp: ComponentId) -> Fiber:
-        if self.fibers is None:
-            raise InputError("this map carries no fiber data")
-        return self.fibers[self.target.components.index(tcomp)]
 
     @classmethod
     def identity(cls, x: LFType) -> "ProperMapData":

@@ -5,26 +5,26 @@ groupoids, so everything is computable by orbit enumeration:
 
 * X0 has one component per catalog class, with pi_1 = its automorphism
   group (orders stored as [|Aut|]);
-* X1 has one component per isomorphism class of arrows f: a -> b, i.e. per
-  orbit of Hom(a, b) under the two-sided action (g, h) . f = h f g^-1 of
+* X1 is Waldhausen's S_2: one component per isomorphism class of
+  monomorphisms f: a -> b, i.e. per orbit of the injective part of
+  Hom(a, b) under the two-sided action (g, h) . f = h f g^-1 of
   Aut(a) x Aut(b), with pi_1 the stabilizer of the arrow;
-* the target leg t: X1 -> X0 carries, over each class z, the comma groupoid
-  of maps into z: components are precomposition orbits of Hom(a, z) under
-  Aut(a), with pi_1 the stabilizer of the map.
+* the target leg t: X1 -> X0 carries, over each class z, the groupoid of
+  subobjects of z: components are precomposition orbits of the injective
+  maps a -> z under Aut(a), with pi_1 the stabilizer of the map.
 
-The other leg maps an arrow class [f: a -> b] to (class of a, class of
-coker f) in X0 x X0.  The honest second coordinate is the mapping cone
-(ker f)[1] (+) coker f, a derived object; restricted to module-valued
-functions this only matters through the injectivity mask: pulling back
-chi_x (x) chi_y picks out components with source class x, zero kernel and
-cokernel class y.  The product mu = t_! o (s x c)^* then reproduces the
-classical Hall numbers through homotopy cardinality alone, with no
-subobject counting anywhere on the path.
+The other leg sends [f: a -> b] to (class of a, class of coker f) in
+X0 x X0, which for a monomorphism is its cone exactly.  The product
+mu = t_! o (s x c)^* then reproduces the classical Hall numbers through
+homotopy cardinality alone, with no subobject counting anywhere on the
+path.
 
 Every orbit is swept by reps.orbit, the package's one orbit search, which
 acts on the entry tuples of RepMorphism.key(): the generators of Aut(a) and
 Aut(b) become moves on the keys of Hom(a, b) (reps.composition_moves), and
-a morphism is built only for the least key of each arrow class.
+a morphism is built only for the least key of each arrow class.  The orbit
+code is mode-neutral; only build_span_model drops the non-injective
+classes.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .reps import RepMorphism, orbit as _orbit
 
 @dataclass
 class ArrowClass:
-    """One isomorphism class of arrows a -> b with its groupoid data."""
+    """One isomorphism class of monomorphisms a -> b with its groupoid data."""
 
     comp_id: tuple
     source_class: int
@@ -49,9 +49,7 @@ class ArrowClass:
     rep: RepMorphism          # lexicographically least orbit member
     orbit_size: int
     stabilizer_order: int     # |{(g, h) : h f = f g}|
-    injective: bool
     cokernel_class: int
-    kernel_dim: int
 
 
 @dataclass
@@ -60,8 +58,8 @@ class SpanModel:
     x0: LFType
     x00: LFType               # X0 x X0, components are (class, class) pairs
     x1: LFType
-    t: ProperMapData          # target leg with comma-groupoid fibers
-    sc: ProperMapData         # (source, cone) leg: pullback only
+    t: ProperMapData          # target leg with subobject-groupoid fibers
+    sc: ProperMapData         # (source, cokernel) leg: pullback only
     arrow_classes: Dict[tuple, ArrowClass]
 
 
@@ -105,28 +103,34 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     gens = {i: reps.aut_generators(cat.rep(i)) for i in range(n)}
     auts = {i: cat.aut_order(i) for i in range(n)}
 
-    # An Aut(a) x Aut(b)-orbit of Hom(a, b) is an arrow class; its Aut(a)-
-    # orbits are the comma-fiber components over b that include it.  Ranks
-    # follow orbit minima, so the enumeration order never reaches an id.
+    # An Aut(a) x Aut(b)-orbit of injective maps a -> b is an arrow class;
+    # its Aut(a)-orbits are the fiber components over b that include it.
+    # Ranks follow orbit minima, so the enumeration order never reaches an
+    # id.  Injectivity is constant on an orbit, so its least key decides.
     arrow_classes: Dict[tuple, ArrowClass] = {}
     x1_pairs = []
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
     for a in range(n):
         for b in range(n):
             ra, rb = cat.rep(a), cat.rep(b)
+            if any(da > db for da, db in zip(ra.dims, rb.dims)):
+                continue    # no monomorphism a -> b
             homs = (f.key() for f in reps.enumerate_homs(ra, rb, cap=ctx.caps.candidates))
             both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
             pre = reps.composition_moves((), gens[a], ra.dims, rb.dims)
             comma = []
-            for rank, (canon_key, orbit) in enumerate(_orbits(homs, both, cat.p)):
-                comp = ("m", a, b, rank)
+            rank = 0
+            for canon_key, orbit in _orbits(homs, both, cat.p):
                 canon = reps.morphism_from_flat(
                     ra, rb, [v for data in canon_key for v in data])
+                if not canon.is_injective():
+                    continue
+                comp = ("m", a, b, rank)
+                rank += 1
                 stab = _stabilizer_order(
                     auts[a] * auts[b], orbit,
                     f"arrows {cat.name(a)} -> {cat.name(b)}, Aut x Aut",
                 )
-                kc = reps.kernel_cokernel(canon)
                 arrow_classes[comp] = ArrowClass(
                     comp_id=comp,
                     source_class=a,
@@ -134,9 +138,7 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                     rep=canon,
                     orbit_size=len(orbit),
                     stabilizer_order=stab,
-                    injective=canon.is_injective(),
-                    cokernel_class=cat.classify(kc.cokernel),
-                    kernel_dim=kc.kernel.total_dim,
+                    cokernel_class=cat.classify(reps.kernel_cokernel(canon).cokernel),
                 )
                 x1_pairs.append((comp, (stab,)))
                 for sub_key, sub in _orbits(orbit, pre, cat.p):
@@ -150,7 +152,7 @@ def build_span_model(ctx: HallContext) -> SpanModel:
 
     x1 = LFType.from_pairs(x1_pairs)
 
-    # target leg with comma-groupoid fibers
+    # target leg with subobject-groupoid fibers
     t_map = tuple(arrow_classes[c].target_class for c in x1.components)
     t_fibers = tuple(
         Fiber(LFType.from_pairs([part[:2] for part in fiber_parts[z]]),
@@ -159,8 +161,8 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     )
     t = ProperMapData(x1, x0, t_map, t_fibers)
 
-    # (source, cone) leg: component map only; its homotopy fibers are never
-    # consumed (the product needs pullback here, push-forward along t)
+    # (source, cokernel) leg: component map only; its homotopy fibers are
+    # never consumed (the product needs pullback here, push-forward along t)
     sc_map = tuple(
         (arrow_classes[c].source_class, arrow_classes[c].cokernel_class)
         for c in x1.components
@@ -173,10 +175,9 @@ def build_span_model(ctx: HallContext) -> SpanModel:
 def mu_span(a: HallElement, b: HallElement, span: SpanModel) -> HallElement:
     """t_! ((s x c)^* (a (x) b)): the span route to the Hall product.
 
-    The tensor function is (x, y) |-> a(x) b(y) on X0 x X0.  After pullback,
-    support is restricted to components whose arrow has zero kernel: for a
-    module cone class the mapping cone (ker f)[1] (+) coker f matches a
-    module only when ker f = 0.
+    The tensor function is (x, y) |-> a(x) b(y) on X0 x X0; pulled back to
+    X1 it weighs each monomorphism x -> z with cokernel y, and pushing
+    forward along t sums those weights over the subobjects of each z.
     """
     ctx = span.context
     if a.context is not ctx or b.context is not ctx:
@@ -186,14 +187,5 @@ def mu_span(a: HallElement, b: HallElement, span: SpanModel) -> HallElement:
         for y, cy in b.values.items():
             tensor_vals[(x, y)] = cx * cy
     tensor = FiniteSupportFn(span.x00, tensor_vals)
-    pulled = pullback(span.sc, tensor)
-    masked = FiniteSupportFn(
-        span.x1,
-        {
-            comp: val
-            for comp, val in pulled.values.items()
-            if span.arrow_classes[comp].kernel_dim == 0
-        },
-    )
-    pushed = pushforward(span.t, masked)
+    pushed = pushforward(span.t, pullback(span.sc, tensor))
     return HallElement(ctx, dict(pushed.values))

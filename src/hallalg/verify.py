@@ -17,7 +17,6 @@ check's pass/fail verdict rests only on the inverted identity).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
@@ -27,7 +26,6 @@ from .derived import (
     HomotopyClasses,
     augmentation_map,
     hom_class_table,
-    projective_realization,
 )
 from .errors import InputError, InvariantError, OutOfUniverseError
 from .fq import FqMatrix, solve
@@ -271,8 +269,8 @@ def in_bound_triples(ctx: HallContext) -> list:
     return out
 
 
-def verify_suite(ctx: HallContext, span=None, checks: Optional[Sequence[str]] = None,
-                 workers: int = 1) -> dict:
+def verify_suite(ctx: HallContext, span=None,
+                 checks: Optional[Sequence[str]] = None) -> dict:
     """Run the selected identity sweeps and return a JSON-ready report."""
     selected = tuple(checks) if checks else ALL_CHECKS
     for c in selected:
@@ -289,12 +287,6 @@ def verify_suite(ctx: HallContext, span=None, checks: Optional[Sequence[str]] = 
     }
 
     pairs = in_bound_pairs(ctx)
-    if workers > 1:
-        # warm the product cache concurrently; results are pure values, so
-        # the sweep below is independent of completion order
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda xy: basis_product(ctx, *xy), pairs))
-
     for name in selected:
         runner = _CHECK_RUNNERS[name]
         report["checks"][name] = runner(ctx, span, pairs)

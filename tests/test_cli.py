@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,17 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_process(argv, hash_seed):
+    """stdout of `python -m hallalg.cli argv` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallalg.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_catalog_a2(capsys, a2_file):
@@ -100,15 +115,10 @@ def test_verify_derived_mode(capsys, a2_file):
     assert doc["checks"]["stalk"]["status"] == "pass"
 
 
-def test_verify_determinism_across_worker_counts(capsys, a2_file):
-    outs = []
-    for workers in ("1", "4"):
-        code, out, _ = run(capsys, [
-            "verify", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
-            "--checks", "all", "--workers", workers,
-        ])
-        assert code == 0
-        outs.append(out)
+def test_derived_verify_determinism_across_hash_seeds(a2_file):
+    argv = ["verify", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
+            "--mode", "derived", "--window", "0,1", "--checks", "all"]
+    outs = [run_process(argv, seed) for seed in ("0", "1")]
     assert outs[0] == outs[1]
 
 
@@ -261,18 +271,8 @@ def test_table_byte_determinism(capsys, a2_file):
 
 
 def test_verify_byte_determinism_across_processes(a2_file):
-    # separate interpreters (fresh hash seeds) must emit identical bytes
-    import subprocess
-    import sys
-
-    outs = []
-    for workers in ("1", "4"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hallalg.cli", "verify",
-             "--quiver", a2_file, "-p", "2", "--bound", "1,1",
-             "--checks", "all", "--workers", workers],
-            capture_output=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
+    # separate interpreters with different hash seeds must emit identical bytes
+    argv = ["verify", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
+            "--checks", "all"]
+    outs = [run_process(argv, seed) for seed in ("0", "1")]
     assert outs[0] == outs[1]

@@ -121,7 +121,7 @@ def test_grading_invariant(a2_ctx):
     cat = a2_ctx.catalog
     for x in range(len(cat)):
         for y in range(len(cat)):
-            if not a2_ctx.pair_in_bound(x, y):
+            if not a2_ctx.keys_in_bound((x, y)):
                 continue
             for z, g in multiply(a2_ctx.chi(x), a2_ctx.chi(y)).values.items():
                 assert g > 0

@@ -15,6 +15,16 @@ from hallalg.hall import (
 from hallalg.quivers import a_n_quiver
 
 
+def euler_vector(x, cat):
+    """Alternating-sum dimension vector of a derived class; additive in
+    triangles."""
+    out = [0] * cat.quiver.vertex_count
+    for d, i in x.entries:
+        for v, dim in enumerate(cat.dims(i)):
+            out[v] += -dim if d % 2 else dim
+    return tuple(out)
+
+
 @pytest.fixture(scope="module")
 def a2_cat():
     return catalog_build(a_n_quiver(2), 2, (1, 1))
@@ -201,7 +211,7 @@ def test_derived_numbers_are_nonnegative_rationals(dctx, a2_cat):
     ]
     for x in keys:
         for y in keys:
-            if not dctx.pair_in_bound(x, y):
+            if not dctx.keys_in_bound((x, y)):
                 continue
             for z, g in multiply(dctx.chi(x), dctx.chi(y)).values.items():
                 assert g > 0
@@ -219,13 +229,13 @@ def test_euler_grading_of_derived_products(dctx, a2_cat):
     ]
     for x in keys:
         for y in keys:
-            if not dctx.pair_in_bound(x, y):
+            if not dctx.keys_in_bound((x, y)):
                 continue
-            ex = x.euler_vector(a2_cat)
-            ey = y.euler_vector(a2_cat)
+            ex = euler_vector(x, a2_cat)
+            ey = euler_vector(y, a2_cat)
             expected = tuple(a + b for a, b in zip(ex, ey))
             for z in multiply(dctx.chi(x), dctx.chi(y)).values:
-                assert z.euler_vector(a2_cat) == expected
+                assert euler_vector(z, a2_cat) == expected
 
 
 def test_associativity_sample_derived(dctx, a2_cat):

@@ -4,7 +4,8 @@ import pytest
 
 from hallalg.catalog import catalog_build
 from hallalg.hall import HallContext, multiply
-from hallalg.quivers import a_n_quiver
+from hallalg.quivers import Quiver, a_n_quiver
+from hallalg.reps import enumerate_subreps
 from hallalg.span import build_span_model, mu_span
 
 
@@ -37,13 +38,12 @@ def test_x0_orders_are_aut_orders(a1_span):
 
 def test_fiber_over_zero_object(a1_span):
     ctx, span = a1_span
-    cat = ctx.catalog
-    zero = cat.zero_index
-    fib = span.t.fiber_over(zero)
-    # one component per class a (only the zero map a -> 0), order |Aut(a)|
-    assert len(fib.lftype.components) == len(cat)
-    orders = sorted(o[0] for o in fib.lftype.orders)
-    assert orders == sorted(cat.aut_order(i) for i in range(len(cat)))
+    zero = ctx.catalog.zero_index
+    fib = span.t.fibers[zero]
+    # the only subobject of 0 is 0 -> 0, with trivial stabilizer
+    assert len(fib.lftype.components) == 1
+    assert fib.lftype.orders == ((1,),)
+    assert span.arrow_classes[fib.incl[0]].source_class == zero
 
 
 def test_arrow_class_stabilizer_times_orbit(a2_span):
@@ -61,15 +61,37 @@ def test_fiber_orbit_counts_match_injection_orbits(a1_span):
     cat = ctx.catalog
     v1 = next(e.index for e in cat.entries if e.dims == (1,))
     v2 = next(e.index for e in cat.entries if e.dims == (2,))
-    fib = span.t.fiber_over(v2)
+    fib = span.t.fibers[v2]
     inj_comps = [
         (c, o)
         for c, o, src in zip(fib.lftype.components, fib.lftype.orders, fib.incl)
         if span.arrow_classes[src].source_class == v1
-        and span.arrow_classes[src].kernel_dim == 0
     ]
     assert len(inj_comps) == 3
     assert all(o == (1,) for _, o in inj_comps)
+
+
+def test_every_arrow_class_is_a_monomorphism(a2_span):
+    _, span = a2_span
+    assert span.arrow_classes
+    assert all(ac.rep.is_injective() for ac in span.arrow_classes.values())
+
+
+@pytest.mark.parametrize("quiver, p, bound", [
+    pytest.param(a_n_quiver(1), 3, (3,), id="a1-p3-3"),
+    pytest.param(a_n_quiver(2), 2, (2, 2), id="a2-p2-22"),
+    pytest.param(Quiver(2, ((0, 1), (0, 1))), 2, (1, 1), id="kronecker-p2-11"),
+])
+def test_fiber_mass_counts_subobjects(quiver, p, bound):
+    # X1 = S_2: the fiber of t over z is the groupoid of subobjects of z, so
+    # its homotopy cardinality is the number of subrepresentations of z
+    ctx = HallContext("classical", catalog_build(quiver, p, bound))
+    span = build_span_model(ctx)
+    cat = ctx.catalog
+    for z in range(len(cat)):
+        orders = span.t.fibers[z].lftype.orders
+        mass = sum(Fraction(1, o[0]) for o in orders)
+        assert mass == len(enumerate_subreps(cat.rep(z))), cat.name(z)
 
 
 def test_mu_span_unit(a2_span):
@@ -86,7 +108,7 @@ def test_mu_span_equals_multiply_a2(a2_span):
     cat = ctx.catalog
     for x in range(len(cat)):
         for y in range(len(cat)):
-            if not ctx.pair_in_bound(x, y):
+            if not ctx.keys_in_bound((x, y)):
                 continue
             assert mu_span(ctx.chi(x), ctx.chi(y), span) == multiply(
                 ctx.chi(x), ctx.chi(y)

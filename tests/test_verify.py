@@ -133,7 +133,7 @@ def test_mutated_comma_fiber_fails_span_check(a2_ctx):
         for j, src in enumerate(fib.incl):
             ac = span.arrow_classes[src]
             pair = (ac.source_class, ac.cokernel_class)
-            if shared[src] > 1 and ac.kernel_dim == 0 and pair in pairs:
+            if shared[src] > 1 and pair in pairs:
                 target = (zi, j, pair)
     assert target is not None
     zi, j, (x, y) = target
@@ -175,8 +175,3 @@ def test_in_bound_enumeration_matches_bruteforce(a2_ctx):
     ]
     assert in_bound_triples(a2_ctx) == expected_triples
 
-
-def test_worker_counts_agree(a1_ctx):
-    r1 = verify_suite(a1_ctx, checks=("unit", "assoc"), workers=1)
-    r4 = verify_suite(a1_ctx, checks=("unit", "assoc"), workers=4)
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r4, sort_keys=True)
