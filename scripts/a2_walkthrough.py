@@ -8,8 +8,9 @@ derived products involving shifted classes.
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hallalg.catalog import catalog_build
 from hallalg.derived import DerivedClass

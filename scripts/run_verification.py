@@ -11,8 +11,9 @@ failure.
 import json
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hallalg.catalog import catalog_build
 from hallalg.hall import HallContext

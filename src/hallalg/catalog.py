@@ -73,6 +73,20 @@ def _generators(quiver: Quiver, p: int, dims: tuple) -> list:
     return moves
 
 
+def _direct_sum_key(a: Representation, b: Representation) -> tuple:
+    """reps.direct_sum(a, b).key(), without building the representation:
+    per arrow, the rows of a's matrix padded on the right and the rows of
+    b's matrix padded on the left."""
+    data = []
+    for ma, mb in zip(a.mats, b.mats):
+        pad_a, pad_b = (0,) * mb.cols, (0,) * ma.cols
+        data.append(tuple(itertools.chain(
+            *(ma.row(r) + pad_a for r in range(ma.rows)),
+            *(pad_b + mb.row(r) for r in range(mb.rows)),
+        )))
+    return (tuple(x + y for x, y in zip(a.dims, b.dims)), tuple(data))
+
+
 def _fmt_dims(dims: tuple) -> str:
     return "(" + ",".join(map(str, dims)) + ")"
 
@@ -111,8 +125,11 @@ class Catalog:
         # derived-category caches, filled by hallalg.derived
         self.derived_stalks: dict = {}          # DerivedClass -> Complex
         self.derived_projectives: dict = {}     # DerivedClass -> Complex
-        self.derived_hom_tables: dict = {}      # (x, z) -> HomotopyClasses
-        self.derived_stalk_hom_dims: dict = {}  # (a, b, k) -> int
+        self.derived_hom_tables: dict = {}      # (x, z) -> SummandHomClasses
+        self.derived_hom_blocks: dict = {}      # (a, b, k) -> HomotopyClasses
+        # summand signature -> {f block entries: class of cone H^n}
+        self.derived_cone_homology: dict = {}
+        self.derived_cone_classes: dict = {}    # entries -> DerivedClass of a cone
         self._mark_indecomposables()
 
     # -- construction ------------------------------------------------------
@@ -179,7 +196,7 @@ class Catalog:
         for a, b in itertools.combinations_with_replacement(nonzero, 2):
             dims = tuple(x + y for x, y in zip(self.dims(a), self.dims(b)))
             if all(d <= c for d, c in zip(dims, self.bound)):
-                split = self.classify(reps.direct_sum(self.rep(a), self.rep(b)))
+                split = self.classify_key(_direct_sum_key(self.rep(a), self.rep(b)))
                 self.entries[split].indecomposable = False
 
     # -- lookups -------------------------------------------------------------

@@ -12,11 +12,21 @@ that normal form: the catalog class of H^n for each degree n.
 Derived Hom is computed on the nose as chain maps out of a projective
 realization (each summand replaced by its two-term projective resolution),
 modulo null-homotopic maps.  All of it is exact F_p linear algebra.
+
+Both inputs of the cone count are local, and each local piece is computed
+once per catalog.  Hom(x, z) is a direct sum over pairs of summands, so
+hom_class_table assembles each table from one solved block per (summand
+class, summand class, shift) (hom_block); the whole-table solve
+HomotopyClasses stays as its oracle.  H^n of a cone reads only the blocks
+next to degree n, so ConeClassifier memoizes its class per summand
+signature and f blocks in one memo that every table shares.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence
 
@@ -495,29 +505,21 @@ def homotopy_boundaries(X: Complex, Z: Complex, gs: GradedMapSpace) -> list:
     return out
 
 
-class HomotopyClasses:
-    """Hom in the derived category between two realized complexes: the chain
-    map space modulo null-homotopics, with one lifted representative per
-    class and a canonical coset key for classifying arbitrary chain maps."""
+def _check_class_count(label: str, p: int, dim: int, cap: int,
+                       max_exponent: int) -> None:
+    """Raise EnumerationCapError when p**dim Hom classes exceed the caps."""
+    if dim > max_exponent or p ** dim > cap:
+        limit = (f"cap {cap}" if p ** dim > cap
+                 else f"hom exponent cap {max_exponent}")
+        raise EnumerationCapError(
+            f"{label}: {p}**{dim} homotopy classes exceed {limit}"
+        )
 
-    def __init__(self, X: Complex, Z: Complex, cap: int = reps.DEFAULT_CAP,
-                 max_exponent: int = 20, label: str = "HomotopyClasses"):
-        self.X = X
-        self.Z = Z
-        self.p = X.p
-        self.label = label
-        self.space, self.cycle_basis = chain_map_space(X, Z)
-        self.null = RowSpace(self.p, self.space.total)
-        for b in homotopy_boundaries(X, Z, self.space):
-            self.null.add(b)
-        self.complement = complement_basis(self.null, self.cycle_basis)
-        self.dim = len(self.complement)
-        if self.dim > max_exponent or self.p ** self.dim > cap:
-            limit = (f"cap {cap}" if self.p ** self.dim > cap
-                     else f"hom exponent cap {max_exponent}")
-            raise EnumerationCapError(
-                f"{label}: {self.p}**{self.dim} homotopy classes exceed {limit}"
-            )
+
+class _ClassTable:
+    """Hom classes x -> z once their coordinates are known: `space` (the
+    GradedMapSpace of X -> Z), `null` (the null-homotopic maps, a RowSpace)
+    and `complement` (chain maps spanning a complement of null)."""
 
     @property
     def count(self) -> int:
@@ -544,6 +546,153 @@ class HomotopyClasses:
         return self.space.flatten(f.mats)
 
 
+class HomotopyClasses(_ClassTable):
+    """Hom in the derived category between two realized complexes: the chain
+    map space modulo null-homotopics, with one lifted representative per
+    class and a canonical coset key for classifying arbitrary chain maps.
+
+    Solves the whole equation system of X -> Z.  hom_class_table assembles
+    the same table from per-summand blocks built here; this whole-table
+    build is its test oracle.  cap=None skips the class count caps.
+    """
+
+    def __init__(self, X: Complex, Z: Complex, cap: Optional[int] = reps.DEFAULT_CAP,
+                 max_exponent: int = 20, label: str = "HomotopyClasses"):
+        self.X = X
+        self.Z = Z
+        self.p = X.p
+        self.label = label
+        self.space, self.cycle_basis = chain_map_space(X, Z)
+        self.null = RowSpace(self.p, self.space.total)
+        for b in homotopy_boundaries(X, Z, self.space):
+            self.null.add(b)
+        self.complement = complement_basis(self.null, self.cycle_basis)
+        self.dim = len(self.complement)
+        if cap is not None:
+            _check_class_count(label, self.p, self.dim, cap, max_exponent)
+
+
+def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
+    """Derived Hom(A, B[k]) for catalog module classes A, B: the
+    whole-table solve of P(A) -> B[k], built once per (a, b, k) and cached
+    on the catalog.  Its dim is checked against the module route, which
+    builds no complex: dim Hom(A, B) for k = 0 (reps.hom_dim), dim
+    Ext^1(A, B) for k = 1 (reps.ext1_dim, the cokernel of Hom(p0, B) ->
+    Hom(p1, B)) and 0 otherwise, since the path algebra of an acyclic
+    quiver is hereditary.  Built without the class count caps; its users
+    apply their own."""
+    cache = cat.derived_hom_blocks
+    key = (a, b, k)
+    block = cache.get(key)
+    if block is None:
+        x = DerivedClass.from_module(a)
+        z = DerivedClass.from_module(b).shift(k)
+        label = f"stalk_hom_dim({x.name(cat)} -> {z.name(cat)})"
+        block = HomotopyClasses(projective_realization(cat, x),
+                                stalk_realization(cat, z), cap=None, label=label)
+        module = (cat.hom_dim(a, b) if k == 0
+                  else cat.ext1_dim(a, b) if k == 1 else 0)
+        if block.dim != module:
+            raise InvariantError(
+                f"{label}: the chain-map route gives dim {block.dim}, the "
+                f"module route {module}"
+            )
+        cache[key] = block
+    return block
+
+
+def _first_nonzero(vec: Sequence[int]) -> int:
+    return next(j for j, val in enumerate(vec) if val)
+
+
+def _last_nonzero(vec: Sequence[int]) -> int:
+    return max(j for j, val in enumerate(vec) if val)
+
+
+class SummandHomClasses(_ClassTable):
+    """Hom(x, z) in the derived category, assembled from per-summand blocks.
+
+    P(x)^n = p0(x_n) (+) p1(x_(n+1)) and C(z) has zero differentials, so
+    the chain maps P(x) -> C(z), the null-homotopic ones and their
+    complement are the direct sums over the summand pairs (x_a at degree a,
+    z_b at degree b) with a - b in {0, 1} of the same spaces of hom_block(x_a,
+    z_b, a - b): the chain condition f^a o delta = 0 and the boundaries
+    h o delta each touch one pair.  A block coordinate (vertex, row, col)
+    maps to (degree b, vertex, row, col + the width of p0(x_b) when
+    a = b + 1) of the table's GradedMapSpace, which keeps the order of the
+    coordinates inside a block.
+
+    So the canonical kernel basis of the whole system is the union of the
+    block bases ordered by their last nonzero coordinate (the free column),
+    the reduced echelon rows of the null space are the union of the block
+    rows ordered by pivot, and the complement picked by complement_basis is
+    the union of the block complements in kernel basis order: the same
+    vectors, in the same order, as the whole-table solve HomotopyClasses(
+    P(x), C(z)).  cycle_basis and null are assembled on first use.
+    """
+
+    def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
+                 cap: int = reps.DEFAULT_CAP, max_exponent: int = 20,
+                 label: str = "SummandHomClasses"):
+        self.x = x
+        self.z = z
+        self.X = projective_realization(cat, x)
+        self.Z = stalk_realization(cat, z)
+        self.p = cat.p
+        self.label = label
+        self.space = GradedMapSpace(self.X, self.Z, 0)
+        # (block, degree b of z_b, a - b) per summand pair
+        self._blocks = []
+        for a_deg, a in x.entries:
+            for b_deg, b in z.entries:
+                k = a_deg - b_deg
+                if k in (0, 1):
+                    block = hom_block(cat, a, b, k)
+                    if block.space.total:
+                        self._blocks.append((block, b_deg, k))
+        self.complement = [tuple(v) for v in self._embed("complement", _last_nonzero)]
+        self.dim = len(self.complement)
+        _check_class_count(label, self.p, self.dim, cap, max_exponent)
+
+    def _positions(self, block: HomotopyClasses, b_deg: int, k: int) -> list:
+        """The table coordinate of each coordinate of the block."""
+        pos = [0] * block.space.total
+        P = self.X.rep(b_deg)
+        for (n, v), off in block.space.offsets.items():
+            rows, cols = block.Z.rep(n).dims[v], block.X.rep(n).dims[v]
+            width = P.dims[v]
+            base = self.space.offsets[(b_deg, v)] + (width - cols if k else 0)
+            for r in range(rows):
+                pos[off + r * cols : off + (r + 1) * cols] = range(
+                    base + r * width, base + r * width + cols)
+        return pos
+
+    def _embed(self, attr: str, order) -> list:
+        """The block vectors at attrgetter(attr)(block) in table
+        coordinates, sorted by order."""
+        out = []
+        for block, b_deg, k in self._blocks:
+            pos = self._positions(block, b_deg, k)
+            for b in operator.attrgetter(attr)(block):
+                vec = [0] * self.space.total
+                for j, val in zip(pos, b):
+                    vec[j] = val
+                out.append(vec)
+        out.sort(key=order)
+        return out
+
+    @functools.cached_property
+    def cycle_basis(self) -> list:
+        return self._embed("cycle_basis", _last_nonzero)
+
+    @functools.cached_property
+    def null(self) -> RowSpace:
+        space = RowSpace(self.p, self.space.total)
+        space.rows = self._embed("null.rows", _first_nonzero)
+        space.pivots = [_first_nonzero(r) for r in space.rows]
+        return space
+
+
 def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
     """c.diff(n) at vertex v as int rows, without building a zero morphism
     outside the complex's range."""
@@ -553,22 +702,34 @@ def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
     return [[0] * cols for _ in range(rows)]
 
 
+_MISS = object()
+
+
 class ConeClassifier:
     """The derived class of cone(f) for chain maps f: X -> Z of one Hom
-    table, given as flat vectors in the table's coordinates; None when some
-    H^n leaves the catalog bound.
+    table of hom_class_table, given as flat vectors in the table's
+    coordinates; None when some H^n leaves the catalog bound.
 
-    What does not depend on f is laid out once per table: the cone's degree
-    range, the -d_X and d_Z blocks of every differential and the
-    block-diagonal arrow matrices.  For each degree n a call writes the
-    f^n and f^(n+1) blocks (read at the GradedMapSpace offsets) into
-    d^(n-1) and d^n and computes H^n vertex by vertex on plain int lists:
-    the image of d^(n-1) and, as the basis of H^n, the kernel vectors of d^n
-    reduced modulo that image, each kept in reduced echelon form as an
+    H^n of cone(f) is the kernel of d^n modulo the image of d^(n-1).  Up to
+    zero columns (from z_(n-1): C(z) has zero differentials) and zero rows
+    (from p1(x_(n+3))), which change neither, these two differentials are
+    fixed by the summand signature, the classes of x in degrees n..n+2 and
+    of z in degrees n..n+1 (they fix the cone's dims, the -d_X blocks, the
+    arrow blocks and where the f blocks sit), and by the entries of the f^n
+    and f^(n+1) blocks, which lie next to each other in vec.  So the class
+    of H^n is memoized on the catalog, in
+    cat.derived_cone_homology[signature][f entries], and shared by every
+    table.  Per table only the degree range, the signatures and the slice
+    of vec holding the f blocks are set up, and equal cone classes are
+    shared through cat.derived_cone_classes.
+
+    On a miss the blocks of the two differentials are laid out from the
+    table's complexes, and H^n is computed vertex by vertex on plain int
+    lists: the image of d^(n-1) and, as the basis of H^n, the kernel vectors
+    of d^n reduced modulo that image, each kept in reduced echelon form as an
     fq.RowSpace.  The induced arrow matrices give a Representation.key()
     that the catalog's key table classifies; any basis of H^n does, since
-    that table holds all of Rep_d.  H^n depends on those two blocks only,
-    so its class is memoized per table on their entries.
+    that table holds all of Rep_d.
 
     Equal to derived_class_of(mapping_cone(table.lift(vec)), cat,
     strict=False), which builds the objects and serves as its test oracle.
@@ -576,80 +737,96 @@ class ConeClassifier:
 
     OUT_OF_BOUND = -1
 
-    def __init__(self, table: HomotopyClasses, cat: Catalog):
+    def __init__(self, table: SummandHomClasses, cat: Catalog):
         X, Z = table.X, table.Z
-        q, p = X.quiver, X.p
+        q = X.quiver
         if not q.is_acyclic():
             raise InputError("derived classification needs an acyclic quiver")
+        self.table = table
         self.label = table.label
         self.cat = cat
-        self.p = p
-        self._memo: dict = {}
-        nv = q.vertex_count
+        self.p = X.p
         cands = (range(min(X.lo - 1, Z.lo), max(X.hi - 1, Z.hi) + 1)
                  if X.reps or Z.reps else range(0))
-        # X^(n+1) and Z^n, the two summands of cone^n, fetched once
-        xr = {n: X.rep(n + 1) for n in cands}
-        zr = {n: Z.rep(n) for n in cands}
-        degs = [n for n in cands if xr[n].total_dim or zr[n].total_dim]
+        # cone^n = X^(n+1) (+) Z^n
+        degs = [n for n in cands if X.rep(n + 1).total_dim or Z.rep(n).total_dim]
         self.degrees = list(range(degs[0], degs[-1] + 1)) if degs else []
-        # per degree n: cone dims and (arrow, source, target, block-diagonal rows)
-        self.dims = []
-        self.arrows = []
+        # the f^n blocks of vec, per degree n of the table's space
+        space = table.space
+        ends = [space.offsets[(n, 0)] for n in space.degrees] + [space.total]
+        blocks = {n: (ends[i], ends[i + 1]) for i, n in enumerate(space.degrees)}
+        xs, zs = dict(table.x.entries), dict(table.z.entries)
+        memo = cat.derived_cone_homology
+        self.classes = cat.derived_cone_classes
+        # per degree n: the memo of its signature and the slice of vec
+        # holding f^n and f^(n+1)
+        self.memos = []
+        self.reads = []
         for n in self.degrees:
-            self.dims.append([xr[n].dims[v] + zr[n].dims[v] for v in range(nv)])
-            arrows = []
-            for idx, (s, t) in enumerate(q.arrows):
-                xa, za = xr[n].mats[idx], zr[n].mats[idx]
-                rows = [list(xa.row(r)) + [0] * za.cols for r in range(xa.rows)]
-                rows += [[0] * xa.cols + list(za.row(r)) for r in range(za.rows)]
-                arrows.append((idx, s, t, rows))
-            self.arrows.append(arrows)
-        # per differential d^n (n < hi) and vertex: (-d_X rows, d_Z rows,
-        # offset of the f^(n+1) block or None, its width x1); and the slice
-        # of vec holding the f^(n+1) blocks, adjacent in vec
-        self.diffs = []
-        reads = []
-        for n in self.degrees[:-1]:
-            per_vertex = []
-            blocks = []
-            for v in range(nv):
-                x1, z0 = xr[n].dims[v], zr[n].dims[v]
-                x2, z1 = xr[n + 1].dims[v], zr[n + 1].dims[v]
-                top = [[-a % p for a in r] + [0] * z0
-                       for r in _diff_rows(X, n + 1, v, x2, x1)]
-                bottom = _diff_rows(Z, n, v, z1, z0)
-                off = table.space.offsets.get((n + 1, v)) if x1 and z1 else None
-                if off is not None:
-                    blocks.append((off, off + x1 * z1))
-                per_vertex.append((top, bottom, off, x1))
-            self.diffs.append(per_vertex)
-            reads.append(slice(blocks[0][0], blocks[-1][1]) if blocks else slice(0))
-        # H^n reads the f blocks of d^(n-1) and d^n
-        self.reads = [
-            (reads[k - 1] if k else slice(0), reads[k] if k < len(reads) else slice(0))
-            for k in range(len(self.degrees))
-        ]
+            sig = (xs.get(n), xs.get(n + 1), xs.get(n + 2), zs.get(n), zs.get(n + 1))
+            self.memos.append(memo.setdefault(sig, {}))
+            parts = [blocks[m] for m in (n, n + 1) if m in blocks]
+            self.reads.append(slice(parts[0][0], parts[-1][1]) if parts else slice(0))
 
     def __call__(self, vec) -> Optional[DerivedClass]:
         vec = tuple(vec)
         entries = []
         for k, n in enumerate(self.degrees):
-            f_in, f_out = self.reads[k]
-            key = (k, vec[f_in], vec[f_out])
-            if key not in self._memo:
-                self._memo[key] = self._homology_class(k, vec)
-            idx = self._memo[key]
+            memo = self.memos[k]
+            f = vec[self.reads[k]]
+            idx = memo.get(f, _MISS)
+            if idx is _MISS:
+                idx = memo[f] = self._homology_class(k, vec)
             if idx == self.OUT_OF_BOUND:
                 return None
             if idx is not None:
                 entries.append((n, idx))
-        return DerivedClass(tuple(entries))
+        entries = tuple(entries)
+        dc = self.classes.get(entries)
+        if dc is None:
+            dc = self.classes[entries] = DerivedClass(entries)
+        return dc
+
+    @functools.cached_property
+    def _layout(self) -> tuple:
+        """What does not depend on f, laid out on the first miss: per degree
+        n the cone dims and (arrow, source, target, block-diagonal rows);
+        per differential d^n (n < hi) and vertex the -d_X rows, the d_Z
+        rows, the offset of the f^(n+1) block in vec or None, and its width
+        x1."""
+        X, Z, p = self.table.X, self.table.Z, self.p
+        q = X.quiver
+        # X^(n+1) and Z^n, the two summands of cone^n, fetched once
+        xr = {n: X.rep(n + 1) for n in self.degrees}
+        zr = {n: Z.rep(n) for n in self.degrees}
+        dims, arrows = [], []
+        for n in self.degrees:
+            dims.append([a + b for a, b in zip(xr[n].dims, zr[n].dims)])
+            per_arrow = []
+            for idx, (s, t) in enumerate(q.arrows):
+                xa, za = xr[n].mats[idx], zr[n].mats[idx]
+                rows = [list(xa.row(r)) + [0] * za.cols for r in range(xa.rows)]
+                rows += [[0] * xa.cols + list(za.row(r)) for r in range(za.rows)]
+                per_arrow.append((idx, s, t, rows))
+            arrows.append(per_arrow)
+        diffs = []
+        for n in self.degrees[:-1]:
+            per_vertex = []
+            for v in range(q.vertex_count):
+                x1, z0 = xr[n].dims[v], zr[n].dims[v]
+                x2, z1 = xr[n + 1].dims[v], zr[n + 1].dims[v]
+                top = [[-a % p for a in r] + [0] * z0
+                       for r in _diff_rows(X, n + 1, v, x2, x1)]
+                bottom = _diff_rows(Z, n, v, z1, z0)
+                off = self.table.space.offsets.get((n + 1, v)) if x1 and z1 else None
+                per_vertex.append((top, bottom, off, x1))
+            diffs.append(per_vertex)
+        return dims, arrows, diffs
 
     def _diff(self, j: int, vec) -> list:
         """d^(degrees[j]) with the f blocks of vec written in, per vertex."""
         mats = []
-        for top, bottom, off, x1 in self.diffs[j]:
+        for top, bottom, off, x1 in self._layout[2][j]:
             if off is None:
                 mats.append(top + [[0] * x1 + r for r in bottom])
             else:
@@ -663,13 +840,14 @@ class ConeClassifier:
         """Catalog class of H^(degrees[k]) of cone(vec); None when it is
         zero, OUT_OF_BOUND when it leaves the catalog bound."""
         p, n = self.p, self.degrees[k]
+        dims, arrows, _ = self._layout
         d_in = self._diff(k - 1, vec) if k else None
-        d_out = self._diff(k, vec) if k < len(self.diffs) else None
+        d_out = self._diff(k, vec) if k < len(self.degrees) - 1 else None
         bases = []   # per vertex: (image, complement), both reduced echelon
-        for v, dim in enumerate(self.dims[k]):
+        for v, dim in enumerate(dims[k]):
             im = RowSpace(p, dim)
             if d_in is not None:
-                for c in range(self.dims[k - 1][v]):
+                for c in range(dims[k - 1][v]):
                     im.add([row[c] for row in d_in[v]])
             ker = kernel_rows(p, d_out[v] if d_out is not None else [], dim)
             comp = RowSpace(p, dim)
@@ -688,7 +866,7 @@ class ConeClassifier:
         if any(d > b for d, b in zip(hdims, self.cat.bound)):
             return self.OUT_OF_BOUND
         data = []
-        for idx, s, t, rows in self.arrows[k]:
+        for idx, s, t, rows in arrows[k]:
             im, comp = bases[t]
             cols = []
             for w in bases[s][1].rows:
@@ -704,14 +882,15 @@ class ConeClassifier:
 
 
 def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
-                    cap: int = reps.DEFAULT_CAP, max_exponent: int = 20) -> HomotopyClasses:
+                    cap: int = reps.DEFAULT_CAP, max_exponent: int = 20) -> SummandHomClasses:
+    """Hom classes x -> z in the derived category, assembled from the
+    per-summand blocks of hom_block and cached on the catalog per (x, z);
+    raises EnumerationCapError when the p**dim classes exceed the caps."""
     cache = cat.derived_hom_tables
     key = (x, z)
     if key not in cache:
-        P = projective_realization(cat, x)
-        C = stalk_realization(cat, z)
-        cache[key] = HomotopyClasses(
-            P, C, cap=cap, max_exponent=max_exponent,
+        cache[key] = SummandHomClasses(
+            cat, x, z, cap=cap, max_exponent=max_exponent,
             label=f"hom_class_table({x.name(cat)} -> {z.name(cat)})",
         )
     return cache[key]
@@ -719,31 +898,22 @@ def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
 
 def stalk_hom_dim(cat: Catalog, a: int, b: int, k: int,
                   cap: int = reps.DEFAULT_CAP) -> int:
-    """dim of derived Hom(A, B[k]) for catalog module classes A, B, computed
-    from the chain-map space of the projective realization (no vanishing
-    assumptions; out-of-range shifts genuinely solve to zero)."""
-    cache = cat.derived_stalk_hom_dims
-    key = (a, b, k)
-    if key not in cache:
-        if cat.rep(a).is_zero() or cat.rep(b).is_zero():
-            cache[key] = 0
-        else:
-            x = DerivedClass.from_module(a)
-            z = DerivedClass.from_module(b).shift(k)
-            P = projective_realization(cat, x)
-            C = stalk_realization(cat, z)
-            table = HomotopyClasses(
-                P, C, cap=cap, max_exponent=64,
-                label=f"stalk_hom_dim({x.name(cat)} -> {z.name(cat)})",
-            )
-            cache[key] = table.dim
-    return cache[key]
+    """dim of derived Hom(A, B[k]) for catalog module classes A, B: the dim
+    of hom_block(a, b, k), computed from the chain-map space of the
+    projective realization (out-of-range shifts genuinely solve to zero)
+    and checked there against the module route."""
+    block = hom_block(cat, a, b, k)
+    _check_class_count(block.label, cat.p, block.dim, cap, 64)
+    return block.dim
 
 
 def ext_dim(x: DerivedClass, z: DerivedClass, i: int, cat: Catalog,
             cap: int = reps.DEFAULT_CAP) -> int:
     """dim of derived Hom(x, z[i]); additive over the hereditary summand
-    decomposition, each summand pair computed by the honest chain-map solver."""
+    decomposition.  Each summand pair reads the dim of its hom_block, a
+    chain-map solve that hom_block checks against the module Hom and Ext^1
+    dimensions.  cone_table compares p**ext_dim(x, z, 0) with the number of
+    classes it enumerates."""
     total = 0
     for a_deg, a_idx in x.entries:
         for b_deg, b_idx in z.entries:

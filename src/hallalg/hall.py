@@ -30,8 +30,17 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Union
 
 from .catalog import Catalog
-from .derived import ConeClassifier, DerivedClass, ext_dim, hom_class_table
+from .derived import (
+    ChainMap,
+    ConeClassifier,
+    DerivedClass,
+    HomotopyClasses,
+    augmentation_map,
+    ext_dim,
+    hom_class_table,
+)
 from .errors import InputError, InvariantError, OutOfUniverseError
+from .fq import FqMatrix, solve
 from . import reps
 
 BasisKey = Union[int, DerivedClass]
@@ -66,9 +75,9 @@ class HallContext:
             if not self.catalog.quiver.is_acyclic():
                 raise InputError("derived mode needs an acyclic quiver")
         self._subrep_hist: dict = {}
-        self._cone_hist: dict = {}
+        self._cone_hist: dict = {}     # (x, z) -> (cone_table rows, histogram)
         self._product_cache: dict = {}
-        self._aut_lifts: dict = {}
+        self._aut_lifts: dict = {}     # x -> derived_aut_lifts(x)
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -250,43 +259,107 @@ def classical_product(ctx: HallContext, x: int, y: int) -> dict:
 def cone_table(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> list:
     """[(class vector, derived class of its cone)] over all Hom classes
     f: x -> z.  Cones whose homology leaves the catalog bound get None.
+    The rows are cached on the context together with their histogram.
 
     The class count is cross-checked against p^ext_dim(x, z, 0) on every
-    computation, tying the exhaustive enumeration to the summand-additive
-    Hom dimension route.  Cones are classified by ConeClassifier, without
-    building a Complex per class.
+    computation.  Both read the per-summand blocks of derived.hom_block,
+    each of which checks its dim against the module route when it is
+    built, so the check ties the enumeration of the assembled table to the
+    module Hom and Ext^1 dimensions.  Cones are classified by
+    ConeClassifier, without building a Complex per class.
     """
     key = (x, z)
-    table_rows = ctx._cone_hist.get(key)
-    if table_rows is None:
+    got = ctx._cone_hist.get(key)
+    if got is None:
         cat = ctx.catalog
         table = hom_class_table(
             cat, x, z, cap=ctx.caps.candidates, max_exponent=ctx.caps.hom_exponent
         )
         classify = ConeClassifier(table, cat)
-        table_rows = [(vec, classify(vec)) for vec in table.class_vectors()]
+        rows = [(vec, classify(vec)) for vec in table.class_vectors()]
         expected = cat.p ** ext_dim(x, z, 0, cat, cap=ctx.caps.candidates)
-        if len(table_rows) != expected:
+        if len(rows) != expected:
             raise InvariantError(
                 f"cone_table({x.name(cat)} -> {z.name(cat)}): hom class count "
-                f"{len(table_rows)} != p^ext_dim = {expected}: enumeration "
+                f"{len(rows)} != p^ext_dim = {expected}: enumeration "
                 f"routes disagree"
             )
-        ctx._cone_hist[key] = table_rows
-    return table_rows
+        hist: dict = {}
+        for _, dc in rows:
+            hist[dc] = hist.get(dc, 0) + 1
+        got = ctx._cone_hist[key] = (rows, hist)
+    return got[0]
 
 
 def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
-    """{derived class of cone(f): count} over all Hom classes f: x -> z."""
-    hist: dict = {}
-    for _, dc in cone_table(ctx, x, z):
-        hist[dc] = hist.get(dc, 0) + 1
-    return hist
+    """{derived class of cone(f): count} over all Hom classes f: x -> z:
+    the dict cone_table caches next to its rows, shared by every caller."""
+    cone_table(ctx, x, z)
+    return ctx._cone_hist[(x, z)][1]
 
 
 def derived_aut_order(ctx: HallContext, x: DerivedClass) -> int:
     """|Aut(x)| in the derived sense: Hom classes x -> x with zero cone."""
     return cone_histogram(ctx, x, x).get(DerivedClass.zero(), 0)
+
+
+def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
+    """One endomorphism lift per derived automorphism class of x.
+
+    The automorphism classes live in the table of maps P(x) -> C(x); acting
+    on other Hom sets needs genuine chain maps P(x) -> P(x), so each class
+    is lifted through the augmentation quasi-isomorphism by solving a linear
+    system over the chain-map space of (P(x), P(x)).  Cached on the
+    context; the orbit check of hallalg.verify acts by these lifts.
+    """
+    cache = ctx._aut_lifts
+    if x in cache:
+        return cache[x]
+    cat = ctx.catalog
+    table = hom_class_table(cat, x, x, cap=ctx.caps.candidates,
+                            max_exponent=ctx.caps.hom_exponent)
+    P = table.X
+    pp = HomotopyClasses(P, P, cap=ctx.caps.candidates,
+                         max_exponent=ctx.caps.hom_exponent)
+    eps = augmentation_map(cat, x)
+
+    pp_maps = [pp.lift(b) for b in pp.cycle_basis]
+    eps_cols = [table.vector_of(eps.compose(g)) for g in pp_maps]
+    null_cols = list(table.null.basis())
+    cols = eps_cols + null_cols
+    p = cat.p
+
+    lifts = []
+    for vec, cone in cone_table(ctx, x, x):
+        if cone != DerivedClass.zero():
+            continue
+        if not cols:
+            # only the empty complex: the identity of the zero object
+            lifts.append(ChainMap(P, P, {}, validate=False))
+            continue
+        res = solve(FqMatrix.from_cols(p, len(vec), cols), vec)
+        if res is None:
+            raise InvariantError(
+                f"derived automorphisms of {x.name(cat)}: class {tuple(vec)} "
+                f"does not lift to a chain map P -> P"
+            )
+        coeffs = res[0][: len(eps_cols)]
+        g = ChainMap(P, P, {}, validate=False)
+        for c, base in zip(coeffs, pp_maps):
+            if c:
+                scaled = ChainMap(
+                    P, P, {n: m.scale(c) for n, m in base.mats.items()},
+                    validate=False,
+                )
+                g = g + scaled
+        if table.canon(table.vector_of(eps.compose(g))) != table.canon(vec):
+            raise InvariantError(
+                f"derived automorphisms of {x.name(cat)}: the lift of class "
+                f"{tuple(vec)} lies in another class"
+            )
+        lifts.append(g)
+    cache[x] = lifts
+    return lifts
 
 
 def ext_alternating_product(ctx: HallContext, x: DerivedClass,

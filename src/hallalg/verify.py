@@ -20,21 +20,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
-from .derived import (
-    ChainMap,
-    DerivedClass,
-    HomotopyClasses,
-    augmentation_map,
-    hom_class_table,
-)
+from .derived import DerivedClass, hom_class_table
 from .errors import InputError, InvariantError, OutOfUniverseError
-from .fq import FqMatrix, solve
 from .hall import (
     BasisKey,
     HallContext,
     basis_product,
     cone_table,
     count_exact_sequences,
+    derived_aut_lifts,
     derived_hall_number,
     derived_support,
     hall_number_classical,
@@ -47,67 +41,6 @@ ALL_CHECKS = ("unit", "assoc", "riedtmann", "stalk", "span", "orbit")
 
 def _fmt(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-# -- derived automorphism action ------------------------------------------------
-
-
-def _derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
-    """One endomorphism lift per derived automorphism class of x.
-
-    The automorphism classes live in the table of maps P(x) -> C(x); acting
-    on other Hom sets needs genuine chain maps P(x) -> P(x), so each class
-    is lifted through the augmentation quasi-isomorphism by solving a linear
-    system over the chain-map space of (P(x), P(x)).
-    """
-    cache = ctx._aut_lifts
-    if x in cache:
-        return cache[x]
-    cat = ctx.catalog
-    table = hom_class_table(cat, x, x, cap=ctx.caps.candidates,
-                            max_exponent=ctx.caps.hom_exponent)
-    P = table.X
-    pp = HomotopyClasses(P, P, cap=ctx.caps.candidates,
-                         max_exponent=ctx.caps.hom_exponent)
-    eps = augmentation_map(cat, x)
-
-    pp_maps = [pp.lift(b) for b in pp.cycle_basis]
-    eps_cols = [table.vector_of(eps.compose(g)) for g in pp_maps]
-    null_cols = list(table.null.basis())
-    cols = eps_cols + null_cols
-    p = cat.p
-
-    lifts = []
-    for vec, cone in cone_table(ctx, x, x):
-        if cone != DerivedClass.zero():
-            continue
-        if not cols:
-            # only the empty complex: the identity of the zero object
-            lifts.append(ChainMap(P, P, {}, validate=False))
-            continue
-        res = solve(FqMatrix.from_cols(p, len(vec), cols), vec)
-        if res is None:
-            raise InvariantError(
-                f"derived automorphisms of {x.name(cat)}: class {tuple(vec)} "
-                f"does not lift to a chain map P -> P"
-            )
-        coeffs = res[0][: len(eps_cols)]
-        g = ChainMap(P, P, {}, validate=False)
-        for c, base in zip(coeffs, pp_maps):
-            if c:
-                scaled = ChainMap(
-                    P, P, {n: m.scale(c) for n, m in base.mats.items()},
-                    validate=False,
-                )
-                g = g + scaled
-        if table.canon(table.vector_of(eps.compose(g))) != table.canon(vec):
-            raise InvariantError(
-                f"derived automorphisms of {x.name(cat)}: the lift of class "
-                f"{tuple(vec)} lies in another class"
-            )
-        lifts.append(g)
-    cache[x] = lifts
-    return lifts
 
 
 def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
@@ -185,7 +118,7 @@ def _derived_action(ctx: HallContext, x: DerivedClass, z: DerivedClass,
     for vec, cone in cone_table(ctx, x, z):
         if cone == y:
             elements.append((table.canon(vec), table.lift(vec)))
-    lifts = _derived_aut_lifts(ctx, x)
+    lifts = derived_aut_lifts(ctx, x)
 
     def act(f):
         return [table.canon(table.vector_of(f.compose(g))) for g in lifts]

@@ -163,6 +163,15 @@ def test_sweep_matches_pairwise_oracle(quiver, p, bound):
 
 
 @pytest.mark.parametrize("quiver,p,bound", ORACLE_UNIVERSES)
+def test_direct_sum_key_matches_the_built_direct_sum(quiver, p, bound):
+    cat = catalog_build(quiver, p, bound)
+    for a in cat.entries:
+        for b in cat.entries:
+            assert (catalog_module._direct_sum_key(a.rep, b.rep)
+                    == direct_sum(a.rep, b.rep).key())
+
+
+@pytest.mark.parametrize("quiver,p,bound", ORACLE_UNIVERSES)
 def test_orbit_stabilizer_aut_matches_end_enumeration(quiver, p, bound):
     cat = catalog_build(quiver, p, bound)
     for i in range(len(cat)):

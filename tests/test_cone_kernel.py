@@ -51,7 +51,7 @@ def sweep(quiver, p, bound, window, sample=None):
     for x, y in in_bound_pairs(ctx):
         basis_product(ctx, x, y)
     rows = none = 0
-    for (x, z), got in ctx._cone_hist.items():
+    for (x, z), (got, _) in ctx._cone_hist.items():
         if sample is not None and len(got) > sample:
             step = (len(got) - 1) / (sample - 1)
             got = [got[round(i * step)] for i in range(sample)]

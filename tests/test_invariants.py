@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hallalg import reps, span, verify
+from hallalg import hall, reps, span, verify
 from hallalg.catalog import catalog_build
 from hallalg.derived import DerivedClass
 from hallalg.errors import InvariantError
@@ -98,10 +98,10 @@ def test_orbit_stabilizer_checks(monkeypatch, extra, what):
     (lambda a, b: ((0,) * a.cols, None), "lies in another class"),
 ])
 def test_derived_aut_lift_checks(monkeypatch, solution, what):
-    monkeypatch.setattr(verify, "solve", solution)
+    monkeypatch.setattr(hall, "solve", solution)
     ctx = HallContext("derived", catalog_build(a_n_quiver(1), 3, (1,)), window=(0, 0))
     with pytest.raises(InvariantError, match=rf"^derived automorphisms of c1: .*{what}$"):
-        verify._derived_aut_lifts(ctx, DerivedClass.from_module(1))
+        hall.derived_aut_lifts(ctx, DerivedClass.from_module(1))
 
 
 @pytest.mark.skipif(sys.flags.optimize, reason="this is the python -O run")
