@@ -288,31 +288,10 @@ class FqMatrix:
         Returns (rref_matrix, pivot_columns).  The RREF is the unique
         canonical representative of the row space.
         """
-        p = self.p
         rows = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = inv_mod(rows[r][c], p)
-            rows[r] = [(inv * v) % p for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
+        pivots = eliminate(self.p, rows, self.cols)
         flat = [v for row in rows for v in row]
-        return FqMatrix(p, self.rows, self.cols, flat), tuple(pivots)
+        return FqMatrix(self.p, self.rows, self.cols, flat), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -333,7 +312,7 @@ class FqMatrix:
         red, pivots = self.rref()
         reduced = [red.row(r) for r in range(len(pivots))]
         return FqMatrix.from_rows(
-            self.p, _kernel_from_rref(self.p, reduced, pivots, self.cols), self.cols
+            self.p, kernel_from_rref(self.p, reduced, pivots, self.cols), self.cols
         )
 
     def is_invertible(self) -> bool:
@@ -353,6 +332,44 @@ class FqMatrix:
         return FqMatrix(self.p, n, n, data)
 
 
+def eliminate(p: int, rows: list, ncols: int) -> list:
+    """Bring rows, a list of int lists of length ncols, to reduced row
+    echelon form in place and return the pivot columns.  The one
+    elimination loop, run by FqMatrix.rref, rank_of and the raw-entry key
+    tests of reps."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = inv_mod(rows[r][c], p)
+        rows[r] = [(inv * v) % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rank_of(p: int, nrows: int, ncols: int, data: Sequence[int]) -> int:
+    """Rank of the nrows x ncols matrix with row-major entries data, without
+    building an FqMatrix."""
+    if nrows <= 1 or ncols <= 1:
+        return 1 if any(data) else 0
+    rows = [list(data[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
+    return len(eliminate(p, rows, ncols))
+
+
 def solve(a: FqMatrix, b: Sequence[int]) -> Optional[tuple]:
     """Particular solution of a @ x = b plus kernel description.
 
@@ -370,8 +387,8 @@ def solve(a: FqMatrix, b: Sequence[int]) -> Optional[tuple]:
     return tuple(x), a.kernel_basis()
 
 
-def _kernel_from_rref(p: int, rows: Sequence[Sequence[int]],
-                      pivots: Sequence[int], ncols: int) -> list:
+def kernel_from_rref(p: int, rows: Sequence[Sequence[int]],
+                     pivots: Sequence[int], ncols: int) -> list:
     """Kernel basis of a matrix from the nonzero rows of its RREF and their
     pivot columns: one vector per free column j, with 1 at j, -rows[r][j]
     at pivot r and 0 at the other free columns, ordered by j."""
@@ -395,7 +412,7 @@ def kernel_rows(p: int, rows: Iterable[Sequence[int]], ncols: int) -> list:
     space = RowSpace(p, ncols)
     for row in rows:
         space.add(row)
-    return _kernel_from_rref(p, space.rows, space.pivots, ncols)
+    return kernel_from_rref(p, space.rows, space.pivots, ncols)
 
 
 def intertwining_rows(total: int, t_off: Optional[int], a: FqMatrix,

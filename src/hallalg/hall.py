@@ -75,9 +75,13 @@ class HallContext:
             if not self.catalog.quiver.is_acyclic():
                 raise InputError("derived mode needs an acyclic quiver")
         self._subrep_hist: dict = {}
+        self._mono_images: dict = {}   # (x, z) -> {image key: #monos}
+        self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
+        self._subspaces: dict = {}     # image/kernel key -> the one copy kept
         self._cone_hist: dict = {}     # (x, z) -> (cone_table rows, histogram)
         self._product_cache: dict = {}
         self._aut_lifts: dict = {}     # x -> derived_aut_lifts(x)
+        self._ext_products: dict = {}  # (x, z) -> ext_alternating_product
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -216,24 +220,42 @@ def hall_number_classical(ctx: HallContext, x: int, y: int, z: int) -> int:
 def count_exact_sequences(ctx: HallContext, x: int, y: int, z: int) -> int:
     """Number of pairs (i: x -> z injective, p: z -> y surjective) with
     im i = ker p; the short-exact-sequence oracle behind the
-    |Aut x| |Aut y| factor identity."""
+    |Aut x| |Aut y| factor identity.
+
+    Reads two histograms that the context caches, {image: #monos x -> z}
+    and {kernel: #epis z -> y}, each over one enumeration of Hom keys
+    (reps.hom_keys) with the rank tests on raw entries; the count is the
+    sum of their products over equal subspaces of z.  Never reads subreps.
+    """
     cat = ctx.catalog
-    xr, yr, zr = cat.rep(x), cat.rep(y), cat.rep(z)
-    if tuple(a + b for a, b in zip(xr.dims, yr.dims)) != zr.dims:
+    if tuple(a + b for a, b in zip(cat.dims(x), cat.dims(y))) != cat.dims(z):
         return 0
-    inj_by_image: Dict[tuple, int] = {}
-    for f in reps.enumerate_homs(xr, zr, cap=ctx.caps.candidates):
-        if f.is_injective():
-            key = f.image_key()
-            inj_by_image[key] = inj_by_image.get(key, 0) + 1
-    if not inj_by_image:
+    monos = _subspace_histogram(ctx, ctx._mono_images, x, z, reps.mono_image_key)
+    if not monos:
         return 0
-    total = 0
-    for g in reps.enumerate_homs(zr, yr, cap=ctx.caps.candidates):
-        if g.is_surjective():
-            # canonical RREF bases make image/kernel subspaces comparable
-            total += inj_by_image.get(g.kernel_key(), 0)
-    return total
+    epis = _subspace_histogram(ctx, ctx._epi_kernels, z, y, reps.epi_kernel_key)
+    # canonical RREF bases make image/kernel subspaces comparable
+    return sum(n * monos.get(k, 0) for k, n in epis.items())
+
+
+def _subspace_histogram(ctx: HallContext, cache: dict, a: int, b: int,
+                        subspace) -> dict:
+    """{subspace(ra, rb, key): count} over the keys of Hom(ra, rb) where it
+    is not None, for the catalog representatives ra, rb of a, b; cached per
+    (a, b).  Every histogram keys one subspace by the same tuple, so the
+    cached histograms hold each subspace once."""
+    hist = cache.get((a, b))
+    if hist is None:
+        cat = ctx.catalog
+        ra, rb = cat.rep(a), cat.rep(b)
+        hist = {}
+        for k in reps.hom_keys(ra, rb, cap=ctx.caps.candidates):
+            sub = subspace(ra, rb, k)
+            if sub is not None:
+                sub = ctx._subspaces.setdefault(sub, sub)
+                hist[sub] = hist.get(sub, 0) + 1
+        cache[(a, b)] = hist
+    return hist
 
 
 def classical_product(ctx: HallContext, x: int, y: int) -> dict:
@@ -364,18 +386,22 @@ def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
 
 def ext_alternating_product(ctx: HallContext, x: DerivedClass,
                             z: DerivedClass) -> Fraction:
-    """prod_(i>0) |Ext^-i(x, z)|^((-1)^i), exact."""
+    """prod_(i>0) |Ext^-i(x, z)|^((-1)^i), exact; cached on the context
+    per (x, z)."""
+    got = ctx._ext_products.get((x, z))
+    if got is not None:
+        return got
     cat = ctx.catalog
-    if not x.entries or not z.entries:
-        return Fraction(1)
-    # Ext^-i(x, z) can only be nonzero for i <= max deg(x) - min deg(z) + 1
-    imax = max(d for d, _ in x.entries) - min(d for d, _ in z.entries) + 1
     out = Fraction(1)
-    for i in range(1, imax + 1):
-        d = ext_dim(x, z, -i, cat, cap=ctx.caps.candidates)
-        if d:
-            q = Fraction(cat.p**d)
-            out *= (1 / q) if i % 2 else q
+    if x.entries and z.entries:
+        # Ext^-i(x, z) can only be nonzero for i <= max deg(x) - min deg(z) + 1
+        imax = max(d for d, _ in x.entries) - min(d for d, _ in z.entries) + 1
+        for i in range(1, imax + 1):
+            d = ext_dim(x, z, -i, cat, cap=ctx.caps.candidates)
+            if d:
+                q = Fraction(cat.p**d)
+                out *= (1 / q) if i % 2 else q
+    ctx._ext_products[(x, z)] = out
     return out
 
 

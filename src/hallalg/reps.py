@@ -26,9 +26,12 @@ from .fq import (
     FqMatrix,
     RowSpace,
     check_prime,
+    eliminate,
     enumerate_subspaces,
     intertwining_rows,
+    kernel_from_rref,
     kernel_rows,
+    rank_of,
 )
 from .quivers import Quiver, path_target, paths_from
 
@@ -280,28 +283,96 @@ def hom_dim(x: Representation, y: Representation) -> int:
     return len(hom_basis(x, y))
 
 
-def enumerate_homs(x: Representation, y: Representation,
-                   cap: int = DEFAULT_CAP) -> Iterator[RepMorphism]:
-    """Every element of Hom(x, y), lexicographically by basis coefficients."""
+def morphism_from_key(x: Representation, y: Representation, key: tuple) -> RepMorphism:
+    """The morphism x -> y whose key() is key."""
+    return RepMorphism(x, y, tuple(
+        FqMatrix(x.p, y.dims[v], x.dims[v], data) for v, data in enumerate(key)
+    ), validate=False)
+
+
+def hom_keys(x: Representation, y: Representation,
+             cap: int = DEFAULT_CAP) -> Iterator[tuple]:
+    """Every element of Hom(x, y) as its key (RepMorphism.key(): one tuple
+    of row-major entries per vertex), lexicographically by coefficients on
+    hom_basis, the first basis element most significant.
+
+    Each key is a partial sum plus one basis flat mod p, so an element
+    costs one vector addition and no RepMorphism.  The cap is checked when
+    this is called, before the first key; the keys are then produced
+    lazily.
+    """
     basis = hom_basis(x, y)
-    d = len(basis)
-    if x.p ** d > cap:
+    p, d = x.p, len(basis)
+    if p ** d > cap:
         raise EnumerationCapError(
-            f"enumerate_homs(dims {x.dims} -> {y.dims}): |Hom| = {x.p}**{d} "
+            f"enumerate_homs(dims {x.dims} -> {y.dims}): |Hom| = {p}**{d} "
             f"exceeds cap {cap}"
         )
-    zero = RepMorphism.zero(x, y)
-    scaled = [[b.scale(c) for c in range(x.p)] for b in basis]
+    ends = list(itertools.accumulate(
+        (y.dims[v] * x.dims[v] for v in range(x.quiver.vertex_count)), initial=0))
+    spans = list(zip(ends, ends[1:]))
+    sums = _coefficient_sums(p, [b.flat() for b in basis], 0, (0,) * ends[-1])
+    return (tuple([f[a:b] for a, b in spans]) for f in sums)
 
-    def rec(level: int, acc: RepMorphism) -> Iterator[RepMorphism]:
-        if level == d:
-            yield acc
-            return
-        for c in range(x.p):
-            nxt = acc if c == 0 else acc + scaled[level][c]
-            yield from rec(level + 1, nxt)
 
-    return rec(0, zero)
+def _coefficient_sums(p: int, flats: list, level: int, start: tuple) -> Iterator[tuple]:
+    """start + sum c_i flats[i] mod p over i >= level, for every coefficient
+    tuple, lexicographically with c_level most significant."""
+    if level == len(flats):
+        yield start
+        return
+    for c in range(p):
+        if c:
+            start = tuple([(a + b) % p for a, b in zip(start, flats[level])])
+        yield from _coefficient_sums(p, flats, level + 1, start)
+
+
+def enumerate_homs(x: Representation, y: Representation,
+                   cap: int = DEFAULT_CAP) -> Iterator[RepMorphism]:
+    """Every element of Hom(x, y) as a RepMorphism, in the order of
+    hom_keys; the cap is checked when this is called."""
+    return (morphism_from_key(x, y, k) for k in hom_keys(x, y, cap))
+
+
+def key_is_injective(x: Representation, y: Representation, key: tuple) -> bool:
+    """RepMorphism.is_injective of morphism_from_key(x, y, key), by ranks of
+    the raw entries."""
+    return all(rank_of(x.p, r, c, data) == c
+               for data, c, r in zip(key, x.dims, y.dims))
+
+
+def key_is_invertible(x: Representation, y: Representation, key: tuple) -> bool:
+    """RepMorphism.is_invertible of morphism_from_key(x, y, key)."""
+    return x.dims == y.dims and key_is_injective(x, y, key)
+
+
+def mono_image_key(x: Representation, y: Representation, key: tuple):
+    """RepMorphism.image_key of morphism_from_key(x, y, key) when that
+    morphism is injective, else None: one elimination of the columns per
+    vertex, whose rank decides injectivity."""
+    out = []
+    for data, c, r in zip(key, x.dims, y.dims):
+        cols = [list(data[j::c]) for j in range(c)]
+        if len(eliminate(x.p, cols, r)) != c:
+            return None
+        out.append(tuple(v for col in cols for v in col))
+    return tuple(out)
+
+
+def epi_kernel_key(x: Representation, y: Representation, key: tuple):
+    """RepMorphism.kernel_key of morphism_from_key(x, y, key) when that
+    morphism is surjective, else None: one elimination of the rows per
+    vertex, whose rank decides surjectivity, and one of the kernel basis."""
+    out = []
+    for data, c, r in zip(key, x.dims, y.dims):
+        rows = [list(data[i * c : (i + 1) * c]) for i in range(r)]
+        pivots = eliminate(x.p, rows, c)
+        if len(pivots) != r:
+            return None
+        kernel = kernel_from_rref(x.p, rows, pivots, c)
+        eliminate(x.p, kernel, c)
+        out.append(tuple(v for row in kernel for v in row))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +384,10 @@ def aut_order(x: Representation) -> int:
 
 @lru_cache(maxsize=None)
 def aut_elements(x: Representation) -> tuple:
-    return tuple(f for f in enumerate_homs(x, x) if f.is_invertible())
+    """Every automorphism of x, in the order of hom_keys; a RepMorphism is
+    built only for the keys that pass the invertibility rank test."""
+    return tuple(morphism_from_key(x, x, k) for k in hom_keys(x, x)
+                 if key_is_invertible(x, x, k))
 
 
 @lru_cache(maxsize=None)

@@ -21,10 +21,11 @@ path.
 
 Every orbit is swept by reps.orbit, the package's one orbit search, which
 acts on the entry tuples of RepMorphism.key(): the generators of Aut(a) and
-Aut(b) become moves on the keys of Hom(a, b) (reps.composition_moves), and
-a morphism is built only for the least key of each arrow class.  The orbit
-code is mode-neutral; only build_span_model drops the non-injective
-classes.
+Aut(b) become moves on the keys of Hom(a, b) (reps.composition_moves).
+reps.hom_keys enumerates those keys without building morphisms, a rank
+test on the raw entries keeps the injective ones, and a morphism is built
+only for the least key of each arrow class.  The orbit code is
+mode-neutral; only build_span_model restricts it to injective keys.
 """
 
 from __future__ import annotations
@@ -106,7 +107,8 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     # An Aut(a) x Aut(b)-orbit of injective maps a -> b is an arrow class;
     # its Aut(a)-orbits are the fiber components over b that include it.
     # Ranks follow orbit minima, so the enumeration order never reaches an
-    # id.  Injectivity is constant on an orbit, so its least key decides.
+    # id.  Injectivity is constant on an orbit, so the orbits of the
+    # injective keys alone are exactly the arrow classes.
     arrow_classes: Dict[tuple, ArrowClass] = {}
     x1_pairs = []
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
@@ -115,16 +117,14 @@ def build_span_model(ctx: HallContext) -> SpanModel:
             ra, rb = cat.rep(a), cat.rep(b)
             if any(da > db for da, db in zip(ra.dims, rb.dims)):
                 continue    # no monomorphism a -> b
-            homs = (f.key() for f in reps.enumerate_homs(ra, rb, cap=ctx.caps.candidates))
+            monos = (k for k in reps.hom_keys(ra, rb, cap=ctx.caps.candidates)
+                     if reps.key_is_injective(ra, rb, k))
             both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
             pre = reps.composition_moves((), gens[a], ra.dims, rb.dims)
             comma = []
             rank = 0
-            for canon_key, orbit in _orbits(homs, both, cat.p):
-                canon = reps.morphism_from_flat(
-                    ra, rb, [v for data in canon_key for v in data])
-                if not canon.is_injective():
-                    continue
+            for canon_key, orbit in _orbits(monos, both, cat.p):
+                canon = reps.morphism_from_key(ra, rb, canon_key)
                 comp = ("m", a, b, rank)
                 rank += 1
                 stab = _stabilizer_order(

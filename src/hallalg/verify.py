@@ -96,11 +96,16 @@ def _classical_action(ctx: HallContext, x: int, z: int, y: int):
     cat = ctx.catalog
     xr, zr = cat.rep(x), cat.rep(z)
     elements = []
-    for f in reps.enumerate_homs(xr, zr, cap=ctx.caps.candidates):
-        if not f.is_injective():
+    cokernels = {}    # image key -> class of the cokernel, which it fixes
+    for k in reps.hom_keys(xr, zr, cap=ctx.caps.candidates):
+        image = reps.mono_image_key(xr, zr, k)
+        if image is None:
             continue
-        if cat.classify(reps.kernel_cokernel(f).cokernel) == y:
-            elements.append((f.key(), f))
+        f = reps.morphism_from_key(xr, zr, k)
+        if image not in cokernels:
+            cokernels[image] = cat.classify(reps.kernel_cokernel(f).cokernel)
+        if cokernels[image] == y:
+            elements.append((k, f))
     auts = reps.aut_elements(xr)
 
     def act(f):

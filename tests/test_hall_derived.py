@@ -3,16 +3,19 @@ from fractions import Fraction
 import pytest
 
 from hallalg.catalog import catalog_build
-from hallalg.derived import DerivedClass
+from hallalg.derived import DerivedClass, ext_dim
 from hallalg.errors import OutOfUniverseError
 from hallalg.hall import (
     HallContext,
     derived_aut_order,
     derived_hall_number,
+    derived_product,
+    ext_alternating_product,
     hall_number_classical,
     multiply,
 )
 from hallalg.quivers import a_n_quiver
+from hallalg.verify import in_bound_pairs
 
 
 def euler_vector(x, cat):
@@ -254,3 +257,30 @@ def test_associativity_sample_derived(dctx, a2_cat):
         assert dctx.keys_in_bound((kx, ky, kz))
         a, b, c = dctx.chi(kx), dctx.chi(ky), dctx.chi(kz)
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+def test_ext_products_cache_matches_a_fresh_recomputation(a2_cat):
+    # every pair of basis keys of A2 p=2 (1,1), window [-1, 1]: the cached
+    # products, filled by the whole product table, against the alternating
+    # product of ext_dim taken afresh over more degrees than the cache reads
+    ctx = HallContext("derived", a2_cat, window=(-1, 1))
+    for x, y in in_bound_pairs(ctx):
+        derived_product(ctx, x, y)
+    filled = dict(ctx._ext_products)
+    assert filled
+
+    def fresh(x, z):
+        out = Fraction(1)
+        for i in range(1, 7):
+            q = Fraction(a2_cat.p ** ext_dim(x, z, -i, a2_cat))
+            out *= 1 / q if i % 2 else q
+        return out
+
+    keys = ctx.basis_keys()
+    for x in keys:
+        for z in keys:
+            want = fresh(x, z)
+            assert ext_alternating_product(ctx, x, z) == want, (x, z)
+            if (x, z) in filled:
+                assert filled[(x, z)] == want, (x, z)
+    assert len(ctx._ext_products) == len(keys) ** 2
