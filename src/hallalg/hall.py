@@ -195,13 +195,20 @@ class HallElement:
 
 def subrep_histogram(ctx: HallContext, z: int) -> dict:
     """{(sub class, quotient class): count} over all subrepresentations of
-    the canonical representative of z."""
+    the canonical representative of z.
+
+    One closure search (reps.subobjects) over the per-vertex subspace
+    tables; each closed tuple is classified by two key lookups, of
+    reps.sub_key and reps.quotient_key, with no Representation or
+    morphism built."""
     hist = ctx._subrep_hist.get(z)
     if hist is None:
         hist = {}
         cat = ctx.catalog
-        for sr in reps.enumerate_subreps(cat.rep(z), cap=ctx.caps.candidates):
-            key = (cat.classify(sr.sub), cat.classify(sr.quot))
+        rep = cat.rep(z)
+        for bases, sub in reps.subobjects(rep, cap=ctx.caps.candidates):
+            key = (cat.classify_key(sub),
+                   cat.classify_key(reps.quotient_key(rep, bases)))
             hist[key] = hist.get(key, 0) + 1
         ctx._subrep_hist[z] = hist
     return hist

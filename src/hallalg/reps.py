@@ -28,6 +28,7 @@ from .fq import (
     check_prime,
     eliminate,
     enumerate_subspaces,
+    gaussian_binomial,
     intertwining_rows,
     kernel_from_rref,
     kernel_rows,
@@ -516,7 +517,10 @@ def kernel_cokernel(f: RepMorphism) -> KernelCokernel:
 
     The kernel is arrow-closed because f intertwines; the cokernel carries
     the quotient maps in the canonical complement coordinates (non-pivot
-    columns of the image RREF).
+    columns of the image RREF).  The object-building reference for
+    quotient_key, kept for the tests and the tracer: the span model, the
+    orbit check and the subrep histograms classify cokernels by
+    quotient_key and build no kernel.
     """
     if not f.is_intertwiner():
         raise InputError("not a valid intertwiner")
@@ -563,65 +567,123 @@ def kernel_cokernel(f: RepMorphism) -> KernelCokernel:
 
 @dataclass(frozen=True)
 class Subrep:
-    subspaces: tuple          # per-vertex FqSubspace
+    bases: tuple              # per-vertex flat RREF data, as in subobjects
     sub: Representation
-    incl: RepMorphism         # sub -> ambient
     quot: Representation
-    proj: RepMorphism         # ambient -> quot
 
 
 def enumerate_subreps(z: Representation, cap: int = DEFAULT_CAP) -> list:
-    """Every subrepresentation of z: per-vertex subspace tuples closed under
-    all arrow maps, each with its induced sub and quotient."""
-    q, p = z.quiver, z.p
-    per_vertex = []
+    """Every subrepresentation of z, in the order of subobjects, each with
+    its sub and quotient built as objects by _restrict and kernel_cokernel.
+
+    The object-building reference for sub_key and quotient_key, kept for the
+    tests and the tracer; the Hall numbers never build these objects."""
+    p = z.p
+    out = []
+    for bases, _ in subobjects(z, cap):
+        sub, incl = _restrict(z, [
+            FqMatrix(p, len(_split_rref(b, n)[1]), n, b)
+            for b, n in zip(bases, z.dims)
+        ])
+        out.append(Subrep(bases, sub, kernel_cokernel(incl).cokernel))
+    return out
+
+
+# -- subobjects as keys --------------------------------------------------------
+#
+# A subspace U of F_p^n is held as the flat row-major data of its RREF basis
+# (FqSubspace.basis.data, the per-vertex entries of mono_image_key).  The
+# coordinate of a vector of U along RREF row r is its entry at the pivot of
+# r; the quotient F_p^n / U has the non-pivot columns as coordinates, read
+# off a vector after reducing it modulo U, as kernel_cokernel does.
+
+
+@lru_cache(maxsize=None)
+def _split_rref(data: tuple, n: int) -> tuple:
+    """(rows, pivots, free columns) of the subspace of F_p^n with flat RREF
+    data; a zero-dimensional ambient space has no rows."""
+    rows = tuple(data[i : i + n] for i in range(0, len(data), n)) if n else ()
+    pivots = tuple(next(j for j, a in enumerate(row) if a) for row in rows)
+    free = tuple(j for j in range(n) if j not in pivots)
+    return rows, pivots, free
+
+
+def _reduce(v: Sequence[int], space: tuple, p: int) -> tuple:
+    """(v at the pivots of U, v modulo U at the free columns of U) for U
+    given as _split_rref: the coordinates of v along the RREF rows when v
+    lies in U, and those of its class in F_p^n / U."""
+    rows, pivots, free = space
+    coords = [v[j] for j in pivots]
+    return coords, [(v[j] - sum(c * r[j] for c, r in zip(coords, rows))) % p
+                    for j in free]
+
+
+def _row_major(cols: list, rows: int) -> tuple:
+    """Entries of the matrix with the given columns, row by row."""
+    return tuple(col[i] for i in range(rows) for col in cols)
+
+
+def sub_key(z: Representation, bases: Sequence[tuple]):
+    """Representation.key() of the subrepresentation of z on the per-vertex
+    subspaces U with flat RREF data `bases`, or None when some arrow map
+    leaves them: also the closure test of subobjects.  Column c of the
+    arrow a: s -> t holds the coordinates of z_a applied to RREF row c of
+    U_s, as _restrict builds it."""
+    split = [_split_rref(b, n) for b, n in zip(bases, z.dims)]
+    entries = []
+    for idx, (s, t) in enumerate(z.quiver.arrows):
+        cols = []
+        for w in split[s][0]:
+            coords, rest = _reduce(z.mats[idx].mul_vec(w), split[t], z.p)
+            if any(rest):
+                return None
+            cols.append(coords)
+        entries.append(_row_major(cols, len(split[t][1])))
+    return tuple(len(sp[1]) for sp in split), tuple(entries)
+
+
+def quotient_key(z: Representation, bases: Sequence[tuple]) -> tuple:
+    """Representation.key() of z / U for the subrepresentation U with
+    per-vertex flat RREF data `bases`, in the coordinates of
+    kernel_cokernel: column c of the arrow a: s -> t is z_a e_c, for each
+    free column c of U_s, reduced modulo U_t and read at the free columns
+    of U_t."""
+    split = [_split_rref(b, n) for b, n in zip(bases, z.dims)]
+    entries = tuple(
+        _row_major([_reduce(z.mats[idx].col(c), split[t], z.p)[1]
+                    for c in split[s][2]], len(split[t][2]))
+        for idx, (s, t) in enumerate(z.quiver.arrows)
+    )
+    return tuple(len(sp[2]) for sp in split), entries
+
+
+@lru_cache(maxsize=None)
+def _subspace_table(p: int, n: int) -> tuple:
+    """Every subspace of F_p^n as flat RREF data, by dimension and then in
+    the order of fq.enumerate_subspaces."""
+    return tuple(sp.basis.data for k in range(n + 1)
+                 for sp in enumerate_subspaces(p, n, k, cap=gaussian_binomial(n, k, p)))
+
+
+def subobjects(z: Representation, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
+    """(bases, sub_key(z, bases)) for every subrepresentation of z: the one
+    closure search, over the per-vertex subspace tables with the last
+    vertex fastest, sub_key deciding closure.
+
+    The cap bounds the number of subspace tuples searched and is checked
+    when this is called, vertex by vertex from the Gaussian binomials,
+    before any table is built; the tuples are then produced lazily."""
     total = 1
-    for v in range(q.vertex_count):
-        spaces = []
-        for k in range(z.dims[v] + 1):
-            spaces.extend(enumerate_subspaces(p, z.dims[v], k, cap=cap))
-        per_vertex.append(spaces)
-        total *= len(spaces)
+    for n in z.dims:
+        total *= sum(gaussian_binomial(n, k, z.p) for k in range(n + 1))
         if total > cap:
             raise EnumerationCapError(
                 f"enumerate_subreps(dims {z.dims}): {total}+ subspace tuples "
                 f"exceed cap {cap}"
             )
-
-    checkers = []
-    for v, spaces in enumerate(per_vertex):
-        rows = []
-        for sp in spaces:
-            rs = RowSpace(p, z.dims[v])
-            for i in range(sp.basis.rows):
-                rs.add(sp.basis.row(i))
-            rows.append(rs)
-        checkers.append(rows)
-
-    out = []
-    index_ranges = [range(len(spaces)) for spaces in per_vertex]
-    for choice in itertools.product(*index_ranges):
-        closed = True
-        for idx, (s, t) in enumerate(q.arrows):
-            b = per_vertex[s][choice[s]].basis
-            target_rs = checkers[t][choice[t]]
-            for r in range(b.rows):
-                if not target_rs.contains(z.mats[idx].mul_vec(b.row(r))):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if not closed:
-            continue
-        subspaces = tuple(per_vertex[v][choice[v]] for v in range(q.vertex_count))
-        out.append(_induced_subrep(z, subspaces))
-    return out
-
-
-def _induced_subrep(z: Representation, subspaces: tuple) -> Subrep:
-    sub, incl = _restrict(z, [sp.basis for sp in subspaces])
-    kc = kernel_cokernel(incl)
-    return Subrep(subspaces, sub, incl, kc.cokernel, kc.cokernel_proj)
+    tables = [_subspace_table(z.p, n) for n in z.dims]
+    return ((bases, key) for bases in itertools.product(*tables)
+            if (key := sub_key(z, bases)) is not None)
 
 
 _ISO_SAMPLE_ROUNDS = 200

@@ -24,7 +24,8 @@ acts on the entry tuples of RepMorphism.key(): the generators of Aut(a) and
 Aut(b) become moves on the keys of Hom(a, b) (reps.composition_moves).
 reps.hom_keys enumerates those keys without building morphisms, a rank
 test on the raw entries keeps the injective ones, and a morphism is built
-only for the least key of each arrow class.  The orbit code is
+only for the least key of each arrow class; its cokernel is classified by
+the key reps.quotient_key reads off its image.  The orbit code is
 mode-neutral; only build_span_model restricts it to injective keys.
 """
 
@@ -138,7 +139,8 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                     rep=canon,
                     orbit_size=len(orbit),
                     stabilizer_order=stab,
-                    cokernel_class=cat.classify(reps.kernel_cokernel(canon).cokernel),
+                    cokernel_class=cat.classify_key(reps.quotient_key(
+                        rb, reps.mono_image_key(ra, rb, canon_key))),
                 )
                 x1_pairs.append((comp, (stab,)))
                 for sub_key, sub in _orbits(orbit, pre, cat.p):

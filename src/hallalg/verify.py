@@ -93,6 +93,10 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
 
 
 def _classical_action(ctx: HallContext, x: int, z: int, y: int):
+    """Aut(x) acting on the keys of the monos x -> z with cokernel y, one
+    reps.act move per automorphism g (f |-> f g).  composition_moves drops
+    the moves that change no key, the identity's among them; each dropped
+    g fixes every f and is counted as such."""
     cat = ctx.catalog
     xr, zr = cat.rep(x), cat.rep(z)
     elements = []
@@ -101,15 +105,16 @@ def _classical_action(ctx: HallContext, x: int, z: int, y: int):
         image = reps.mono_image_key(xr, zr, k)
         if image is None:
             continue
-        f = reps.morphism_from_key(xr, zr, k)
         if image not in cokernels:
-            cokernels[image] = cat.classify(reps.kernel_cokernel(f).cokernel)
+            cokernels[image] = cat.classify_key(reps.quotient_key(zr, image))
         if cokernels[image] == y:
-            elements.append((k, f))
+            elements.append((k, k))
     auts = reps.aut_elements(xr)
+    moves = reps.composition_moves((), auts, xr.dims, zr.dims)
+    fixing = len(auts) - len(moves)
 
     def act(f):
-        return [f.compose(g).key() for g in auts]
+        return [f] * fixing + [reps.act(f, m, cat.p) for m in moves]
 
     return elements, act, len(auts)
 
