@@ -6,7 +6,7 @@ are the orbits of GL_d = prod_v GL_{d_v}(F_p) on Rep_d, the arrow-matrix
 tuples of that shape, acting by g.(M_a) = (g_t M_a g_s^-1).  The build walks
 Rep_d in lexicographic order of its entry tuples and sweeps the whole orbit of
 each tuple not yet seen with reps.orbit, the package's one orbit search, which
-acts on entry tuples by moves: here elementary transvections and a
+acts on entry tuples by moves: here adjacent transvections and a
 primitive-root scaling.  That first tuple is the lexicographically least
 member of its orbit and becomes the canonical representative.
 
@@ -45,17 +45,21 @@ def _primitive_root(p: int) -> int:
 def _generators(quiver: Quiver, p: int, dims: tuple) -> list:
     """Generators of GL_d as moves on arrow-matrix tuples.
 
-    At each vertex v the generators are g = I + c E_ij: the transvections
-    (i != j, c = 1), which generate SL, and for p > 2 diag(r, 1, ..., 1) with
-    r a primitive root.  g acts on the arrows into v by left multiplication
-    (row i += c row j) and on the arrows out of v by right multiplication
-    with g^-1 = I + c' E_ij (column j += c' column i).  The moves are in
-    reps.act's format, one step per end of an arrow at v, so a loop gets two.
+    At each vertex v the generators are g = I + c E_ij: the adjacent
+    transvections (j = i +- 1, c = 1), and for p > 2 diag(r, 1, ..., 1) with
+    r a primitive root.  The adjacent transvections generate SL_n(Z), which
+    maps onto SL_n(F_p), and the determinant of the diagonal one generates
+    F_p^*, so together they generate GL_n(F_p).  g acts on the arrows into
+    v by left multiplication (row i += c row j) and on the arrows out of v
+    by right multiplication with g^-1 = I + c' E_ij (column j += c' column
+    i).  The moves are in reps.act's format, one step per end of an arrow
+    at v, so a loop gets two.
     """
     r = _primitive_root(p) if p > 2 else 1
     moves = []
     for v, n in enumerate(dims):
-        elems = [(i, j, 1, p - 1) for i in range(n) for j in range(n) if i != j]
+        elems = [(i, j, 1, p - 1) for i in range(n) for j in (i - 1, i + 1)
+                 if 0 <= j < n]
         if r != 1 and n:
             elems.append((0, 0, r - 1, inv_mod(r, p) - 1))
         for i, j, c, c_inv in elems:
@@ -127,9 +131,12 @@ class Catalog:
         self.derived_projectives: dict = {}     # DerivedClass -> Complex
         self.derived_hom_tables: dict = {}      # (x, z) -> SummandHomClasses
         self.derived_hom_blocks: dict = {}      # (a, b, k) -> HomotopyClasses
-        # summand signature -> {f block entries: class of cone H^n}
+        # (x_n, x_(n+1), z_n, z_(n+1)) -> {three block coefficient tuples:
+        # class of cone H^n}, and the local ConeClassifier that fills it
         self.derived_cone_homology: dict = {}
+        self.derived_cone_tables: dict = {}
         self.derived_cone_classes: dict = {}    # entries -> DerivedClass of a cone
+        self.derived_ext_factors: dict = {}     # (a, b, k) -> E(a[-k], b)
         self._mark_indecomposables()
 
     # -- construction ------------------------------------------------------

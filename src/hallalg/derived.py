@@ -14,12 +14,16 @@ realization (each summand replaced by its two-term projective resolution),
 modulo null-homotopic maps.  All of it is exact F_p linear algebra.
 
 Both inputs of the cone count are local, and each local piece is computed
-once per catalog.  Hom(x, z) is a direct sum over pairs of summands, so
-hom_class_table assembles each table from one solved block per (summand
-class, summand class, shift) (hom_block); the whole-table solve
-HomotopyClasses stays as its oracle.  H^n of a cone reads only the blocks
-next to degree n, so ConeClassifier memoizes its class per summand
-signature and f blocks in one memo that every table shares.
+once per catalog.  Hom(x, z) is a direct sum over pairs of summands, one
+solved block per (summand class, summand class, shift) (hom_block), so a
+Hom class is a tuple of coefficient tuples over the block complements
+(ConeBlocks).  H^n of its cone reads three of those blocks, so its class is
+memoized per signature (x_n, x_(n+1), z_n, z_(n+1)) and the three
+coefficient tuples, and a miss is computed by ConeClassifier on one local
+two-degree table per signature: counting cones builds no (x, z) table.
+hom_class_table still assembles whole tables from the blocks for the
+callers that read class vectors; the whole-table solve HomotopyClasses is
+its oracle, and derived_class_of(mapping_cone(...)) is the cone oracle.
 """
 
 from __future__ import annotations
@@ -601,6 +605,18 @@ def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
     return block
 
 
+def summand_blocks(cat: Catalog, x: DerivedClass, z: DerivedClass) -> dict:
+    """{(a, b): hom_block(x_a, z_b, a - b)} over the summand pairs (x_a at
+    degree a, z_b at degree b) with a - b in {0, 1}: the blocks whose direct
+    sum is Hom(x, z) in the derived category.  (n, n) is Hom(x_n, z_n) and
+    (n + 1, n) is Ext^1(x_(n+1), z_n)."""
+    return {
+        (a_deg, b_deg): hom_block(cat, a, b, a_deg - b_deg)
+        for a_deg, a in x.entries for b_deg, b in z.entries
+        if a_deg - b_deg in (0, 1)
+    }
+
+
 def _first_nonzero(vec: Sequence[int]) -> int:
     return next(j for j, val in enumerate(vec) if val)
 
@@ -614,13 +630,13 @@ class SummandHomClasses(_ClassTable):
 
     P(x)^n = p0(x_n) (+) p1(x_(n+1)) and C(z) has zero differentials, so
     the chain maps P(x) -> C(z), the null-homotopic ones and their
-    complement are the direct sums over the summand pairs (x_a at degree a,
-    z_b at degree b) with a - b in {0, 1} of the same spaces of hom_block(x_a,
-    z_b, a - b): the chain condition f^a o delta = 0 and the boundaries
-    h o delta each touch one pair.  A block coordinate (vertex, row, col)
-    maps to (degree b, vertex, row, col + the width of p0(x_b) when
-    a = b + 1) of the table's GradedMapSpace, which keeps the order of the
-    coordinates inside a block.
+    complement are the direct sums over the blocks of summand_blocks(x, z)
+    of the same spaces of each block: the chain condition f^a o delta = 0
+    and the boundaries h o delta each touch one pair.  A block coordinate
+    (vertex, row, col) of the pair (a, b) maps to (degree b, vertex, row,
+    col + the width of p0(x_b) when a = b + 1) of the table's
+    GradedMapSpace, which keeps the order of the coordinates inside a
+    block.
 
     So the canonical kernel basis of the whole system is the union of the
     block bases ordered by their last nonzero coordinate (the free column),
@@ -628,67 +644,85 @@ class SummandHomClasses(_ClassTable):
     rows ordered by pivot, and the complement picked by complement_basis is
     the union of the block complements in kernel basis order: the same
     vectors, in the same order, as the whole-table solve HomotopyClasses(
-    P(x), C(z)).  cycle_basis and null are assembled on first use.
+    P(x), C(z)).  origin[j] is the (block, index) that complement vector j
+    comes from.  cycle_basis and null are assembled on first use.
+    cap=None skips the class count caps.
     """
 
     def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
-                 cap: int = reps.DEFAULT_CAP, max_exponent: int = 20,
+                 cap: Optional[int] = reps.DEFAULT_CAP, max_exponent: int = 20,
                  label: str = "SummandHomClasses"):
-        self.x = x
-        self.z = z
         self.X = projective_realization(cat, x)
         self.Z = stalk_realization(cat, z)
         self.p = cat.p
         self.label = label
         self.space = GradedMapSpace(self.X, self.Z, 0)
-        # (block, degree b of z_b, a - b) per summand pair
-        self._blocks = []
-        for a_deg, a in x.entries:
-            for b_deg, b in z.entries:
-                k = a_deg - b_deg
-                if k in (0, 1):
-                    block = hom_block(cat, a, b, k)
-                    if block.space.total:
-                        self._blocks.append((block, b_deg, k))
-        self.complement = [tuple(v) for v in self._embed("complement", _last_nonzero)]
+        self.blocks = {key: block for key, block in summand_blocks(cat, x, z).items()
+                       if block.space.total}
+        self._positions: dict = {}
+        embedded = self._embed("complement", _last_nonzero)
+        self.complement = [tuple(v) for v, _ in embedded]
+        self.origin = [o for _, o in embedded]
         self.dim = len(self.complement)
-        _check_class_count(label, self.p, self.dim, cap, max_exponent)
+        if cap is not None:
+            _check_class_count(label, self.p, self.dim, cap, max_exponent)
 
-    def _positions(self, block: HomotopyClasses, b_deg: int, k: int) -> list:
-        """The table coordinate of each coordinate of the block."""
-        pos = [0] * block.space.total
-        P = self.X.rep(b_deg)
-        for (n, v), off in block.space.offsets.items():
-            rows, cols = block.Z.rep(n).dims[v], block.X.rep(n).dims[v]
-            width = P.dims[v]
-            base = self.space.offsets[(b_deg, v)] + (width - cols if k else 0)
-            for r in range(rows):
-                pos[off + r * cols : off + (r + 1) * cols] = range(
-                    base + r * width, base + r * width + cols)
+    def positions(self, key: tuple) -> list:
+        """The table coordinate of each coordinate of the block of the
+        summand pair key = (a, b)."""
+        pos = self._positions.get(key)
+        if pos is None:
+            block, (a_deg, b_deg) = self.blocks[key], key
+            pos = [0] * block.space.total
+            P = self.X.rep(b_deg)
+            for (n, v), off in block.space.offsets.items():
+                rows, cols = block.Z.rep(n).dims[v], block.X.rep(n).dims[v]
+                width = P.dims[v]
+                base = (self.space.offsets[(b_deg, v)]
+                        + (width - cols if a_deg > b_deg else 0))
+                for r in range(rows):
+                    pos[off + r * cols : off + (r + 1) * cols] = range(
+                        base + r * width, base + r * width + cols)
+            self._positions[key] = pos
         return pos
 
     def _embed(self, attr: str, order) -> list:
-        """The block vectors at attrgetter(attr)(block) in table
-        coordinates, sorted by order."""
+        """(vector, (block key, index)) for the block vectors at
+        attrgetter(attr)(block), in table coordinates, sorted by order of
+        the vector."""
         out = []
-        for block, b_deg, k in self._blocks:
-            pos = self._positions(block, b_deg, k)
-            for b in operator.attrgetter(attr)(block):
+        for key, block in self.blocks.items():
+            pos = self.positions(key)
+            for i, b in enumerate(operator.attrgetter(attr)(block)):
                 vec = [0] * self.space.total
                 for j, val in zip(pos, b):
                     vec[j] = val
-                out.append(vec)
-        out.sort(key=order)
+                out.append((vec, (key, i)))
+        out.sort(key=lambda e: order(e[0]))
         return out
+
+    def vector(self, coords: dict) -> list:
+        """The table vector with coefficients coords[key] on the complement
+        of the block of each summand pair key."""
+        vec = [0] * self.space.total
+        for key, cs in coords.items():
+            if not any(cs):
+                continue
+            pos = self.positions(key)
+            for c, b in zip(cs, self.blocks[key].complement):
+                if c:
+                    for j, val in zip(pos, b):
+                        vec[j] = (vec[j] + c * val) % self.p
+        return vec
 
     @functools.cached_property
     def cycle_basis(self) -> list:
-        return self._embed("cycle_basis", _last_nonzero)
+        return [v for v, _ in self._embed("cycle_basis", _last_nonzero)]
 
     @functools.cached_property
     def null(self) -> RowSpace:
         space = RowSpace(self.p, self.space.total)
-        space.rows = self._embed("null.rows", _first_nonzero)
+        space.rows = [v for v, _ in self._embed("null.rows", _first_nonzero)]
         space.pivots = [_first_nonzero(r) for r in space.rows]
         return space
 
@@ -702,45 +736,34 @@ def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
     return [[0] * cols for _ in range(rows)]
 
 
-_MISS = object()
-
-
 class ConeClassifier:
-    """The derived class of cone(f) for chain maps f: X -> Z of one Hom
-    table of hom_class_table, given as flat vectors in the table's
-    coordinates; None when some H^n leaves the catalog bound.
+    """H^n of cone(f) for the chain maps f: X -> Z of one Hom table, given
+    as flat vectors in the table's coordinates.
 
-    H^n of cone(f) is the kernel of d^n modulo the image of d^(n-1).  Up to
-    zero columns (from z_(n-1): C(z) has zero differentials) and zero rows
-    (from p1(x_(n+3))), which change neither, these two differentials are
-    fixed by the summand signature, the classes of x in degrees n..n+2 and
-    of z in degrees n..n+1 (they fix the cone's dims, the -d_X blocks, the
-    arrow blocks and where the f blocks sit), and by the entries of the f^n
-    and f^(n+1) blocks, which lie next to each other in vec.  So the class
-    of H^n is memoized on the catalog, in
-    cat.derived_cone_homology[signature][f entries], and shared by every
-    table.  Per table only the degree range, the signatures and the slice
-    of vec holding the f blocks are set up, and equal cone classes are
-    shared through cat.derived_cone_classes.
-
-    On a miss the blocks of the two differentials are laid out from the
-    table's complexes, and H^n is computed vertex by vertex on plain int
+    H^n of cone(f) is the kernel of d^n modulo the image of d^(n-1).  What
+    does not depend on f (the cone's dims, the -d_X and d_Z blocks of each
+    differential and the block-diagonal arrow matrices) is laid out from
+    the table's complexes on first use; the f blocks of vec are written into
+    d^(n-1) and d^n, and H^n is computed vertex by vertex on plain int
     lists: the image of d^(n-1) and, as the basis of H^n, the kernel vectors
-    of d^n reduced modulo that image, each kept in reduced echelon form as an
-    fq.RowSpace.  The induced arrow matrices give a Representation.key()
+    of d^n reduced modulo that image, each kept in reduced echelon form as
+    an fq.RowSpace.  The induced arrow matrices give a Representation.key()
     that the catalog's key table classifies; any basis of H^n does, since
     that table holds all of Rep_d.
 
-    Equal to derived_class_of(mapping_cone(table.lift(vec)), cat,
-    strict=False), which builds the objects and serves as its test oracle.
+    cone_homology runs it on the local two-degree table of one signature,
+    once per miss of the shared memo of ConeBlocks.  Called on a vector of
+    any table it classifies the whole cone afresh, the route the memo is
+    tested against.  Both equal derived_class_of(mapping_cone(table.lift(
+    vec)), cat, strict=False), which builds the objects and serves as the
+    test oracle.
     """
 
     OUT_OF_BOUND = -1
 
     def __init__(self, table: SummandHomClasses, cat: Catalog):
         X, Z = table.X, table.Z
-        q = X.quiver
-        if not q.is_acyclic():
+        if not X.quiver.is_acyclic():
             raise InputError("derived classification needs an acyclic quiver")
         self.table = table
         self.label = table.label
@@ -751,82 +774,62 @@ class ConeClassifier:
         # cone^n = X^(n+1) (+) Z^n
         degs = [n for n in cands if X.rep(n + 1).total_dim or Z.rep(n).total_dim]
         self.degrees = list(range(degs[0], degs[-1] + 1)) if degs else []
-        # the f^n blocks of vec, per degree n of the table's space
-        space = table.space
-        ends = [space.offsets[(n, 0)] for n in space.degrees] + [space.total]
-        blocks = {n: (ends[i], ends[i + 1]) for i, n in enumerate(space.degrees)}
-        xs, zs = dict(table.x.entries), dict(table.z.entries)
-        memo = cat.derived_cone_homology
-        self.classes = cat.derived_cone_classes
-        # per degree n: the memo of its signature and the slice of vec
-        # holding f^n and f^(n+1)
-        self.memos = []
-        self.reads = []
-        for n in self.degrees:
-            sig = (xs.get(n), xs.get(n + 1), xs.get(n + 2), zs.get(n), zs.get(n + 1))
-            self.memos.append(memo.setdefault(sig, {}))
-            parts = [blocks[m] for m in (n, n + 1) if m in blocks]
-            self.reads.append(slice(parts[0][0], parts[-1][1]) if parts else slice(0))
+        self._laid: dict = {}
 
     def __call__(self, vec) -> Optional[DerivedClass]:
-        vec = tuple(vec)
+        """The derived class of cone(vec), every H^n computed afresh; None
+        when some H^n leaves the catalog bound."""
         entries = []
         for k, n in enumerate(self.degrees):
-            memo = self.memos[k]
-            f = vec[self.reads[k]]
-            idx = memo.get(f, _MISS)
-            if idx is _MISS:
-                idx = memo[f] = self._homology_class(k, vec)
+            idx = self._homology_class(k, vec)
             if idx == self.OUT_OF_BOUND:
                 return None
             if idx is not None:
                 entries.append((n, idx))
-        entries = tuple(entries)
-        dc = self.classes.get(entries)
-        if dc is None:
-            dc = self.classes[entries] = DerivedClass(entries)
-        return dc
+        return DerivedClass(tuple(entries))
 
-    @functools.cached_property
-    def _layout(self) -> tuple:
-        """What does not depend on f, laid out on the first miss: per degree
-        n the cone dims and (arrow, source, target, block-diagonal rows);
-        per differential d^n (n < hi) and vertex the -d_X rows, the d_Z
-        rows, the offset of the f^(n+1) block in vec or None, and its width
-        x1."""
-        X, Z, p = self.table.X, self.table.Z, self.p
-        q = X.quiver
-        # X^(n+1) and Z^n, the two summands of cone^n, fetched once
-        xr = {n: X.rep(n + 1) for n in self.degrees}
-        zr = {n: Z.rep(n) for n in self.degrees}
-        dims, arrows = [], []
-        for n in self.degrees:
-            dims.append([a + b for a, b in zip(xr[n].dims, zr[n].dims)])
-            per_arrow = []
-            for idx, (s, t) in enumerate(q.arrows):
-                xa, za = xr[n].mats[idx], zr[n].mats[idx]
+    def _dims(self, k: int) -> list:
+        """The dims of cone^(degrees[k]) = X^(n+1) (+) Z^n."""
+        n = self.degrees[k]
+        return [a + b for a, b in zip(self.table.X.rep(n + 1).dims,
+                                      self.table.Z.rep(n).dims)]
+
+    def _arrows(self, k: int) -> list:
+        """(arrow, source, target, block-diagonal rows) of cone^(degrees[k])
+        per arrow, laid out on first use."""
+        got = self._laid.get(("arrows", k))
+        if got is None:
+            n = self.degrees[k]
+            xr, zr = self.table.X.rep(n + 1), self.table.Z.rep(n)
+            got = []
+            for idx, (s, t) in enumerate(xr.quiver.arrows):
+                xa, za = xr.mats[idx], zr.mats[idx]
                 rows = [list(xa.row(r)) + [0] * za.cols for r in range(xa.rows)]
                 rows += [[0] * xa.cols + list(za.row(r)) for r in range(za.rows)]
-                per_arrow.append((idx, s, t, rows))
-            arrows.append(per_arrow)
-        diffs = []
-        for n in self.degrees[:-1]:
-            per_vertex = []
-            for v in range(q.vertex_count):
-                x1, z0 = xr[n].dims[v], zr[n].dims[v]
-                x2, z1 = xr[n + 1].dims[v], zr[n + 1].dims[v]
+                got.append((idx, s, t, rows))
+            self._laid[("arrows", k)] = got
+        return got
+
+    def _diff(self, j: int, vec) -> list:
+        """d^(degrees[j]) with the f blocks of vec written in, per vertex.
+        What does not depend on f is laid out on first use: per vertex the
+        -d_X rows, the d_Z rows, the offset of the f^(n+1) block in vec or
+        None, and its width x1."""
+        layout = self._laid.get(("diff", j))
+        if layout is None:
+            X, Z, p, n = self.table.X, self.table.Z, self.p, self.degrees[j]
+            layout = []
+            for v in range(X.quiver.vertex_count):
+                x1, z0 = X.rep(n + 1).dims[v], Z.rep(n).dims[v]
+                x2, z1 = X.rep(n + 2).dims[v], Z.rep(n + 1).dims[v]
                 top = [[-a % p for a in r] + [0] * z0
                        for r in _diff_rows(X, n + 1, v, x2, x1)]
                 bottom = _diff_rows(Z, n, v, z1, z0)
                 off = self.table.space.offsets.get((n + 1, v)) if x1 and z1 else None
-                per_vertex.append((top, bottom, off, x1))
-            diffs.append(per_vertex)
-        return dims, arrows, diffs
-
-    def _diff(self, j: int, vec) -> list:
-        """d^(degrees[j]) with the f blocks of vec written in, per vertex."""
+                layout.append((top, bottom, off, x1))
+            self._laid[("diff", j)] = layout
         mats = []
-        for top, bottom, off, x1 in self._layout[2][j]:
+        for top, bottom, off, x1 in layout:
             if off is None:
                 mats.append(top + [[0] * x1 + r for r in bottom])
             else:
@@ -840,14 +843,14 @@ class ConeClassifier:
         """Catalog class of H^(degrees[k]) of cone(vec); None when it is
         zero, OUT_OF_BOUND when it leaves the catalog bound."""
         p, n = self.p, self.degrees[k]
-        dims, arrows, _ = self._layout
         d_in = self._diff(k - 1, vec) if k else None
         d_out = self._diff(k, vec) if k < len(self.degrees) - 1 else None
+        dims_in = self._dims(k - 1) if k else None
         bases = []   # per vertex: (image, complement), both reduced echelon
-        for v, dim in enumerate(dims[k]):
+        for v, dim in enumerate(self._dims(k)):
             im = RowSpace(p, dim)
             if d_in is not None:
-                for c in range(dims[k - 1][v]):
+                for c in range(dims_in[v]):
                     im.add([row[c] for row in d_in[v]])
             ker = kernel_rows(p, d_out[v] if d_out is not None else [], dim)
             comp = RowSpace(p, dim)
@@ -866,7 +869,7 @@ class ConeClassifier:
         if any(d > b for d, b in zip(hdims, self.cat.bound)):
             return self.OUT_OF_BOUND
         data = []
-        for idx, s, t, rows in arrows[k]:
+        for idx, s, t, rows in self._arrows(k):
             im, comp = bases[t]
             cols = []
             for w in bases[s][1].rows:
@@ -881,17 +884,126 @@ class ConeClassifier:
         return self.cat.classify_key((hdims, tuple(data)))
 
 
+def _hn_blocks(n: int) -> tuple:
+    """The summand pairs of the blocks that H^n of a cone reads, in the
+    order of a memo key: Hom(x_n, z_n), Ext^1(x_(n+1), z_n) and
+    Hom(x_(n+1), z_(n+1))."""
+    return ((n, n), (n + 1, n), (n + 1, n + 1))
+
+
+def cone_homology(cat: Catalog, sig: tuple, coords: tuple) -> Optional[int]:
+    """The catalog class of H^n of a cone from its memo key in ConeBlocks:
+    the signature sig = (x_n, x_(n+1), z_n, z_(n+1)) and the coefficient
+    tuples on Hom(x_n, z_n), Ext^1(x_(n+1), z_n) and Hom(x_(n+1), z_(n+1)).
+    None when H^n is zero, ConeClassifier.OUT_OF_BOUND when it leaves the
+    catalog bound.
+
+    It is H^0 of the cone over the local table of x_n, x_(n+1) and z_n,
+    z_(n+1) placed in degrees 0 and 1, whose blocks are exactly those three.
+    The local table and its ConeClassifier are built once per signature and
+    cached in cat.derived_cone_tables."""
+    kernel = cat.derived_cone_tables.get(sig)
+    if kernel is None:
+        x_n, x_n1, z_n, z_n1 = sig
+        x = DerivedClass(tuple((d, i) for d, i in ((0, x_n), (1, x_n1)) if i is not None))
+        z = DerivedClass(tuple((d, i) for d, i in ((0, z_n), (1, z_n1)) if i is not None))
+        table = SummandHomClasses(cat, x, z, cap=None,
+                                  label=f"cone_homology({x.name(cat)} -> {z.name(cat)})")
+        kernel = cat.derived_cone_tables[sig] = ConeClassifier(table, cat)
+    vec = kernel.table.vector(dict(zip(_hn_blocks(0), coords)))
+    return kernel._homology_class(kernel.degrees.index(0), vec)
+
+
+_MISS = object()
+
+
+class ConeBlocks:
+    """The Hom classes x -> z in summand-block coordinates, and the derived
+    classes of their cones through one memo that every (x, z) shares.
+
+    A Hom class is one coefficient tuple per block of summand_blocks(x, z)
+    of nonzero dim (`keys`, with `dims`), over that block's complement; the
+    whole-table class vector has those coefficients on the embedded block
+    complements (SummandHomClasses.origin).  The class count is capped with
+    the cap message of hom_class_table.
+
+    cone(f)^n = p0(x_(n+1)) (+) p1(x_(n+2)) (+) z_n.  The kernel of d^n
+    vanishes on p1(x_(n+2)), because the resolution map delta of x_(n+2) is
+    injective, so H^n is the homology of p0(x_n) (+) p1(x_(n+1)) ->
+    p0(x_(n+1)) (+) z_n -> z_(n+1): it is zero unless x_(n+1) or z_n is
+    nonzero, and it reads f only on the blocks Hom(x_n, z_n),
+    Ext^1(x_(n+1), z_n) and Hom(x_(n+1), z_(n+1)).  So its class is
+    memoized in cat.derived_cone_homology[(x_n, x_(n+1), z_n, z_(n+1))]
+    [the three coefficient tuples], a miss is computed by cone_homology,
+    and equal cone classes are shared through cat.derived_cone_classes.
+    """
+
+    def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
+                 cap: int = reps.DEFAULT_CAP, max_exponent: int = 20):
+        self.cat = cat
+        blocks = summand_blocks(cat, x, z)
+        self.keys = [key for key, block in blocks.items() if block.dim]
+        self.dims = [blocks[key].dim for key in self.keys]
+        dim = sum(self.dims)
+        if dim > max_exponent or cat.p ** dim > cap:   # name the table only to raise
+            _check_class_count(_table_label(cat, x, z), cat.p, dim, cap, max_exponent)
+        slot = {key: i for i, key in enumerate(self.keys)}
+        xs, zs = dict(x.entries), dict(z.entries)
+        memo = cat.derived_cone_homology
+        # per degree n with H^n possibly nonzero: (n, signature, its memo,
+        # the getter of the memo key: the coordinates of the three blocks H^n
+        # reads, () for an absent one, from coords + ((),))
+        self.reads = []
+        for n in sorted({d - 1 for d in xs} | set(zs)):
+            sig = (xs.get(n), xs.get(n + 1), zs.get(n), zs.get(n + 1))
+            slots = [slot.get(key, len(self.keys)) for key in _hn_blocks(n)]
+            self.reads.append((n, sig, memo.setdefault(sig, {}),
+                               operator.itemgetter(*slots)))
+
+    def coordinates(self) -> Iterator[tuple]:
+        """Every Hom class x -> z as its tuple of block coefficient tuples."""
+        p = self.cat.p
+        return itertools.product(
+            *(itertools.product(range(p), repeat=d) for d in self.dims))
+
+    def cone_class(self, coords: Sequence[tuple]) -> Optional[DerivedClass]:
+        """The derived class of the cone over the Hom class coords; None
+        when some H^n leaves the catalog bound."""
+        entries = []
+        coords = (*coords, ())
+        for n, sig, memo, key_of in self.reads:
+            key = key_of(coords)
+            idx = memo.get(key, _MISS)
+            if idx is _MISS:
+                idx = memo[key] = cone_homology(self.cat, sig, key)
+            if idx == ConeClassifier.OUT_OF_BOUND:
+                return None
+            if idx is not None:
+                entries.append((n, idx))
+        entries = tuple(entries)
+        dc = self.cat.derived_cone_classes.get(entries)
+        if dc is None:
+            dc = self.cat.derived_cone_classes[entries] = DerivedClass(entries)
+        return dc
+
+
+def _table_label(cat: Catalog, x: DerivedClass, z: DerivedClass) -> str:
+    return f"hom_class_table({x.name(cat)} -> {z.name(cat)})"
+
+
 def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
                     cap: int = reps.DEFAULT_CAP, max_exponent: int = 20) -> SummandHomClasses:
     """Hom classes x -> z in the derived category, assembled from the
     per-summand blocks of hom_block and cached on the catalog per (x, z);
-    raises EnumerationCapError when the p**dim classes exceed the caps."""
+    raises EnumerationCapError when the p**dim classes exceed the caps.
+    Read where class vectors are needed (cone_table, derived_aut_lifts and
+    verify); counting cones needs only the blocks (ConeBlocks)."""
     cache = cat.derived_hom_tables
     key = (x, z)
     if key not in cache:
         cache[key] = SummandHomClasses(
             cat, x, z, cap=cap, max_exponent=max_exponent,
-            label=f"hom_class_table({x.name(cat)} -> {z.name(cat)})",
+            label=_table_label(cat, x, z),
         )
     return cache[key]
 

@@ -32,7 +32,7 @@ from typing import Dict, Iterable, Optional, Union
 from .catalog import Catalog
 from .derived import (
     ChainMap,
-    ConeClassifier,
+    ConeBlocks,
     DerivedClass,
     HomotopyClasses,
     augmentation_map,
@@ -78,7 +78,8 @@ class HallContext:
         self._mono_images: dict = {}   # (x, z) -> {image key: #monos}
         self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
         self._subspaces: dict = {}     # image/kernel key -> the one copy kept
-        self._cone_hist: dict = {}     # (x, z) -> (cone_table rows, histogram)
+        self._cone_hist: dict = {}     # (x, z) -> {cone class: count}
+        self._cone_rows: dict = {}     # (x, z) -> cone_table rows
         self._product_cache: dict = {}
         self._aut_lifts: dict = {}     # x -> derived_aut_lifts(x)
         self._ext_products: dict = {}  # (x, z) -> ext_alternating_product
@@ -285,46 +286,72 @@ def classical_product(ctx: HallContext, x: int, y: int) -> dict:
 # -- derived engine ------------------------------------------------------------
 
 
+def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
+    """{derived class of cone(f): count} over all Hom classes f: x -> z;
+    cones whose homology leaves the catalog bound count under None.  Cached
+    on the context.
+
+    The Hom classes are enumerated in summand-block coordinates
+    (derived.ConeBlocks) and each cone is classified through the
+    cone-homology memo the catalog shares, so no (x, z) table and no rows
+    are built.  The class count is capped as hom_class_table caps it, and
+    the enumerated total is cross-checked against p^ext_dim(x, z, 0).  Both
+    read the per-summand blocks of derived.hom_block, each of which checks
+    its dim against the module route when it is built, so the check ties
+    the enumeration to the module Hom and Ext^1 dimensions.
+    """
+    hist = ctx._cone_hist.get((x, z))
+    if hist is None:
+        cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.caps.candidates,
+                           max_exponent=ctx.caps.hom_exponent)
+        hist = {}
+        for coords in cones.coordinates():
+            dc = cones.cone_class(coords)
+            hist[dc] = hist.get(dc, 0) + 1
+        _check_class_total(ctx, "cone_histogram", x, z, sum(hist.values()))
+        ctx._cone_hist[(x, z)] = hist
+    return hist
+
+
 def cone_table(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> list:
     """[(class vector, derived class of its cone)] over all Hom classes
-    f: x -> z.  Cones whose homology leaves the catalog bound get None.
-    The rows are cached on the context together with their histogram.
+    f: x -> z, in the order of hom_class_table's class_vectors; cones whose
+    homology leaves the catalog bound get None.  Cached on the context;
+    only verify and derived_aut_lifts read rows.
 
-    The class count is cross-checked against p^ext_dim(x, z, 0) on every
-    computation.  Both read the per-summand blocks of derived.hom_block,
-    each of which checks its dim against the module route when it is
-    built, so the check ties the enumeration of the assembled table to the
-    module Hom and Ext^1 dimensions.  Cones are classified by
-    ConeClassifier, without building a Complex per class.
+    Each complement vector of the table is one coefficient on one summand
+    block (SummandHomClasses.origin), so each row is classified through the
+    same memo as cone_histogram, and its count is cross-checked the same way.
     """
-    key = (x, z)
-    got = ctx._cone_hist.get(key)
-    if got is None:
+    rows = ctx._cone_rows.get((x, z))
+    if rows is None:
         cat = ctx.catalog
-        table = hom_class_table(
-            cat, x, z, cap=ctx.caps.candidates, max_exponent=ctx.caps.hom_exponent
+        caps = dict(cap=ctx.caps.candidates, max_exponent=ctx.caps.hom_exponent)
+        table = hom_class_table(cat, x, z, **caps)
+        cones = ConeBlocks(cat, x, z, **caps)
+        slot = {key: s for s, key in enumerate(cones.keys)}
+        origin = [(slot[key], i) for key, i in table.origin]
+        rows = []
+        for coeffs, vec in zip(itertools.product(range(cat.p), repeat=table.dim),
+                               table.class_vectors()):
+            coords = [[0] * d for d in cones.dims]
+            for c, (s, i) in zip(coeffs, origin):
+                coords[s][i] = c
+            rows.append((vec, cones.cone_class(tuple(map(tuple, coords)))))
+        _check_class_total(ctx, "cone_table", x, z, len(rows))
+        ctx._cone_rows[(x, z)] = rows
+    return rows
+
+
+def _check_class_total(ctx: HallContext, layer: str, x: DerivedClass,
+                       z: DerivedClass, count: int) -> None:
+    cat = ctx.catalog
+    expected = cat.p ** ext_dim(x, z, 0, cat, cap=ctx.caps.candidates)
+    if count != expected:
+        raise InvariantError(
+            f"{layer}({x.name(cat)} -> {z.name(cat)}): hom class count "
+            f"{count} != p^ext_dim = {expected}: enumeration routes disagree"
         )
-        classify = ConeClassifier(table, cat)
-        rows = [(vec, classify(vec)) for vec in table.class_vectors()]
-        expected = cat.p ** ext_dim(x, z, 0, cat, cap=ctx.caps.candidates)
-        if len(rows) != expected:
-            raise InvariantError(
-                f"cone_table({x.name(cat)} -> {z.name(cat)}): hom class count "
-                f"{len(rows)} != p^ext_dim = {expected}: enumeration "
-                f"routes disagree"
-            )
-        hist: dict = {}
-        for _, dc in rows:
-            hist[dc] = hist.get(dc, 0) + 1
-        got = ctx._cone_hist[key] = (rows, hist)
-    return got[0]
-
-
-def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
-    """{derived class of cone(f): count} over all Hom classes f: x -> z:
-    the dict cone_table caches next to its rows, shared by every caller."""
-    cone_table(ctx, x, z)
-    return ctx._cone_hist[(x, z)][1]
 
 
 def derived_aut_order(ctx: HallContext, x: DerivedClass) -> int:
@@ -394,22 +421,35 @@ def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
 def ext_alternating_product(ctx: HallContext, x: DerivedClass,
                             z: DerivedClass) -> Fraction:
     """prod_(i>0) |Ext^-i(x, z)|^((-1)^i), exact; cached on the context
-    per (x, z)."""
+    per (x, z).  ext_dim is additive over summand pairs, so this is the
+    product over the pairs (x_a at degree a, z_b at degree b) of
+    E(x_a[-a], z_b[-b]), which depends only on (x_a, z_b, a - b)."""
     got = ctx._ext_products.get((x, z))
-    if got is not None:
-        return got
+    if got is None:
+        got = Fraction(1)
+        for a_deg, a in x.entries:
+            for b_deg, b in z.entries:
+                got *= _ext_factor(ctx, a, b, a_deg - b_deg)
+        ctx._ext_products[(x, z)] = got
+    return got
+
+
+def _ext_factor(ctx: HallContext, a: int, b: int, k: int) -> Fraction:
+    """E(a[-k], b) for catalog module classes a, b, cached on the catalog
+    per (a, b, k)."""
     cat = ctx.catalog
-    out = Fraction(1)
-    if x.entries and z.entries:
-        # Ext^-i(x, z) can only be nonzero for i <= max deg(x) - min deg(z) + 1
-        imax = max(d for d, _ in x.entries) - min(d for d, _ in z.entries) + 1
-        for i in range(1, imax + 1):
+    got = cat.derived_ext_factors.get((a, b, k))
+    if got is None:
+        x, z = DerivedClass.from_module(a, k), DerivedClass.from_module(b)
+        got = Fraction(1)
+        # Ext^-i(x, z) can only be nonzero for i <= deg x - deg z + 1
+        for i in range(1, k + 2):
             d = ext_dim(x, z, -i, cat, cap=ctx.caps.candidates)
             if d:
                 q = Fraction(cat.p**d)
-                out *= (1 / q) if i % 2 else q
-    ctx._ext_products[(x, z)] = out
-    return out
+                got *= (1 / q) if i % 2 else q
+        cat.derived_ext_factors[(a, b, k)] = got
+    return got
 
 
 def derived_hall_number(ctx: HallContext, x: DerivedClass, y: DerivedClass,

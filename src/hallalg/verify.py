@@ -175,16 +175,18 @@ def _profile_groups(keys, profiles) -> dict:
 
 
 def in_bound_pairs(ctx: HallContext) -> list:
+    """Sorted pairs of basis keys whose per-degree dims sum within the
+    bound.  Keys with one profile pair with the same keys, so each profile
+    group is matched against the groups once."""
     keys, profiles, bound = _profiles(ctx)
     groups = _profile_groups(keys, profiles)
     out = []
-    for x in keys:
-        if not _fits(profiles[x], bound):
+    for prof_x, xs in groups.items():
+        if not _fits(prof_x, bound):
             continue
-        rem = _minus(bound, profiles[x])
-        for prof, ks in groups.items():
-            if _fits(prof, rem):
-                out.extend((x, y) for y in ks)
+        rem = _minus(bound, prof_x)
+        ys = [y for prof, ks in groups.items() if _fits(prof, rem) for y in ks]
+        out.extend((x, y) for x in xs for y in ys)
     out.sort()
     return out
 
@@ -193,10 +195,10 @@ def in_bound_triples(ctx: HallContext) -> list:
     keys, profiles, bound = _profiles(ctx)
     groups = _profile_groups(keys, profiles)
     out = []
-    for x in keys:
-        if not _fits(profiles[x], bound):
+    for prof_x, xs in groups.items():
+        if not _fits(prof_x, bound):
             continue
-        rem_x = _minus(bound, profiles[x])
+        rem_x = _minus(bound, prof_x)
         for prof_y, ys in groups.items():
             if not _fits(prof_y, rem_x):
                 continue
@@ -207,7 +209,7 @@ def in_bound_triples(ctx: HallContext) -> list:
                 if _fits(prof_z, rem_xy)
                 for z in zks
             ]
-            out.extend((x, y, z) for y in ys for z in zs)
+            out.extend((x, y, z) for x in xs for y in ys for z in zs)
     out.sort()
     return out
 

@@ -9,7 +9,8 @@ Krull-Schmidt invariant that the tests compare with is_isomorphic.
 
 import itertools
 
-from hallalg.fq import FqMatrix
+from hallalg.catalog import _primitive_root
+from hallalg.fq import FqMatrix, inv_mod
 from hallalg.reps import Representation, direct_sum, is_isomorphic
 
 
@@ -51,3 +52,28 @@ def fingerprint(cat, index):
     """dim Hom(I, -) over the catalog indecomposables I; by Krull-Schmidt
     it separates the classes of one dimension vector."""
     return tuple(cat.hom_dim(i, index) for i in cat.indecomposable_indices)
+
+
+def all_transvection_generators(quiver, p, dims):
+    """catalog._generators with every transvection I + E_ij (i != j) at each
+    vertex, not only the adjacent ones: a larger generating set of GL_d,
+    so the catalog it builds is the reference for the smaller one."""
+    r = _primitive_root(p) if p > 2 else 1
+    moves = []
+    for v, n in enumerate(dims):
+        elems = [(i, j, 1, p - 1) for i in range(n) for j in range(n) if i != j]
+        if r != 1 and n:
+            elems.append((0, 0, r - 1, inv_mod(r, p) - 1))
+        for i, j, c, c_inv in elems:
+            move = []
+            for a, (s, t) in enumerate(quiver.arrows):
+                cols = dims[s]
+                if t == v and cols:
+                    move.append((a, tuple(
+                        (i * cols + k, j * cols + k, c) for k in range(cols))))
+                if s == v and dims[t]:
+                    move.append((a, tuple(
+                        (k * n + j, k * n + i, c_inv) for k in range(dims[t]))))
+            if move:
+                moves.append(tuple(move))
+    return moves

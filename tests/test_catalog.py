@@ -1,6 +1,6 @@
 import pytest
 
-from catalog_oracle import fingerprint, pairwise_catalog
+from catalog_oracle import all_transvection_generators, fingerprint, pairwise_catalog
 from hallalg import catalog as catalog_module
 from hallalg.catalog import Catalog, catalog_build
 from hallalg.errors import InvariantError, OutOfUniverseError
@@ -192,6 +192,30 @@ def test_classify_matches_isomorphism_search(quiver, p, bound):
 
 
 # -- build-time invariants -----------------------------------------------------
+
+
+@pytest.mark.parametrize("quiver,p,bound", [
+    pytest.param(a_n_quiver(2), 2, (4, 3), id="A2-p2-43"),
+    pytest.param(KRONECKER, 2, (3, 2), id="kronecker-p2-32"),
+    pytest.param(Quiver(1, ((0, 0),)), 2, (4,), id="jordan-p2-4"),
+    pytest.param(Quiver(1, ((0, 0),)), 3, (3,), id="jordan-p3-3"),
+    pytest.param(Quiver(3, ((0, 1), (2, 1))), 2, (1, 3, 1), id="sink-p2-131"),
+])
+def test_adjacent_transvections_give_the_all_transvection_catalog(monkeypatch, quiver,
+                                                                  p, bound):
+    # the mass formula cannot catch a generating set that is too small,
+    # since orbits of any subgroup still partition Rep_d: compare with the
+    # catalog that every transvection builds, at dims up to 4
+    cat = catalog_build(quiver, p, bound)
+    assert (len(catalog_module._generators(quiver, p, bound))
+            < len(all_transvection_generators(quiver, p, bound)))
+    monkeypatch.setattr(catalog_module, "_generators", all_transvection_generators)
+    full = catalog_build(quiver, p, bound)
+    assert [e.rep.key() for e in cat.entries] == [e.rep.key() for e in full.entries]
+    assert [e.aut_order for e in cat.entries] == [e.aut_order for e in full.entries]
+    assert ([e.indecomposable for e in cat.entries]
+            == [e.indecomposable for e in full.entries])
+    assert cat._class_of_key == full._class_of_key
 
 
 def test_orbit_size_not_dividing_gl_raises(monkeypatch):

@@ -184,6 +184,19 @@ def test_catalog_cap_error_names_layer_and_object(capsys, a2_file):
             "exceed cap 1000") in err
 
 
+def test_derived_table_cap_error_names_the_hom_table(capsys, a2_file):
+    # the cone histograms build no Hom table, but cap the class count with
+    # the table's message, before any cell is printed
+    code, out, err = run(capsys, [
+        "derived-table", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
+        "--window=-1,1", "--cap", "2",
+    ])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: hom_class_table(c1[1]+c1 -> c1[1]+c1): 2**2 homotopy "
+                   "classes exceed cap 2\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["derived-table"],
     ["verify", "--mode", "derived", "--checks", "unit,stalk"],

@@ -1,11 +1,14 @@
-"""ConeClassifier against its oracle, derived_class_of(mapping_cone(...)).
+"""Cone classes against their oracle, derived_class_of(mapping_cone(...)).
 
 The differential sweeps run every (x, z) Hom table that `hall derived-table`
-reaches on a universe and compare each row with the object-building route.
-A hypothesis test does the same on random acyclic quivers.  The remaining
-tests cover the invariant checks (which must raise InvariantError, also
-under python -O) and the cap messages.
+reaches on a universe and compare its cone histogram and each cone_table
+row, both read through the shared cone-homology memo, with the
+object-building route.  A hypothesis test does the same on random acyclic
+quivers.  The remaining tests cover the invariant checks (which must raise
+InvariantError, also under python -O) and the cap messages.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
@@ -25,7 +28,7 @@ from hallalg.derived import (
 )
 from hallalg.errors import EnumerationCapError, InvariantError
 from hallalg.fq import FqMatrix
-from hallalg.hall import HallContext, basis_product, cone_table
+from hallalg.hall import HallContext, basis_product, cone_histogram, cone_table
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.reps import RepMorphism, enumerate_homs, enumerate_subreps
 from hallalg.verify import in_bound_pairs
@@ -44,21 +47,27 @@ def oracle_rows(cat, x, z, vectors=None):
 
 
 def sweep(quiver, p, bound, window, sample=None):
-    """Compare every cone table that the derived product table reaches with
-    the oracle: all of its rows, or with `sample` set, that many rows spread
-    evenly over the table (first and last included)."""
+    """Compare every Hom table that the derived product table reaches with
+    the oracle.  Its cone histogram, which builds no table and no rows, must
+    count the classes of its cone_table rows, and those rows must equal the
+    oracle rows: all of them, so that the histogram equals the oracle's, or
+    with `sample` set, that many rows spread evenly over the table (first
+    and last included)."""
     ctx = HallContext("derived", catalog_build(quiver, p, bound), window=window)
     for x, y in in_bound_pairs(ctx):
         basis_product(ctx, x, y)
+    reached = list(ctx._cone_hist)
     rows = none = 0
-    for (x, z), (got, _) in ctx._cone_hist.items():
+    for x, z in reached:
+        got = cone_table(ctx, x, z)
+        assert cone_histogram(ctx, x, z) == Counter(dc for _, dc in got), (x, z)
         if sample is not None and len(got) > sample:
             step = (len(got) - 1) / (sample - 1)
             got = [got[round(i * step)] for i in range(sample)]
         assert got == oracle_rows(ctx.catalog, x, z, [v for v, _ in got]), (x, z)
         rows += len(got)
         none += sum(dc is None for _, dc in got)
-    return len(ctx._cone_hist), rows, none
+    return len(reached), rows, none
 
 
 @pytest.mark.parametrize("quiver, p, bound, window, sample", [

@@ -4,7 +4,9 @@ Each workload of perfbench/workloads.json runs with its identity vertex
 labelling as `python -m hallalg.cli` in a fresh interpreter with
 PYTHONHASHSEED=0, and its stdout must hash to the reference in
 perfbench/references.json, as perfbench/run.py requires of every timed run.
-The perfbench files are only read here.
+The perfbench files are only read here.  Two derived tables outside the
+benchmark are pinned to the digests of the commit before cone counting
+moved to summand-block coordinates.
 """
 
 import hashlib
@@ -41,3 +43,35 @@ def test_workload_stdout_matches_reference(name, tmp_path):
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     identity = ",".join(map(str, range(n)))
     assert hashlib.sha256(proc.stdout).hexdigest() == REFERENCES[name][identity]
+
+
+QUIVERS = {
+    "a2": {"vertices": 2, "arrows": [[0, 1]]},
+    "kronecker": {"vertices": 2, "arrows": [[0, 1], [0, 1]]},
+}
+
+
+def run_cli(tmp_path, quiver, argv):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({
+        "schema": 1,
+        "vertices": quiver["vertices"],
+        "arrows": [{"src": s, "dst": t} for s, t in quiver["arrows"]],
+    }))
+    return subprocess.run(
+        [sys.executable, "-m", "hallalg.cli", *argv, "--quiver", str(path)],
+        cwd=tmp_path, capture_output=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"},
+    )
+
+
+@pytest.mark.parametrize("quiver, argv, digest", [
+    ("a2", ["derived-table", "-p", "3", "--bound", "1,1", "--window=-1,1"],
+     "c63b3d9573c1a1f6d7998923eafc2b87b84d4724e2ebc1de02dc2424913d26d7"),
+    ("kronecker", ["derived-table", "-p", "2", "--bound", "1,1", "--window=-1,0"],
+     "4b40f096846b35ef1af0ecdd869141c1a55d51c1dcb797b93e2c3d198d419e53"),
+], ids=["a2-p3-window-1,1", "kronecker-p2-window-1,0"])
+def test_derived_table_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
+    proc = run_cli(tmp_path, QUIVERS[quiver], argv)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -2,9 +2,11 @@
 
 hom_class_table assembles each (x, z) table from the per-summand blocks of
 hom_block; the whole-table solve HomotopyClasses(P(x), C(z)) is its oracle.
-ConeClassifier shares one cone-homology memo per catalog; derived_class_of(
-mapping_cone(...)) is its oracle, and recomputing every memo lookup shows
-that the memo key fixes the class.
+Cone classes come from one cone-homology memo per catalog, keyed by the
+summand signature and three block coefficient tuples; derived_class_of(
+mapping_cone(...)) is its oracle, and classifying every row afresh from its
+whole-table vector (ConeClassifier) shows that the memo key fixes the class,
+while a key without one of the blocks H^n reads does not.
 """
 
 from collections import Counter
@@ -14,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hallalg.catalog import catalog_build
 from hallalg.derived import (
+    ConeBlocks,
     ConeClassifier,
     DerivedClass,
     HomotopyClasses,
@@ -25,7 +28,7 @@ from hallalg.derived import (
     stalk_realization,
 )
 from hallalg.errors import InvariantError
-from hallalg.hall import HallContext, basis_product, cone_histogram
+from hallalg.hall import HallContext, basis_product, cone_histogram, cone_table
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.verify import in_bound_pairs
 from test_cone_kernel import universes
@@ -54,8 +57,9 @@ def reached_context(quiver, p, bound, window):
 def test_assembled_tables_match_the_whole_table_solve(quiver, p, bound, window):
     ctx = reached_context(quiver, p, bound, window)
     cat = ctx.catalog
-    assert len(cat.derived_hom_tables) > 100
-    for (x, z), table in cat.derived_hom_tables.items():
+    assert len(ctx._cone_hist) > 100
+    for x, z in ctx._cone_hist:
+        table = hom_class_table(cat, x, z)
         oracle = oracle_table(cat, x, z)
         assert table.space.offsets == oracle.space.offsets
         assert table.dim == oracle.dim
@@ -69,22 +73,56 @@ def test_assembled_tables_match_the_whole_table_solve(quiver, p, bound, window):
         ours = [table.canon(v) for v in table.class_vectors()]
         assert ours == [oracle.canon(v) for v in table.class_vectors()]
         assert sorted(ours) == sorted(oracle.canon(v) for v in oracle.class_vectors())
+        # each complement vector is one block's complement vector, embedded
+        for vec, (key, i) in zip(table.complement, table.origin):
+            assert vec == tuple(table.vector({key: tuple(
+                int(j == i) for j in range(table.blocks[key].dim))}))
+
+
+def memo_mismatches(ctx) -> tuple:
+    """(rows whose memo class differs from the class computed afresh from
+    the row's whole-table vector, rows) over every table that ctx reached."""
+    cat = ctx.catalog
+    bad = rows = 0
+    for x, z in list(ctx._cone_hist):
+        whole = ConeClassifier(hom_class_table(cat, x, z), cat)
+        for vec, dc in cone_table(ctx, x, z):
+            rows += 1
+            bad += dc != whole(vec)
+    return bad, rows
 
 
 def test_every_memo_lookup_recomputes_to_the_memoized_class():
     ctx = reached_context(a_n_quiver(2), 2, (1, 1), (-1, 1))
     cat = ctx.catalog
-    lookups = 0
-    for (x, z), (rows, _) in ctx._cone_hist.items():
-        classify = ConeClassifier(hom_class_table(cat, x, z), cat)
-        for vec, _ in rows:
-            for k in range(len(classify.degrees)):
-                memo = classify.memos[k]
-                assert memo[vec[classify.reads[k]]] == classify._homology_class(k, vec)
-                lookups += 1
+    bad, rows = memo_mismatches(ctx)
+    assert bad == 0 and rows == 18131
+    lookups = sum(len(ConeBlocks(cat, x, z).reads) * count
+                  for (x, z), hist in ctx._cone_hist.items()
+                  for count in hist.values())
     entries = sum(len(m) for m in cat.derived_cone_homology.values())
     # most lookups are hits of entries another table computed
-    assert lookups > 10 * entries
+    assert lookups > 40 * entries
+
+
+@pytest.mark.parametrize("dropped", [1, 2], ids=["ext-n", "hom-n+1"])
+def test_a_key_without_a_block_that_hn_reads_fails(monkeypatch, dropped):
+    # key entry 1 is Ext^1(x_(n+1), z_n), entry 2 is Hom(x_(n+1), z_(n+1))
+    init = ConeBlocks.__init__
+
+    def without(key_of):
+        return lambda coords: tuple(() if i == dropped else c
+                                    for i, c in enumerate(key_of(coords)))
+
+    def drop(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.reads = [(n, sig, memo, without(key_of))
+                      for n, sig, memo, key_of in self.reads]
+
+    monkeypatch.setattr(ConeBlocks, "__init__", drop)
+    # the wrong classes also move the support, so other tables are reached
+    bad, rows = memo_mismatches(reached_context(a_n_quiver(2), 2, (1, 1), (-1, 1)))
+    assert bad > 0 and rows > 0
 
 
 @settings(max_examples=30, deadline=None,
@@ -110,10 +148,14 @@ def test_blocks_are_built_once_per_summand_pair():
     ctx = reached_context(a_n_quiver(2), 2, (1, 1), (-1, 1))
     cat = ctx.catalog
     nonzero = len(cat) - 1
-    assert len(cat.derived_hom_tables) == 3165
-    # one block per pair of nonzero classes and shift -5..3 that ext_dim
-    # reads, against one table per (x, z)
-    assert len(cat.derived_hom_blocks) == nonzero * nonzero * 9 == 144
+    # counting cones builds no (x, z) table: one local table per signature
+    assert len(ctx._cone_hist) == 3165
+    assert not cat.derived_hom_tables
+    assert len(cat.derived_cone_tables) == len(cat.derived_cone_homology) == 345
+    assert sum(len(m) for m in cat.derived_cone_homology.values()) == 998
+    # one block per pair of nonzero classes and shift -2..3 that ext_dim
+    # reads: ext_dim(x, z, 0) reads -2..3, the Ext factors -1..1
+    assert len(cat.derived_hom_blocks) == nonzero * nonzero * 6 == 96
     for (a, b, k), block in cat.derived_hom_blocks.items():
         expected = (cat.hom_dim(a, b) if k == 0
                     else cat.ext1_dim(a, b) if k == 1 else 0)

@@ -175,3 +175,32 @@ def test_in_bound_enumeration_matches_bruteforce(a2_ctx):
     ]
     assert in_bound_triples(a2_ctx) == expected_triples
 
+
+
+def _per_key_pairs(ctx):
+    # the enumeration before profile groups: each key against every group
+    from hallalg.verify import _fits, _minus, _profile_groups, _profiles
+    keys, profiles, bound = _profiles(ctx)
+    groups = _profile_groups(keys, profiles)
+    out = []
+    for x in keys:
+        if not _fits(profiles[x], bound):
+            continue
+        rem = _minus(bound, profiles[x])
+        for prof, ks in groups.items():
+            if _fits(prof, rem):
+                out.extend((x, y) for y in ks)
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("mode, quiver, p, bound, window", [
+    ("derived", a_n_quiver(2), 2, (1, 1), (-1, 2)),
+    ("derived", a_n_quiver(3), 2, (1, 1, 1), (-1, 0)),
+    ("classical", a_n_quiver(3), 2, (2, 2, 1), None),
+], ids=["a2-p2-derived", "a3-p2-derived", "a3-p2-classical"])
+def test_in_bound_pairs_by_profile_group_match_the_per_key_enumeration(
+        mode, quiver, p, bound, window):
+    ctx = HallContext(mode, catalog_build(quiver, p, bound), window=window)
+    pairs = in_bound_pairs(ctx)
+    assert pairs and pairs == _per_key_pairs(ctx)
