@@ -335,8 +335,8 @@ class FqMatrix:
 def eliminate(p: int, rows: list, ncols: int) -> list:
     """Bring rows, a list of int lists of length ncols, to reduced row
     echelon form in place and return the pivot columns.  The one
-    elimination loop, run by FqMatrix.rref, rank_of and the raw-entry key
-    tests of reps."""
+    elimination loop, run by FqMatrix.rref and the per-vertex key
+    memos of reps."""
     pivots = []
     r = 0
     for c in range(ncols):
@@ -359,15 +359,6 @@ def eliminate(p: int, rows: list, ncols: int) -> list:
         pivots.append(c)
         r += 1
     return pivots
-
-
-def rank_of(p: int, nrows: int, ncols: int, data: Sequence[int]) -> int:
-    """Rank of the nrows x ncols matrix with row-major entries data, without
-    building an FqMatrix."""
-    if nrows <= 1 or ncols <= 1:
-        return 1 if any(data) else 0
-    rows = [list(data[i * ncols : (i + 1) * ncols]) for i in range(nrows)]
-    return len(eliminate(p, rows, ncols))
 
 
 def solve(a: FqMatrix, b: Sequence[int]) -> Optional[tuple]:

@@ -25,6 +25,7 @@ being silently dropped.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Union
@@ -75,6 +76,7 @@ class HallContext:
             if not self.catalog.quiver.is_acyclic():
                 raise InputError("derived mode needs an acyclic quiver")
         self._subrep_hist: dict = {}
+        self._monos: dict = {}         # (a, b) -> mono_keys(a, b)
         self._mono_images: dict = {}   # (x, z) -> {image key: #monos}
         self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
         self._subspaces: dict = {}     # image/kernel key -> the one copy kept
@@ -231,38 +233,52 @@ def count_exact_sequences(ctx: HallContext, x: int, y: int, z: int) -> int:
     |Aut x| |Aut y| factor identity.
 
     Reads two histograms that the context caches, {image: #monos x -> z}
-    and {kernel: #epis z -> y}, each over one enumeration of Hom keys
-    (reps.hom_keys) with the rank tests on raw entries; the count is the
-    sum of their products over equal subspaces of z.  Never reads subreps.
+    over mono_keys (the monos the span model and the orbit check read) and
+    {kernel: #epis z -> y} over its own sweep of reps.hom_keys; the count
+    is the sum of their products over equal subspaces of z.  Never reads
+    subreps.
     """
     cat = ctx.catalog
     if tuple(a + b for a, b in zip(cat.dims(x), cat.dims(y))) != cat.dims(z):
         return 0
-    monos = _subspace_histogram(ctx, ctx._mono_images, x, z, reps.mono_image_key)
+    if (x, z) not in ctx._mono_images:
+        ctx._mono_images[(x, z)] = Counter(im for _, im in mono_keys(ctx, x, z))
+    monos = ctx._mono_images[(x, z)]
     if not monos:
         return 0
-    epis = _subspace_histogram(ctx, ctx._epi_kernels, z, y, reps.epi_kernel_key)
+    epis = _subspace_histogram(ctx, z, y)
     # canonical RREF bases make image/kernel subspaces comparable
     return sum(n * monos.get(k, 0) for k, n in epis.items())
 
 
-def _subspace_histogram(ctx: HallContext, cache: dict, a: int, b: int,
-                        subspace) -> dict:
-    """{subspace(ra, rb, key): count} over the keys of Hom(ra, rb) where it
-    is not None, for the catalog representatives ra, rb of a, b; cached per
-    (a, b).  Every histogram keys one subspace by the same tuple, so the
-    cached histograms hold each subspace once."""
-    hist = cache.get((a, b))
+def mono_keys(ctx: HallContext, a: int, b: int) -> tuple:
+    """((key, image key), ...) over the injective keys of Hom(a, b) on the
+    catalog representatives, in the order of reps.hom_keys; cached per
+    (a, b), the images interned in ctx._subspaces.  Empty, with no
+    enumeration, when some dim of a exceeds that of b."""
+    got = ctx._monos.get((a, b))
+    if got is None:
+        ra, rb = ctx.catalog.rep(a), ctx.catalog.rep(b)
+        keys = ()
+        if all(da <= db for da, db in zip(ra.dims, rb.dims)):
+            keys = reps.hom_keys(ra, rb, cap=ctx.caps.candidates)
+        got = ctx._monos[(a, b)] = tuple(
+            (k, ctx._subspaces.setdefault(im, im)) for k in keys
+            if (im := reps.mono_image_key(ra, rb, k)) is not None)
+    return got
+
+
+def _subspace_histogram(ctx: HallContext, z: int, y: int) -> dict:
+    """{epi kernel key: count} over the surjective keys of Hom(z, y) on the
+    catalog representatives, cached per (z, y) in ctx._epi_kernels; the
+    kernels are interned in ctx._subspaces, as mono_keys interns images."""
+    hist = ctx._epi_kernels.get((z, y))
     if hist is None:
-        cat = ctx.catalog
-        ra, rb = cat.rep(a), cat.rep(b)
-        hist = {}
-        for k in reps.hom_keys(ra, rb, cap=ctx.caps.candidates):
-            sub = subspace(ra, rb, k)
-            if sub is not None:
-                sub = ctx._subspaces.setdefault(sub, sub)
-                hist[sub] = hist.get(sub, 0) + 1
-        cache[(a, b)] = hist
+        rz, ry = ctx.catalog.rep(z), ctx.catalog.rep(y)
+        hist = ctx._epi_kernels[(z, y)] = Counter(
+            ctx._subspaces.setdefault(ker, ker)
+            for k in reps.hom_keys(rz, ry, cap=ctx.caps.candidates)
+            if (ker := reps.epi_kernel_key(rz, ry, k)) is not None)
     return hist
 
 

@@ -32,7 +32,6 @@ from .fq import (
     intertwining_rows,
     kernel_from_rref,
     kernel_rows,
-    rank_of,
 )
 from .quivers import Quiver, path_target, paths_from
 
@@ -297,10 +296,12 @@ def hom_keys(x: Representation, y: Representation,
     of row-major entries per vertex), lexicographically by coefficients on
     hom_basis, the first basis element most significant.
 
-    Each key is a partial sum plus one basis flat mod p, so an element
-    costs one vector addition and no RepMorphism.  The cap is checked when
-    this is called, before the first key; the keys are then produced
-    lazily.
+    The lex successor of a coefficient tuple raises its last digit k below
+    p - 1 and wraps the later digits from p - 1 to 0, which adds the step
+    flats[k] + ... + flats[d-1] mod p (as -(p - 1) = 1), so with the steps
+    precomputed an element costs one vector addition and no RepMorphism.
+    The cap is checked when this is called, before the first key; the keys
+    are then produced lazily.
     """
     basis = hom_basis(x, y)
     p, d = x.p, len(basis)
@@ -311,21 +312,25 @@ def hom_keys(x: Representation, y: Representation,
         )
     ends = list(itertools.accumulate(
         (y.dims[v] * x.dims[v] for v in range(x.quiver.vertex_count)), initial=0))
-    spans = list(zip(ends, ends[1:]))
-    sums = _coefficient_sums(p, [b.flat() for b in basis], 0, (0,) * ends[-1])
-    return (tuple([f[a:b] for a, b in spans]) for f in sums)
+    steps = list(itertools.accumulate(
+        [b.flat() for b in reversed(basis)],
+        lambda acc, f: tuple([(a + b) % p for a, b in zip(acc, f)])))[::-1]
+    return _carry_keys(p, steps, (0,) * ends[-1], list(zip(ends, ends[1:])))
 
 
-def _coefficient_sums(p: int, flats: list, level: int, start: tuple) -> Iterator[tuple]:
-    """start + sum c_i flats[i] mod p over i >= level, for every coefficient
-    tuple, lexicographically with c_level most significant."""
-    if level == len(flats):
-        yield start
-        return
-    for c in range(p):
-        if c:
-            start = tuple([(a + b) % p for a, b in zip(start, flats[level])])
-        yield from _coefficient_sums(p, flats, level + 1, start)
+def _carry_keys(p: int, steps: list, flat: tuple, spans: list) -> Iterator[tuple]:
+    """The keys of hom_keys from flat = 0 on, split at the vertex spans."""
+    digits = [0] * len(steps)
+    while True:
+        yield tuple([flat[a:b] for a, b in spans])
+        k = len(digits) - 1
+        while k >= 0 and digits[k] == p - 1:
+            digits[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        digits[k] += 1
+        flat = tuple([(a + b) % p for a, b in zip(flat, steps[k])])
 
 
 def enumerate_homs(x: Representation, y: Representation,
@@ -335,11 +340,46 @@ def enumerate_homs(x: Representation, y: Representation,
     return (morphism_from_key(x, y, k) for k in hom_keys(x, y, cap))
 
 
+@lru_cache(maxsize=None)
+def column_space(p: int, cols: int, rows: int, entries: tuple):
+    """Flat RREF data of the column space of the rows x cols matrix with
+    row-major entries when its columns are independent, else None.  Keys
+    read it per vertex block, and a universe has few distinct blocks."""
+    basis = [list(entries[j::cols]) for j in range(cols)]
+    if len(eliminate(p, basis, rows)) != cols:
+        return None
+    return tuple(v for col in basis for v in col)
+
+
+@lru_cache(maxsize=None)
+def row_kernel(p: int, cols: int, rows: int, entries: tuple):
+    """Flat RREF data of the kernel of the rows x cols matrix with row-major
+    entries when its rows are independent, else None; memoized per block
+    as column_space is."""
+    basis = [list(entries[i * cols : (i + 1) * cols]) for i in range(rows)]
+    pivots = eliminate(p, basis, cols)
+    if len(pivots) != rows:
+        return None
+    kernel = kernel_from_rref(p, basis, pivots, cols)
+    eliminate(p, kernel, cols)
+    return tuple(v for row in kernel for v in row)
+
+
+def _per_vertex(memo, x: Representation, y: Representation, key: tuple):
+    """memo(p, cols, rows, entries) of each vertex block of key, or None
+    when it is None on some block."""
+    out = []
+    for data, c, r in zip(key, x.dims, y.dims):
+        block = memo(x.p, c, r, data)
+        if block is None:
+            return None
+        out.append(block)
+    return tuple(out)
+
+
 def key_is_injective(x: Representation, y: Representation, key: tuple) -> bool:
-    """RepMorphism.is_injective of morphism_from_key(x, y, key), by ranks of
-    the raw entries."""
-    return all(rank_of(x.p, r, c, data) == c
-               for data, c, r in zip(key, x.dims, y.dims))
+    """RepMorphism.is_injective of morphism_from_key(x, y, key)."""
+    return _per_vertex(column_space, x, y, key) is not None
 
 
 def key_is_invertible(x: Representation, y: Representation, key: tuple) -> bool:
@@ -349,31 +389,14 @@ def key_is_invertible(x: Representation, y: Representation, key: tuple) -> bool:
 
 def mono_image_key(x: Representation, y: Representation, key: tuple):
     """RepMorphism.image_key of morphism_from_key(x, y, key) when that
-    morphism is injective, else None: one elimination of the columns per
-    vertex, whose rank decides injectivity."""
-    out = []
-    for data, c, r in zip(key, x.dims, y.dims):
-        cols = [list(data[j::c]) for j in range(c)]
-        if len(eliminate(x.p, cols, r)) != c:
-            return None
-        out.append(tuple(v for col in cols for v in col))
-    return tuple(out)
+    morphism is injective, else None, from the column_space memo."""
+    return _per_vertex(column_space, x, y, key)
 
 
 def epi_kernel_key(x: Representation, y: Representation, key: tuple):
     """RepMorphism.kernel_key of morphism_from_key(x, y, key) when that
-    morphism is surjective, else None: one elimination of the rows per
-    vertex, whose rank decides surjectivity, and one of the kernel basis."""
-    out = []
-    for data, c, r in zip(key, x.dims, y.dims):
-        rows = [list(data[i * c : (i + 1) * c]) for i in range(r)]
-        pivots = eliminate(x.p, rows, c)
-        if len(pivots) != r:
-            return None
-        kernel = kernel_from_rref(x.p, rows, pivots, c)
-        eliminate(x.p, kernel, c)
-        out.append(tuple(v for row in kernel for v in row))
-    return tuple(out)
+    morphism is surjective, else None, from the row_kernel memo."""
+    return _per_vertex(row_kernel, x, y, key)
 
 
 @lru_cache(maxsize=None)
@@ -486,21 +509,13 @@ class KernelCokernel:
     cokernel_proj: RepMorphism  # target -> cokernel
 
 
-def _rref_pivots(basis: FqMatrix) -> tuple:
-    pivots = []
-    for i in range(basis.rows):
-        row = basis.row(i)
-        pivots.append(next(j for j, a in enumerate(row) if a))
-    return tuple(pivots)
-
-
 def _restrict(x: Representation, bases: Sequence[FqMatrix]) -> tuple:
     """(sub, inclusion) for the subrepresentation of x on the per-vertex
     subspaces whose RREF bases are the rows of `bases`; the arrow maps must
     preserve them.  The coordinate of a vector along RREF row r is its
     entry at the pivot of r."""
     q, p = x.quiver, x.p
-    pivots = [_rref_pivots(b) for b in bases]
+    pivots = [_split_rref(b.data, b.cols)[1] for b in bases]
     dims = tuple(b.rows for b in bases)
     mats = []
     for idx, (s, t) in enumerate(q.arrows):

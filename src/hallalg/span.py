@@ -22,11 +22,12 @@ path.
 Every orbit is swept by reps.orbit, the package's one orbit search, which
 acts on the entry tuples of RepMorphism.key(): the generators of Aut(a) and
 Aut(b) become moves on the keys of Hom(a, b) (reps.composition_moves).
-reps.hom_keys enumerates those keys without building morphisms, a rank
-test on the raw entries keeps the injective ones, and a morphism is built
-only for the least key of each arrow class; its cokernel is classified by
-the key reps.quotient_key reads off its image.  The orbit code is
-mode-neutral; only build_span_model restricts it to injective keys.
+The injective keys and their images come from hall.mono_keys, the one
+enumeration of monos a -> b that the exact-sequence count and the orbit
+check read too; a morphism is built only for the least key of each arrow
+class, and its cokernel is classified by the key reps.quotient_key reads
+off its image.  The orbit code is mode-neutral; only build_span_model
+restricts it to injective keys.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .errors import InputError, InvariantError
-from .hall import HallContext, HallElement
+from .hall import HallContext, HallElement, mono_keys
 from .lf import Fiber, FiniteSupportFn, LFType, ProperMapData, lf_product, pullback, pushforward
 from . import reps
 from .reps import RepMorphism, orbit as _orbit
@@ -115,19 +116,15 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
     for a in range(n):
         for b in range(n):
+            monos = dict(mono_keys(ctx, a, b))
+            if not monos:
+                continue
             ra, rb = cat.rep(a), cat.rep(b)
-            if any(da > db for da, db in zip(ra.dims, rb.dims)):
-                continue    # no monomorphism a -> b
-            monos = (k for k in reps.hom_keys(ra, rb, cap=ctx.caps.candidates)
-                     if reps.key_is_injective(ra, rb, k))
             both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
             pre = reps.composition_moves((), gens[a], ra.dims, rb.dims)
             comma = []
-            rank = 0
-            for canon_key, orbit in _orbits(monos, both, cat.p):
-                canon = reps.morphism_from_key(ra, rb, canon_key)
+            for rank, (canon_key, orbit) in enumerate(_orbits(monos, both, cat.p)):
                 comp = ("m", a, b, rank)
-                rank += 1
                 stab = _stabilizer_order(
                     auts[a] * auts[b], orbit,
                     f"arrows {cat.name(a)} -> {cat.name(b)}, Aut x Aut",
@@ -136,11 +133,11 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                     comp_id=comp,
                     source_class=a,
                     target_class=b,
-                    rep=canon,
+                    rep=reps.morphism_from_key(ra, rb, canon_key),
                     orbit_size=len(orbit),
                     stabilizer_order=stab,
-                    cokernel_class=cat.classify_key(reps.quotient_key(
-                        rb, reps.mono_image_key(ra, rb, canon_key))),
+                    cokernel_class=cat.classify_key(
+                        reps.quotient_key(rb, monos[canon_key])),
                 )
                 x1_pairs.append((comp, (stab,)))
                 for sub_key, sub in _orbits(orbit, pre, cat.p):

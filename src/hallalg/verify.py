@@ -32,6 +32,7 @@ from .hall import (
     derived_hall_number,
     derived_support,
     hall_number_classical,
+    mono_keys,
     multiply,
 )
 from . import reps
@@ -93,18 +94,15 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
 
 
 def _classical_action(ctx: HallContext, x: int, z: int, y: int):
-    """Aut(x) acting on the keys of the monos x -> z with cokernel y, one
-    reps.act move per automorphism g (f |-> f g).  composition_moves drops
-    the moves that change no key, the identity's among them; each dropped
-    g fixes every f and is counted as such."""
+    """Aut(x) acting on the keys of the monos x -> z (hall.mono_keys) with
+    cokernel y, one reps.act move per automorphism g (f |-> f g).
+    composition_moves drops the moves that change no key, the identity's
+    among them; each dropped g fixes every f and is counted as such."""
     cat = ctx.catalog
     xr, zr = cat.rep(x), cat.rep(z)
     elements = []
     cokernels = {}    # image key -> class of the cokernel, which it fixes
-    for k in reps.hom_keys(xr, zr, cap=ctx.caps.candidates):
-        image = reps.mono_image_key(xr, zr, k)
-        if image is None:
-            continue
+    for k, image in mono_keys(ctx, x, z):
         if image not in cokernels:
             cokernels[image] = cat.classify_key(reps.quotient_key(zr, image))
         if cokernels[image] == y:

@@ -4,9 +4,12 @@ hom_keys must yield the keys of hom_oracle.homs_by_addition element for
 element and in order, raise the same cap error when it is called, and the
 rank tests on raw entries (injective and invertible, and the image key of a
 mono and the kernel key of an epi, None on the other elements) must agree
-with the RepMorphism methods on every element.
+with the RepMorphism methods on every element.  The per-vertex memos that
+those rank tests read are checked against a fresh FqMatrix elimination on
+every small block.
 """
 
+import itertools
 import random
 import re
 
@@ -18,7 +21,7 @@ from test_cone_kernel import universes
 from hallalg import reps
 from hallalg.catalog import catalog_build
 from hallalg.errors import EnumerationCapError
-from hallalg.fq import FqMatrix, rank_of
+from hallalg.fq import FqMatrix
 from hallalg.quivers import Quiver, a_n_quiver
 
 KRONECKER = Quiver(2, ((0, 1), (0, 1)))
@@ -98,11 +101,43 @@ def test_hom_keys_on_a_deep_basis(p, n):
     assert list(reps.hom_keys(x, x)) == [f.key() for f in homs_by_addition(x, x)]
 
 
+def test_hom_keys_of_a_zero_hom_space():
+    # Hom(S_0, S_1) = 0 on A2: one key, the zero map, with no basis steps
+    cat = catalog_build(a_n_quiver(2), 3, (1, 1))
+    x, y = (next(cat.rep(i) for i in range(len(cat)) if cat.dims(i) == dims)
+            for dims in ((1, 0), (0, 1)))
+    assert reps.hom_dim(x, y) == 0
+    assert list(reps.hom_keys(x, y)) == [((), ())]
+    assert list(reps.hom_keys(x, y)) == [f.key() for f in homs_by_addition(x, y)]
+    with pytest.raises(EnumerationCapError, match="^" + cap_message(x, y)):
+        reps.hom_keys(x, y, cap=0)
+
+
+def memo_oracle(p, rows, cols, data):
+    """(column space or None, kernel or None) of the rows x cols matrix by a
+    fresh FqMatrix elimination."""
+    m = FqMatrix(p, rows, cols, data)
+    rank = m.rank()
+    return (m.column_space_basis().data if rank == cols else None,
+            m.kernel_basis().row_space_basis().data if rank == rows else None)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_block_memos_match_fqmatrix_on_every_small_block(p, n):
+    for rows, cols in itertools.product(range(n + 1), repeat=2):
+        for data in itertools.product(range(p), repeat=rows * cols):
+            image, kernel = memo_oracle(p, rows, cols, data)
+            assert reps.column_space(p, cols, rows, data) == image
+            assert reps.row_kernel(p, cols, rows, data) == kernel
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_rank_of_matches_fqmatrix_rank(p):
+def test_block_memo_verdicts_match_fqmatrix_rank(p):
     rng = random.Random(p)
     for _ in range(300):
         rows, cols = rng.randrange(5), rng.randrange(5)
-        data = [rng.randrange(p) if rng.random() < 0.6 else 0
-                for _ in range(rows * cols)]
-        assert rank_of(p, rows, cols, data) == FqMatrix(p, rows, cols, data).rank()
+        data = tuple(rng.randrange(p) if rng.random() < 0.6 else 0
+                     for _ in range(rows * cols))
+        rank = FqMatrix(p, rows, cols, data).rank()
+        assert (reps.column_space(p, cols, rows, data) is not None) == (rank == cols)
+        assert (reps.row_kernel(p, cols, rows, data) is not None) == (rank == rows)

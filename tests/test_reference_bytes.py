@@ -6,7 +6,9 @@ PYTHONHASHSEED=0, and its stdout must hash to the reference in
 perfbench/references.json, as perfbench/run.py requires of every timed run.
 The perfbench files are only read here.  Two derived tables outside the
 benchmark are pinned to the digests of the commit before cone counting
-moved to summand-block coordinates.
+moved to summand-block coordinates, and three classical verify reports to
+those of the commit before the verify checks shared one enumeration of
+monomorphisms.
 """
 
 import hashlib
@@ -47,6 +49,7 @@ def test_workload_stdout_matches_reference(name, tmp_path):
 
 QUIVERS = {
     "a2": {"vertices": 2, "arrows": [[0, 1]]},
+    "a3": {"vertices": 3, "arrows": [[0, 1], [1, 2]]},
     "kronecker": {"vertices": 2, "arrows": [[0, 1], [0, 1]]},
 }
 
@@ -73,5 +76,19 @@ def run_cli(tmp_path, quiver, argv):
 ], ids=["a2-p3-window-1,1", "kronecker-p2-window-1,0"])
 def test_derived_table_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
     proc = run_cli(tmp_path, QUIVERS[quiver], argv)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("quiver, argv, digest", [
+    ("a2", ["-p", "3", "--bound", "2,2"],
+     "535ff7601e829ef764feab56116c744478f0388a3a04792b46cac0eed705873c"),
+    ("kronecker", ["-p", "2", "--bound", "2,2"],
+     "bccb731826daaa6c32198eaa0692f1319114a1494ff3019e1747fbe46a6530dc"),
+    ("a3", ["-p", "3", "--bound", "2,1,1"],
+     "be61d4712befbe0824314a71c21e6ff06555bde7996ed2d699d229c2132cdf7b"),
+], ids=["a2-p3-22", "kronecker-p2-22", "a3-p3-211"])
+def test_verify_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
+    proc = run_cli(tmp_path, QUIVERS[quiver], ["verify", "--checks", "all", *argv])
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
