@@ -3,12 +3,17 @@
 A Catalog holds one canonical representative per isomorphism class with
 dimension vector <= a componentwise bound.  The classes of dimension vector d
 are the orbits of GL_d = prod_v GL_{d_v}(F_p) on Rep_d, the arrow-matrix
-tuples of that shape, acting by g.(M_a) = (g_t M_a g_s^-1).  The build walks
-Rep_d in lexicographic order of its entry tuples and sweeps the whole orbit of
-each tuple not yet seen with reps.orbit, the package's one orbit search, which
-acts on entry tuples by moves: here adjacent transvections and a
-primitive-root scaling.  That first tuple is the lexicographically least
-member of its orbit and becomes the canonical representative.
+tuples of that shape, acting by g.(M_a) = (g_t M_a g_s^-1).
+
+The build sweeps Rep_d on integer codes: a tuple is the code of its flat
+entry tuple read as a big-endian base-p number (arrows in order, each matrix
+row-major), so codes count up in the order itertools.product walks the entry
+tuples.  The generators of GL_d (_generators) compile to moves on codes
+(_compile_moves): every written row of an arrow matrix is one lookup in a
+shared row table on at most two rows it reads.  One label array over Rep_d
+is both the search's seen-set and the class table (_label_orbits).  The first
+unlabelled code is the lexicographically least member of its orbit and
+becomes the canonical representative.
 
 The sweep records the class of every key in Rep_d, so classification is a
 lookup, and orbit-stabilizer gives |Aut M| = |GL_d| / |orbit| for free.  Orbit
@@ -22,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import EnumerationCapError, InputError, InvariantError, OutOfUniverseError
@@ -42,39 +48,174 @@ def _primitive_root(p: int) -> int:
     )
 
 
-def _generators(quiver: Quiver, p: int, dims: tuple) -> list:
-    """Generators of GL_d as moves on arrow-matrix tuples.
+def _elementary(n: int, i: int, j: int, c: int, p: int) -> tuple:
+    """I + c E_ij over F_p as a tuple of rows."""
+    return tuple(tuple((int(r == k) + c * (r == i and k == j)) % p for k in range(n))
+                 for r in range(n))
 
-    At each vertex v the generators are g = I + c E_ij: the adjacent
-    transvections (j = i +- 1, c = 1), and for p > 2 diag(r, 1, ..., 1) with
-    r a primitive root.  The adjacent transvections generate SL_n(Z), which
-    maps onto SL_n(F_p), and the determinant of the diagonal one generates
-    F_p^*, so together they generate GL_n(F_p).  g acts on the arrows into
-    v by left multiplication (row i += c row j) and on the arrows out of v
-    by right multiplication with g^-1 = I + c' E_ij (column j += c' column
-    i).  The moves are in reps.act's format, one step per end of an arrow
-    at v, so a loop gets two.
+
+def _generators(quiver: Quiver, p: int, dims: tuple) -> list:
+    """Generators of GL_d as per-vertex matrix pairs (v, g, g^-1), each
+    matrix a tuple of rows.
+
+    At a vertex v of dimension n >= 3 the generators are I + E_01, the
+    n-cycle c (row i - 1 to row i) and, for p > 2, diag(r, 1, ..., 1) with r
+    a primitive root.  The conjugates c^k (I + E_01) c^-k are the
+    transvections I + E_(k,k+1) around the cycle, and their commutators give
+    every I + E_ij, which generate SL_n(F_p); the determinants of c and of
+    the diagonal one reach all of F_p^*, so together they generate
+    GL_n(F_p).  At n = 2 the transvections I + E_01 and I + E_10 (which
+    generate SL_2) take the place of I + E_01 and c; at n = 1 only the
+    diagonal one is left.
+
+    The build compiles each pair into moves on codes (_compile_moves): g
+    acts on the arrows into v from the left and g^-1 on the arrows out of v
+    from the right, so a loop at v gets both.  Each row of g may read at
+    most one row besides its own.
     """
     r = _primitive_root(p) if p > 2 else 1
-    moves = []
+    gens = []
     for v, n in enumerate(dims):
-        elems = [(i, j, 1, p - 1) for i in range(n) for j in (i - 1, i + 1)
-                 if 0 <= j < n]
+        if n >= 3:
+            cycle = tuple(tuple(int(k == (i - 1) % n) for k in range(n)) for i in range(n))
+            gens.append((v, _elementary(n, 0, 1, 1, p), _elementary(n, 0, 1, p - 1, p)))
+            gens.append((v, cycle, tuple(zip(*cycle))))
+        elif n == 2:
+            gens.extend((v, _elementary(n, i, j, 1, p), _elementary(n, i, j, p - 1, p))
+                        for i, j in ((0, 1), (1, 0)))
         if r != 1 and n:
-            elems.append((0, 0, r - 1, inv_mod(r, p) - 1))
-        for i, j, c, c_inv in elems:
-            move = []
-            for a, (s, t) in enumerate(quiver.arrows):
-                cols = dims[s]
-                if t == v and cols:
-                    move.append((a, tuple(
-                        (i * cols + k, j * cols + k, c) for k in range(cols))))
-                if s == v and dims[t]:
-                    move.append((a, tuple(
-                        (k * n + j, k * n + i, c_inv) for k in range(dims[t]))))
-            if move:
-                moves.append(tuple(move))
+            gens.append((v, _elementary(n, 0, 0, r - 1, p),
+                         _elementary(n, 0, 0, inv_mod(r, p) - 1, p)))
+    return gens
+
+
+def _row_code(entries, p: int) -> int:
+    code = 0
+    for e in entries:
+        code = code * p + e % p
+    return code
+
+
+@lru_cache(maxsize=None)
+def _left_table(p: int, cols: int, a: int, b: int) -> tuple:
+    """The change of a row x under x |-> a x + b y, for rows x and y of
+    `cols` entries: entry x p^cols + y, by their codes, or entry x if b = 0
+    and y is not read."""
+    rows = list(itertools.product(range(p), repeat=cols))
+    return tuple(_row_code([a * e + b * f for e, f in zip(x, y)], p) - cx
+                 for cx, x in enumerate(rows) for y in (rows if b else rows[:1]))
+
+
+@lru_cache(maxsize=None)
+def _right_table(p: int, h: tuple, two: bool) -> tuple:
+    """The change of a row x of len(h) entries under x |-> x h, by the code
+    of x; with `two`, of a block of two adjacent rows, by its code."""
+    n = len(h)
+    one = [_row_code([sum(x[m] * h[m][k] for m in range(n)) for k in range(n)], p) - cx
+           for cx, x in enumerate(itertools.product(range(p), repeat=n))]
+    return tuple(du * len(one) + dl for du in one for dl in one) if two else tuple(one)
+
+
+def _compile_moves(quiver: Quiver, p: int, dims: tuple, gens: Sequence) -> list:
+    """The generators (v, g, g^-1) as moves on the codes of Rep_d.
+
+    A move is a tuple of steps, run in order.  A step (blocks, pairs) holds
+    row writes that all read the step's input code x and add to its output.
+    A block write (w, n, table) adds table[x // w % n] * w, where x // w % n
+    is the code of one row, or of two adjacent rows, ending at weight w.  A
+    pair write (w, w2, n, table) adds table[x // w % n * n + x // w2 % n] * w
+    for a row at weight w that also reads the row at weight w2.  On an arrow
+    into v, each row of g other than a unit row is a write (a pair write if
+    it reads another row); on an arrow out of v, the rows go through the
+    table of g^-1 two at a time.  A loop at v takes the left step before the
+    right one; any other move is one step.  Moves that write nothing are
+    dropped.
+    """
+    shapes = [(dims[t], dims[s]) for s, t in quiver.arrows]
+    total = sum(r * c for r, c in shapes)
+    weights, offset = [], 0
+    for r, c in shapes:
+        weights.append([p ** (total - offset - (i + 1) * c) for i in range(r)])
+        offset += r * c
+    moves = []
+    for v, g, g_inv in gens:
+        n = dims[v]
+        left, right, loop = ([], []), ([], []), False
+        for (s, t), (rows, cols), w in zip(quiver.arrows, shapes, weights):
+            loop = loop or s == t == v
+            if t == v and cols:
+                size = p ** cols
+                for i in range(n):
+                    reads = [k for k in range(n) if k != i and g[i][k] % p]
+                    if len(reads) > 1:
+                        raise InvariantError(
+                            f"catalog.build(dims {_fmt_dims(dims)}): row {i} of a "
+                            f"generator at vertex {v} reads {len(reads)} other rows")
+                    a = g[i][i] % p
+                    if reads:
+                        left[1].append((w[i], w[reads[0]], size,
+                                        _left_table(p, cols, a, g[i][reads[0]] % p)))
+                    elif a != 1:
+                        left[0].append((w[i], size, _left_table(p, cols, a, 0)))
+            if s == v and rows:
+                size = p ** n
+                if rows > 1:
+                    two = _right_table(p, g_inv, True)
+                    right[0].extend((w[k + 1], size * size, two)
+                                    for k in range(0, rows - 1, 2))
+                if rows % 2:
+                    right[0].append((w[-1], size, _right_table(p, g_inv, False)))
+        steps = (left, right) if loop else ((left[0] + right[0], left[1] + right[1]),)
+        move = tuple((tuple(b), tuple(pr)) for b, pr in steps if b or pr)
+        if move:
+            moves.append(move)
     return moves
+
+
+def _label_orbits(moves: Sequence, size: int, first: int) -> tuple:
+    """Sweep the codes 0..size-1 into orbits under moves: the label array
+    (labels[code] = first + the number of the orbit of code) and per orbit
+    its first code and its size.  A code counts as unseen while its label is
+    not the current orbit's, so if the moves are no group action,
+    overlapping orbits are each counted in full and the mass formula fails.
+    """
+    labels = [-1] * size
+    orbits = []
+    for start in range(size):
+        if labels[start] >= 0:
+            continue
+        index = first + len(orbits)
+        labels[start] = index
+        todo = [start]
+        count = 1
+        while todo:
+            state = todo.pop()
+            for move in moves:
+                c = state
+                for blocks, pairs in move:
+                    x = c
+                    for w, n, table in blocks:
+                        c += table[x // w % n] * w
+                    for w, w2, n, table in pairs:
+                        c += table[x // w % n * n + x // w2 % n] * w
+                if labels[c] != index:
+                    labels[c] = index
+                    todo.append(c)
+                    count += 1
+        orbits.append((start, count))
+    return labels, orbits
+
+
+def _representation(quiver: Quiver, p: int, dims: tuple, shapes: list,
+                    code: int) -> Representation:
+    """The representation whose arrow-matrix entries have this code."""
+    total = sum(r * c for r, c in shapes)
+    digits = [code // p ** k % p for k in reversed(range(total))]
+    mats, offset = [], 0
+    for r, c in shapes:
+        mats.append(FqMatrix(p, r, c, digits[offset:offset + r * c]))
+        offset += r * c
+    return Representation(quiver, p, dims, mats)
 
 
 def _direct_sum_key(a: Representation, b: Representation) -> tuple:
@@ -167,33 +308,27 @@ class Catalog:
                     f"{size} arrow-matrix tuples exceed cap {cap}"
                 )
             gl = math.prod(_gl_order(n, p) for n in dims)
-            moves = _generators(quiver, p, dims)
+            moves = _compile_moves(quiver, p, dims, _generators(quiver, p, dims))
+            labels, orbits = _label_orbits(moves, size, len(entries))
             mass = Fraction(0)
-            for state in itertools.product(
-                *(itertools.product(range(p), repeat=r * c) for r, c in shapes)
-            ):
-                if (dims, state) in class_of_key:
-                    continue
-                orbit = reps.orbit(state, moves, p)
-                if gl % len(orbit):
+            for start, orbit in orbits:
+                if gl % orbit:
                     raise InvariantError(
                         f"catalog.build(dims {_fmt_dims(dims)}): orbit of size "
-                        f"{len(orbit)} does not divide |GL_d| = {gl}"
+                        f"{orbit} does not divide |GL_d| = {gl}"
                     )
-                index = len(entries)
-                for member in orbit:
-                    class_of_key[(dims, member)] = index
-                mats = [FqMatrix(p, r, c, data) for (r, c), data in zip(shapes, state)]
-                aut = gl // len(orbit)
-                entries.append(
-                    CatalogEntry(index, Representation(quiver, p, dims, mats), aut)
-                )
+                aut = gl // orbit
+                rep = _representation(quiver, p, dims, shapes, start)
+                entries.append(CatalogEntry(len(entries), rep, aut))
                 mass += Fraction(gl, aut)
             if mass != size:
                 raise InvariantError(
                     f"catalog.build(dims {_fmt_dims(dims)}): mass formula "
                     f"sum |GL_d|/|Aut M| = {mass} != |Rep_d| = {p}^{exponent}"
                 )
+            states = itertools.product(
+                *(itertools.product(range(p), repeat=r * c) for r, c in shapes))
+            class_of_key.update(zip(((dims, s) for s in states), labels))
         return cls(quiver, p, bound, entries, class_of_key)
 
     def _mark_indecomposables(self) -> None:

@@ -10,15 +10,17 @@ Subcommands:
   base-change    check both composites of a base-change square from JSON
 
 Exit codes: 0 success / all checks pass, 1 check failure or violated
-invariant, 2 usage or input error, 3 enumeration cap exceeded.  Output is
-byte-deterministic for a fixed configuration: keys are sorted, rationals
-print as gcd-reduced "num/den" with positive denominator.
+invariant, 2 usage or input error, 3 enumeration cap exceeded, 141
+(128 + SIGPIPE) stdout closed by its reader, as in `hall ... | head`.
+Output is byte-deterministic for a fixed configuration: keys are sorted,
+rationals print as gcd-reduced "num/den" with positive denominator.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _fmt_fraction(q: Fraction) -> str:
@@ -333,7 +336,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at the null device, so that the
+        # flush at interpreter shutdown has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -444,8 +444,7 @@ def act(state: tuple, move: tuple, p: int) -> tuple:
     A move is a tuple of (component, updates) steps, applied in order.  A
     step reads src = state[component] and writes a copy out of it, where each
     update (k, m, c) does out[k] += c * src[m] mod p; so every update of a
-    step reads the step's input, and updates to one entry add up.  The
-    catalog's transvections act on arrow-matrix entries this way, and
+    step reads the step's input, and updates to one entry add up.
     composition_moves writes h f and f g on Hom-matrix entries this way.
     """
     mats = list(state)

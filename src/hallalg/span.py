@@ -19,9 +19,10 @@ mu = t_! o (s x c)^* then reproduces the classical Hall numbers through
 homotopy cardinality alone, with no subobject counting anywhere on the
 path.
 
-Every orbit is swept by reps.orbit, the package's one orbit search, which
-acts on the entry tuples of RepMorphism.key(): the generators of Aut(a) and
-Aut(b) become moves on the keys of Hom(a, b) (reps.composition_moves).
+Every orbit is swept by reps.orbit, the package's orbit search on Hom
+keys, which acts on the entry tuples of RepMorphism.key(): the generators
+of Aut(a) and Aut(b) become moves on the keys of Hom(a, b)
+(reps.composition_moves).
 The injective keys and their images come from hall.mono_keys, the one
 enumeration of monos a -> b that the exact-sequence count and the orbit
 check read too; a morphism is built only for the least key of each arrow

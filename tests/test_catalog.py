@@ -1,9 +1,17 @@
-import pytest
+import itertools
 
-from catalog_oracle import all_transvection_generators, fingerprint, pairwise_catalog
+import pytest
+from hypothesis import given, settings
+
+from catalog_oracle import (
+    all_transvection_generators,
+    fingerprint,
+    pairwise_catalog,
+    tuple_sweep_catalog,
+)
 from hallalg import catalog as catalog_module
 from hallalg.catalog import Catalog, catalog_build
-from hallalg.errors import InvariantError, OutOfUniverseError
+from hallalg.errors import EnumerationCapError, InvariantError, OutOfUniverseError
 from hallalg.fq import FqMatrix
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.reps import (
@@ -13,6 +21,7 @@ from hallalg.reps import (
     enumerate_subreps,
     is_isomorphic,
 )
+from test_cone_kernel import universes
 
 KRONECKER = Quiver(2, ((0, 1), (0, 1)))
 
@@ -191,6 +200,89 @@ def test_classify_matches_isomorphism_search(quiver, p, bound):
                 assert matches == [cat.classify(obj)]
 
 
+# -- the code sweep against the tuple sweep ------------------------------------
+
+JORDAN = Quiver(1, ((0, 0),))
+SINK = Quiver(3, ((0, 1), (2, 1)))
+
+SWEEP_UNIVERSES = ORACLE_UNIVERSES + [
+    pytest.param(a_n_quiver(2), 3, (3, 3), id="A2-p3-33"),
+    pytest.param(a_n_quiver(2), 5, (2, 2), id="A2-p5-22"),
+    pytest.param(KRONECKER, 2, (3, 2), id="kronecker-p2-32"),
+    pytest.param(JORDAN, 2, (4,), id="jordan-p2-4"),
+    pytest.param(JORDAN, 3, (3,), id="jordan-p3-3"),
+    pytest.param(SINK, 2, (1, 3, 1), id="sink-p2-131"),
+    # vertex 1 has dimension 0, so both arrow matrices are empty
+    pytest.param(a_n_quiver(3), 2, (2, 0, 1), id="A3-p2-201"),
+]
+
+
+def assert_same_catalog(cat, ref):
+    assert [e.rep.key() for e in cat.entries] == [e.rep.key() for e in ref.entries]
+    assert [e.aut_order for e in cat.entries] == [e.aut_order for e in ref.entries]
+    assert ([e.indecomposable for e in cat.entries]
+            == [e.indecomposable for e in ref.entries])
+    assert cat._class_of_key == ref._class_of_key
+
+
+@pytest.mark.parametrize("quiver,p,bound", SWEEP_UNIVERSES)
+def test_code_sweep_matches_tuple_sweep(quiver, p, bound):
+    assert_same_catalog(catalog_build(quiver, p, bound),
+                        tuple_sweep_catalog(quiver, p, bound))
+
+
+@settings(max_examples=40, deadline=None)
+@given(universe=universes())
+def test_code_sweep_matches_tuple_sweep_on_random_quivers(universe):
+    quiver, p, bound = universe
+    assert_same_catalog(catalog_build(quiver, p, bound),
+                        tuple_sweep_catalog(quiver, p, bound))
+
+
+@pytest.mark.parametrize("quiver,p,bound", SWEEP_UNIVERSES + [
+    # one-row arrow matrices: (3,1) must not build a two-row table
+    pytest.param(a_n_quiver(2), 3, (3, 1), id="A2-p3-31"),
+    pytest.param(Quiver(2, ((1, 0),)), 3, (1, 3), id="A2-arrow10-p3-13"),
+])
+@pytest.mark.parametrize("generators", [
+    catalog_module._generators, all_transvection_generators,
+], ids=["default", "all-transvections"])
+def test_no_row_table_exceeds_rep_d(quiver, p, bound, generators):
+    for dims in itertools.product(*(range(b + 1) for b in bound)):
+        size = p ** sum(dims[s] * dims[t] for s, t in quiver.arrows)
+        moves = catalog_module._compile_moves(
+            quiver, p, dims, generators(quiver, p, dims))
+        for move in moves:
+            for blocks, pairs in move:
+                for *_, n, table in blocks + pairs:
+                    assert len(table) <= size, (dims, n)
+
+
+def test_cap_fires_before_any_label_array_or_row_table(monkeypatch):
+    # A2 p=3 (3,3): every dims before (3,3) has at most 3^6 = 729 tuples
+    built = []
+    compile_moves, label_orbits = (catalog_module._compile_moves,
+                                   catalog_module._label_orbits)
+
+    def recording_compile(quiver, p, dims, gens):
+        built.append(("tables", dims))
+        return compile_moves(quiver, p, dims, gens)
+
+    def recording_labels(moves, size, first):
+        built.append(("labels", size))
+        return label_orbits(moves, size, first)
+
+    monkeypatch.setattr(catalog_module, "_compile_moves", recording_compile)
+    monkeypatch.setattr(catalog_module, "_label_orbits", recording_labels)
+    with pytest.raises(EnumerationCapError, match=(
+            r"catalog.build\(dims \(3,3\)\): 3\^9 = 19683 arrow-matrix "
+            r"tuples exceed cap 1000")):
+        catalog_build(a_n_quiver(2), 3, (3, 3), cap=1000)
+    assert ("tables", (3, 3)) not in built
+    assert max(size for kind, size in built if kind == "labels") == 729
+    assert ("tables", (3, 2)) in built
+
+
 # -- build-time invariants -----------------------------------------------------
 
 
@@ -205,7 +297,9 @@ def test_adjacent_transvections_give_the_all_transvection_catalog(monkeypatch, q
                                                                   p, bound):
     # the mass formula cannot catch a generating set that is too small,
     # since orbits of any subgroup still partition Rep_d: compare with the
-    # catalog that every transvection builds, at dims up to 4
+    # catalog that every transvection builds, at dims up to 4 (the default
+    # set is I + E_01 and the n-cycle from n = 3, adjacent transvections
+    # below)
     cat = catalog_build(quiver, p, bound)
     assert (len(catalog_module._generators(quiver, p, bound))
             < len(all_transvection_generators(quiver, p, bound)))
@@ -225,15 +319,15 @@ def test_orbit_size_not_dividing_gl_raises(monkeypatch):
 
 
 def test_overlapping_orbits_break_the_mass_formula(monkeypatch):
-    # a move that zeroes the loop entry is no group action: the orbits of 1
-    # and 2 both swallow 0, so their sizes sum past |Rep_d| = 3
-    jordan = Quiver(1, ((0, 0),))
-    zero_entry = ((0, ((0, 0, 2),)),)
+    # the pair (g, g^-1) = ((0), (0)) is not invertible, so its move zeroes
+    # the loop entry and is no group action: the orbits of 1 and 2 both
+    # swallow 0, so their sizes sum past |Rep_d| = 3
+    zero = ((0,),)
     monkeypatch.setattr(
-        catalog_module, "_generators", lambda q, p, dims: [zero_entry] * dims[0]
+        catalog_module, "_generators", lambda q, p, dims: [(0, zero, zero)] * dims[0]
     )
     with pytest.raises(InvariantError, match="mass formula"):
-        catalog_build(jordan, 3, (1,))
+        catalog_build(JORDAN, 3, (1,))
 
 
 def test_in_bound_key_missing_from_table_raises():

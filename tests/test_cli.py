@@ -289,3 +289,26 @@ def test_verify_byte_determinism_across_processes(a2_file):
             "--checks", "all"]
     outs = [run_process(argv, seed) for seed in ("0", "1")]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(a2_file, unbuffered):
+    # the read end of the pipe is closed before the child writes, as when
+    # `hall ... | head` has stopped reading; with a buffered stdout the
+    # write fails only at the flush, which must not fail again at shutdown
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hallalg.cli", "catalog", "--quiver", a2_file,
+             "-p", "3", "--bound", "2,2"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

@@ -6,9 +6,11 @@ PYTHONHASHSEED=0, and its stdout must hash to the reference in
 perfbench/references.json, as perfbench/run.py requires of every timed run.
 The perfbench files are only read here.  Two derived tables outside the
 benchmark are pinned to the digests of the commit before cone counting
-moved to summand-block coordinates, and three classical verify reports to
+moved to summand-block coordinates, three classical verify reports to
 those of the commit before the verify checks shared one enumeration of
-monomorphisms.
+monomorphisms, and four catalogs and two classical tables to those of the
+commit before the catalog swept Rep_d on integer codes.  The two tables
+classify every subobject key, so they read the whole key table.
 """
 
 import hashlib
@@ -51,6 +53,8 @@ QUIVERS = {
     "a2": {"vertices": 2, "arrows": [[0, 1]]},
     "a3": {"vertices": 3, "arrows": [[0, 1], [1, 2]]},
     "kronecker": {"vertices": 2, "arrows": [[0, 1], [0, 1]]},
+    "jordan": {"vertices": 1, "arrows": [[0, 0]]},
+    "sink": {"vertices": 3, "arrows": [[0, 1], [2, 1]]},
 }
 
 
@@ -90,5 +94,26 @@ def test_derived_table_stdout_matches_the_pinned_digest(quiver, argv, digest, tm
 ], ids=["a2-p3-22", "kronecker-p2-22", "a3-p3-211"])
 def test_verify_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
     proc = run_cli(tmp_path, QUIVERS[quiver], ["verify", "--checks", "all", *argv])
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("quiver, argv, digest", [
+    ("a2", ["catalog", "-p", "3", "--bound", "3,3"],
+     "c016d3d245976c9454f14474b0cd1846d04f93b30d9adc81387f99554dec12fa"),
+    ("a3", ["catalog", "-p", "3", "--bound", "2,2,2"],
+     "ab868abf40ebcc4b51c98919a93c855441d06ccb10e2089f87fb9a1c43c87a3f"),
+    ("jordan", ["catalog", "-p", "3", "--bound", "3"],
+     "4581ba7a22a3a246ad46e9825e7612f10cd699a804adac07fa667192ffe08a0a"),
+    ("sink", ["catalog", "-p", "2", "--bound", "2,3,2"],
+     "67b6cd44e7bd4c34fb3b774db7d2c1749fe480bbf22df067c7148ce6352c6f1c"),
+    ("jordan", ["hall-table", "-p", "3", "--bound", "3"],
+     "7b9c59b29a2a5f90bbc069356fd7549d761318108d9573c5f89715942b5ae204"),
+    ("sink", ["hall-table", "-p", "2", "--bound", "2,3,2"],
+     "99b732a0774a2d9d7b76c7100885bb0d97e2f921ea25e0902a53760dcfc7c931"),
+], ids=["catalog-a2-p3-33", "catalog-a3-p3-222", "catalog-jordan-p3-3",
+        "catalog-sink-p2-232", "hall-table-jordan-p3-3", "hall-table-sink-p2-232"])
+def test_catalog_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
+    proc = run_cli(tmp_path, QUIVERS[quiver], argv)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
