@@ -15,10 +15,11 @@ is both the search's seen-set and the class table (_label_orbits).  The first
 unlabelled code is the lexicographically least member of its orbit and
 becomes the canonical representative.
 
-The sweep records the class of every key in Rep_d, so classification is a
-lookup, and orbit-stabilizer gives |Aut M| = |GL_d| / |orbit| for free.  Orbit
-divisibility and the mass formula sum_[M] |GL_d| / |Aut M| = |Rep_d| are
-checked at build time.  Hom and Ext^1 dimensions are cached lazily.
+The catalog keeps the label array of each dimension vector, so classifying
+a key reads its code into the array, and orbit-stabilizer gives |Aut M| =
+|GL_d| / |orbit| for free.  Orbit divisibility and the mass formula
+sum_[M] |GL_d| / |Aut M| = |Rep_d| are checked at build time.  Hom and Ext^1
+dimensions are cached lazily.
 """
 
 from __future__ import annotations
@@ -251,17 +252,17 @@ class CatalogEntry:
 class Catalog:
     """All iso classes with dim vector <= bound, with cached invariants.
 
-    `class_of_key` maps the key() of every representation in the universe to
-    its class index.
+    `labels` maps each dimension vector d in the bound to its label array:
+    the class index of every tuple of Rep_d, by code.
     """
 
     def __init__(self, quiver: Quiver, p: int, bound: Sequence[int],
-                 entries: Sequence[CatalogEntry], class_of_key: dict):
+                 entries: Sequence[CatalogEntry], labels: dict):
         self.quiver = quiver
         self.p = p
         self.bound = tuple(bound)
         self.entries = list(entries)
-        self._class_of_key = class_of_key
+        self._labels = labels
         self._by_dims: dict = {}
         for e in self.entries:
             self._by_dims.setdefault(e.dims, []).append(e.index)
@@ -273,11 +274,11 @@ class Catalog:
         self.derived_hom_tables: dict = {}      # (x, z) -> SummandHomClasses
         self.derived_hom_blocks: dict = {}      # (a, b, k) -> HomotopyClasses
         # (x_n, x_(n+1), z_n, z_(n+1)) -> {three block coefficient tuples:
-        # class of cone H^n}, and the local ConeClassifier that fills it
+        # class of cone H^n}, and what a miss of it reads (cone_homology)
         self.derived_cone_homology: dict = {}
         self.derived_cone_tables: dict = {}
         self.derived_cone_classes: dict = {}    # entries -> DerivedClass of a cone
-        self.derived_ext_factors: dict = {}     # (a, b, k) -> E(a[-k], b)
+        self.derived_ext_factors: dict = {}     # (a, b, k) -> e, E(a[-k], b) = p^e
         self._mark_indecomposables()
 
     # -- construction ------------------------------------------------------
@@ -293,7 +294,7 @@ class Catalog:
             raise InputError("bound must be componentwise >= 0")
 
         entries: list = []
-        class_of_key: dict = {}
+        labels_of: dict = {}
         dim_vectors = sorted(
             itertools.product(*(range(b + 1) for b in bound)),
             key=lambda d: (sum(d), d),
@@ -326,10 +327,8 @@ class Catalog:
                     f"catalog.build(dims {_fmt_dims(dims)}): mass formula "
                     f"sum |GL_d|/|Aut M| = {mass} != |Rep_d| = {p}^{exponent}"
                 )
-            states = itertools.product(
-                *(itertools.product(range(p), repeat=r * c) for r, c in shapes))
-            class_of_key.update(zip(((dims, s) for s in states), labels))
-        return cls(quiver, p, bound, entries, class_of_key)
+            labels_of[dims] = labels
+        return cls(quiver, p, bound, entries, labels_of)
 
     def _mark_indecomposables(self) -> None:
         nonzero = [e.index for e in self.entries if not e.rep.is_zero()]
@@ -394,19 +393,41 @@ class Catalog:
 
     def classify_key(self, key: tuple) -> int:
         """Catalog index of the class with Representation.key() `key`, a
-        (dims, arrow-matrix entry tuples) pair over this catalog's quiver."""
-        hit = self._class_of_key.get(key)
-        if hit is not None:
-            return hit
-        dims = key[0]
-        if any(d > b for d, b in zip(dims, self.bound)):
-            raise OutOfUniverseError(
-                f"dimension vector {dims} exceeds catalog bound {self.bound}"
+        (dims, arrow-matrix entry tuples) pair over this catalog's quiver:
+        the label of the key's code (its entries read as a big-endian
+        base-p number, as the build reads them) in the label array of its
+        dims."""
+        dims, data = key
+        labels = self._labels.get(dims)
+        if labels is None:
+            if any(d > b for d, b in zip(dims, self.bound)):
+                raise OutOfUniverseError(
+                    f"dimension vector {dims} exceeds catalog bound {self.bound}"
+                )
+            raise InvariantError(
+                f"catalog.classify: key of dims {dims} missing from the orbit "
+                f"table (universe inconsistency)"
             )
-        raise InvariantError(
-            f"catalog.classify: key of dims {dims} missing from the orbit "
-            f"table (universe inconsistency)"
-        )
+        p, arrows, code = self.p, self.quiver.arrows, 0
+        if len(data) != len(arrows):
+            raise InvariantError(
+                f"catalog.classify: key of dims {dims} has {len(data)} arrow "
+                f"matrices, the quiver {len(arrows)} arrows"
+            )
+        for (s, t), entries in zip(arrows, data):
+            if len(entries) != dims[s] * dims[t]:
+                raise InvariantError(
+                    f"catalog.classify: key of dims {dims} has {len(entries)} "
+                    f"entries for a {dims[t]}x{dims[s]} arrow matrix"
+                )
+            for e in entries:
+                if not 0 <= e < p:
+                    raise InvariantError(
+                        f"catalog.classify: key of dims {dims} has entry {e} "
+                        f"outside 0..{p - 1}"
+                    )
+                code = code * p + e
+        return labels[code]
 
     # -- export ----------------------------------------------------------------
 

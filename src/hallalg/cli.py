@@ -19,12 +19,14 @@ rationals print as gcd-reduced "num/den" with positive denominator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .catalog import catalog_build
@@ -131,76 +133,85 @@ def _context(args, mode: str) -> HallContext:
     return _config(args, mode).context()
 
 
-def _emit(args, doc: dict, csv_rows=None, pretty=None) -> None:
-    if args.format == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    elif args.format == "csv":
-        if csv_rows is None:
-            raise InputError("this subcommand has no CSV form")
-        for row in csv_rows:
-            print(",".join(str(v) for v in row))
-    else:
-        print(pretty if pretty is not None else json.dumps(doc, sort_keys=True, indent=2))
+def _emit(chunks) -> None:
+    """Write the output to stdout chunk by chunk, each as it is made."""
+    write = sys.stdout.write
+    for chunk in chunks:
+        write(chunk)
 
 
 def cmd_catalog(args) -> int:
     ctx = _context(args, "classical")
     doc = ctx.catalog.export_json_dict()
-    rows = [("id", "dim_vector", "aut_order", "indecomposable")]
-    rows += [
-        (c["id"], ";".join(str(d) for d in c["dim_vector"]), c["aut_order"],
-         int(c["indecomposable"]))
-        for c in doc["classes"]
-    ]
-    pretty_lines = [f"{len(doc['classes'])} classes (p={args.modulus})"]
-    for c in doc["classes"]:
-        flag = "indec" if c["indecomposable"] else "     "
-        pretty_lines.append(
-            f"  {c['id']:>5}  dim {tuple(c['dim_vector'])}  |Aut|={c['aut_order']}  {flag}"
-        )
-    _emit(args, doc, rows, "\n".join(pretty_lines))
+    if args.format == "json":
+        lines = [json.dumps(doc, sort_keys=True, indent=2)]
+    elif args.format == "csv":
+        lines = ["id,dim_vector,aut_order,indecomposable"] + [
+            f"{c['id']},{';'.join(str(d) for d in c['dim_vector'])},"
+            f"{c['aut_order']},{int(c['indecomposable'])}"
+            for c in doc["classes"]
+        ]
+    else:
+        lines = [f"{len(doc['classes'])} classes (p={args.modulus})"] + [
+            f"  {c['id']:>5}  dim {tuple(c['dim_vector'])}  |Aut|={c['aut_order']}  "
+            f"{'indec' if c['indecomposable'] else '     '}"
+            for c in doc["classes"]
+        ]
+    _emit(line + "\n" for line in lines)
     return EXIT_OK
 
 
+def _json_table(mode: str, modulus: int, cells, name):
+    """The text of json.dumps({"schema": 1, "mode": mode, "modulus":
+    modulus, "table": [one dict per cell]}, sort_keys=True, indent=2) and a
+    newline, one cell at a time; name(key) is the key's name as a JSON
+    string.  The table is never empty: it holds 0 * 0."""
+    yield (f'{{\n  "mode": {encode_basestring_ascii(mode)},\n  "modulus": '
+           f'{modulus},\n  "schema": 1,\n  "table": [')
+    sep = "\n    "
+    for x, y, terms in cells:
+        body = ",".join(
+            f'\n        {{\n          "coeff_den": {g.denominator},\n          '
+            f'"coeff_num": {g.numerator},\n          "z": {name(z)}\n        }}'
+            for z, g in sorted(terms.items()))
+        if body:
+            body += "\n      "
+        yield (f'{sep}{{\n      "terms": [{body}],\n      "x": {name(x)},'
+               f'\n      "y": {name(y)}\n    }}')
+        sep = ",\n    "
+    yield "\n  ]\n}\n"
+
+
+def _csv_table(cells, name):
+    yield "x,y,z,coeff\n"
+    for x, y, terms in cells:
+        head = f"{name(x)},{name(y)},"
+        yield "".join(f"{head}{name(z)},{g.numerator}/{g.denominator}\n"
+                      for z, g in sorted(terms.items()))
+
+
+def _pretty_table(cells, name):
+    for x, y, terms in cells:
+        total = " + ".join(f"{g.numerator}/{g.denominator}*{name(z)}"
+                           for z, g in sorted(terms.items()))
+        yield f"{name(x)} * {name(y)} = {total or '0'}\n"
+
+
 def _table(args, mode: str) -> int:
+    """Every cell's product is computed before the first byte is written,
+    so a cap or out-of-universe error leaves stdout empty; the cells are
+    then written one at a time in the chosen format, with no document
+    built."""
     ctx = _context(args, mode)
-    table = []
-    for x, y in in_bound_pairs(ctx):
-        terms = basis_product(ctx, x, y)
-        table.append(
-            {
-                "x": ctx.key_name(x),
-                "y": ctx.key_name(y),
-                "terms": [
-                    {
-                        "z": ctx.key_name(z),
-                        "coeff_num": g.numerator,
-                        "coeff_den": g.denominator,
-                    }
-                    for z, g in sorted(terms.items())
-                ],
-            }
-        )
-    doc = {
-        "schema": 1,
-        "mode": mode,
-        "modulus": args.modulus,
-        "table": table,
-    }
-    rows = [("x", "y", "z", "coeff")]
-    for cell in table:
-        for term in cell["terms"]:
-            rows.append(
-                (cell["x"], cell["y"], term["z"],
-                 f"{term['coeff_num']}/{term['coeff_den']}")
-            )
-    pretty_lines = []
-    for cell in table:
-        terms = " + ".join(
-            f"{t['coeff_num']}/{t['coeff_den']}*{t['z']}" for t in cell["terms"]
-        )
-        pretty_lines.append(f"{cell['x']} * {cell['y']} = {terms or '0'}")
-    _emit(args, doc, rows, "\n".join(pretty_lines))
+    cells = [(x, y, basis_product(ctx, x, y)) for x, y in in_bound_pairs(ctx)]
+    quote = encode_basestring_ascii if args.format == "json" else str
+    name = functools.cache(lambda key: quote(ctx.key_name(key)))
+    if args.format == "json":
+        _emit(_json_table(mode, args.modulus, cells, name))
+    elif args.format == "csv":
+        _emit(_csv_table(cells, name))
+    else:
+        _emit(_pretty_table(cells, name))
     return EXIT_OK
 
 

@@ -19,8 +19,9 @@ solved block per (summand class, summand class, shift) (hom_block), so a
 Hom class is a tuple of coefficient tuples over the block complements
 (ConeBlocks).  H^n of its cone reads three of those blocks, so its class is
 memoized per signature (x_n, x_(n+1), z_n, z_(n+1)) and the three
-coefficient tuples, and a miss is computed by ConeClassifier on one local
-two-degree table per signature: counting cones builds no (x, z) table.
+coefficient tuples, and a miss is computed on one local two-degree table
+per signature, of which only the ConeDegree of H^0 and the blocks'
+positions and complements are kept: counting cones builds no (x, z) table.
 hom_class_table still assembles whole tables from the blocks for the
 callers that read class vectors; the whole-table solve HomotopyClasses is
 its oracle, and derived_class_of(mapping_cone(...)) is the cone oracle.
@@ -704,16 +705,9 @@ class SummandHomClasses(_ClassTable):
     def vector(self, coords: dict) -> list:
         """The table vector with coefficients coords[key] on the complement
         of the block of each summand pair key."""
-        vec = [0] * self.space.total
-        for key, cs in coords.items():
-            if not any(cs):
-                continue
-            pos = self.positions(key)
-            for c, b in zip(cs, self.blocks[key].complement):
-                if c:
-                    for j, val in zip(pos, b):
-                        vec[j] = (vec[j] + c * val) % self.p
-        return vec
+        return _block_vector(self.p, self.space.total, (
+            ((self.positions(key), self.blocks[key].complement), cs)
+            for key, cs in coords.items() if any(cs)))
 
     @functools.cached_property
     def cycle_basis(self) -> list:
@@ -727,6 +721,23 @@ class SummandHomClasses(_ClassTable):
         return space
 
 
+def _block_vector(p: int, total: int, parts) -> list:
+    """The table vector of `total` coordinates that has coefficients cs on
+    the complement vectors of a block whose coordinates sit at positions
+    pos, summed over the ((pos, complement), cs) in parts; a part whose
+    coefficients are all zero is skipped, and its block may be None."""
+    vec = [0] * total
+    for block, cs in parts:
+        if not any(cs):
+            continue
+        pos, complement = block
+        for c, b in zip(cs, complement):
+            if c:
+                for j, val in zip(pos, b):
+                    vec[j] = (vec[j] + c * val) % p
+    return vec
+
+
 def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
     """c.diff(n) at vertex v as int rows, without building a zero morphism
     outside the complex's range."""
@@ -737,122 +748,114 @@ def _diff_rows(c: Complex, n: int, v: int, rows: int, cols: int) -> list:
 
 
 class ConeClassifier:
-    """H^n of cone(f) for the chain maps f: X -> Z of one Hom table, given
-    as flat vectors in the table's coordinates.
-
-    H^n of cone(f) is the kernel of d^n modulo the image of d^(n-1).  What
-    does not depend on f (the cone's dims, the -d_X and d_Z blocks of each
-    differential and the block-diagonal arrow matrices) is laid out from
-    the table's complexes on first use; the f blocks of vec are written into
-    d^(n-1) and d^n, and H^n is computed vertex by vertex on plain int
-    lists: the image of d^(n-1) and, as the basis of H^n, the kernel vectors
-    of d^n reduced modulo that image, each kept in reduced echelon form as
-    an fq.RowSpace.  The induced arrow matrices give a Representation.key()
-    that the catalog's key table classifies; any basis of H^n does, since
-    that table holds all of Rep_d.
-
-    cone_homology runs it on the local two-degree table of one signature,
-    once per miss of the shared memo of ConeBlocks.  Called on a vector of
-    any table it classifies the whole cone afresh, the route the memo is
-    tested against.  Both equal derived_class_of(mapping_cone(table.lift(
-    vec)), cat, strict=False), which builds the objects and serves as the
-    test oracle.
+    """The derived class of cone(f) for the chain maps f: X -> Z of one Hom
+    table, given as flat vectors in the table's coordinates: one ConeDegree
+    per degree of the cone, each H^n computed afresh.  This is the route
+    the memo of ConeBlocks is tested against; cone_homology keeps only the
+    ConeDegree of H^0 of one local table per signature.  Both equal
+    derived_class_of(mapping_cone(table.lift(vec)), cat, strict=False),
+    which builds the objects and serves as the test oracle.
     """
 
     OUT_OF_BOUND = -1
 
     def __init__(self, table: SummandHomClasses, cat: Catalog):
         X, Z = table.X, table.Z
-        if not X.quiver.is_acyclic():
-            raise InputError("derived classification needs an acyclic quiver")
-        self.table = table
-        self.label = table.label
-        self.cat = cat
-        self.p = X.p
         cands = (range(min(X.lo - 1, Z.lo), max(X.hi - 1, Z.hi) + 1)
                  if X.reps or Z.reps else range(0))
         # cone^n = X^(n+1) (+) Z^n
         degs = [n for n in cands if X.rep(n + 1).total_dim or Z.rep(n).total_dim]
         self.degrees = list(range(degs[0], degs[-1] + 1)) if degs else []
-        self._laid: dict = {}
+        self.hn = [ConeDegree(table, cat, n) for n in self.degrees]
 
     def __call__(self, vec) -> Optional[DerivedClass]:
-        """The derived class of cone(vec), every H^n computed afresh; None
-        when some H^n leaves the catalog bound."""
+        """The derived class of cone(vec); None when some H^n leaves the
+        catalog bound."""
         entries = []
-        for k, n in enumerate(self.degrees):
-            idx = self._homology_class(k, vec)
+        for n, hn in zip(self.degrees, self.hn):
+            idx = hn(vec)
             if idx == self.OUT_OF_BOUND:
                 return None
             if idx is not None:
                 entries.append((n, idx))
         return DerivedClass(tuple(entries))
 
-    def _dims(self, k: int) -> list:
-        """The dims of cone^(degrees[k]) = X^(n+1) (+) Z^n."""
-        n = self.degrees[k]
-        return [a + b for a, b in zip(self.table.X.rep(n + 1).dims,
-                                      self.table.Z.rep(n).dims)]
 
-    def _arrows(self, k: int) -> list:
-        """(arrow, source, target, block-diagonal rows) of cone^(degrees[k])
-        per arrow, laid out on first use."""
-        got = self._laid.get(("arrows", k))
-        if got is None:
-            n = self.degrees[k]
-            xr, zr = self.table.X.rep(n + 1), self.table.Z.rep(n)
-            got = []
-            for idx, (s, t) in enumerate(xr.quiver.arrows):
-                xa, za = xr.mats[idx], zr.mats[idx]
-                rows = [list(xa.row(r)) + [0] * za.cols for r in range(xa.rows)]
-                rows += [[0] * xa.cols + list(za.row(r)) for r in range(za.rows)]
-                got.append((idx, s, t, rows))
-            self._laid[("arrows", k)] = got
-        return got
+def _diff_layout(table: SummandHomClasses, p: int, n: int) -> list:
+    """What d^n of a cone over the table does not take from f, per vertex:
+    the -d_X rows, the d_Z rows, the offset of the f^(n+1) block in a table
+    vector or None, and its width x1."""
+    X, Z = table.X, table.Z
+    layout = []
+    for v in range(X.quiver.vertex_count):
+        x1, z0 = X.rep(n + 1).dims[v], Z.rep(n).dims[v]
+        x2, z1 = X.rep(n + 2).dims[v], Z.rep(n + 1).dims[v]
+        top = [[-a % p for a in r] + [0] * z0 for r in _diff_rows(X, n + 1, v, x2, x1)]
+        bottom = _diff_rows(Z, n, v, z1, z0)
+        off = table.space.offsets.get((n + 1, v)) if x1 and z1 else None
+        layout.append((top, bottom, off, x1))
+    return layout
 
-    def _diff(self, j: int, vec) -> list:
-        """d^(degrees[j]) with the f blocks of vec written in, per vertex.
-        What does not depend on f is laid out on first use: per vertex the
-        -d_X rows, the d_Z rows, the offset of the f^(n+1) block in vec or
-        None, and its width x1."""
-        layout = self._laid.get(("diff", j))
-        if layout is None:
-            X, Z, p, n = self.table.X, self.table.Z, self.p, self.degrees[j]
-            layout = []
-            for v in range(X.quiver.vertex_count):
-                x1, z0 = X.rep(n + 1).dims[v], Z.rep(n).dims[v]
-                x2, z1 = X.rep(n + 2).dims[v], Z.rep(n + 1).dims[v]
-                top = [[-a % p for a in r] + [0] * z0
-                       for r in _diff_rows(X, n + 1, v, x2, x1)]
-                bottom = _diff_rows(Z, n, v, z1, z0)
-                off = self.table.space.offsets.get((n + 1, v)) if x1 and z1 else None
-                layout.append((top, bottom, off, x1))
-            self._laid[("diff", j)] = layout
-        mats = []
-        for top, bottom, off, x1 in layout:
-            if off is None:
-                mats.append(top + [[0] * x1 + r for r in bottom])
-            else:
-                mats.append(top + [
-                    list(vec[off + i * x1 : off + (i + 1) * x1]) + r
-                    for i, r in enumerate(bottom)
-                ])
-        return mats
 
-    def _homology_class(self, k: int, vec) -> Optional[int]:
-        """Catalog class of H^(degrees[k]) of cone(vec); None when it is
-        zero, OUT_OF_BOUND when it leaves the catalog bound."""
-        p, n = self.p, self.degrees[k]
-        d_in = self._diff(k - 1, vec) if k else None
-        d_out = self._diff(k, vec) if k < len(self.degrees) - 1 else None
-        dims_in = self._dims(k - 1) if k else None
+def _diff(layout: list, vec) -> list:
+    """A differential laid out by _diff_layout, with the f blocks of vec
+    written in, per vertex."""
+    mats = []
+    for top, bottom, off, x1 in layout:
+        if off is None:
+            mats.append(top + [[0] * x1 + r for r in bottom])
+        else:
+            mats.append(top + [list(vec[off + i * x1 : off + (i + 1) * x1]) + r
+                               for i, r in enumerate(bottom)])
+    return mats
+
+
+class ConeDegree:
+    """H^n of cone(f) at one degree n, for the chain maps f of one Hom table.
+
+    H^n is the kernel of d^n modulo the image of d^(n-1).  What does not
+    depend on f is laid out once from the table's complexes: the cone's dims
+    at n - 1 and n, the -d_X and d_Z blocks of d^(n-1) and d^n
+    (_diff_layout) and the block-diagonal arrow matrices of cone^n; the
+    table itself is not kept.  A call writes the f blocks of vec into both
+    differentials and computes H^n vertex by vertex on plain int lists: the
+    image of d^(n-1) and, as the basis of H^n, the kernel vectors of d^n
+    reduced modulo that image, each kept in reduced echelon form as an
+    fq.RowSpace.  The induced arrow matrices give a Representation.key()
+    that the catalog classifies; any basis of H^n does, since its label
+    arrays cover all of Rep_d.
+    """
+
+    __slots__ = ("cat", "label", "n", "dims_in", "dims", "d_in", "d_out", "arrows")
+
+    def __init__(self, table: SummandHomClasses, cat: Catalog, n: int):
+        X, Z = table.X, table.Z
+        if not X.quiver.is_acyclic():
+            raise InputError("derived classification needs an acyclic quiver")
+        self.cat, self.label, self.n = cat, table.label, n
+        # cone^m = X^(m+1) (+) Z^m
+        self.dims_in, self.dims = (
+            [a + b for a, b in zip(X.rep(m + 1).dims, Z.rep(m).dims)] for m in (n - 1, n))
+        self.d_in, self.d_out = (_diff_layout(table, cat.p, m) for m in (n - 1, n))
+        xr, zr = X.rep(n + 1), Z.rep(n)
+        self.arrows = []   # (arrow, source, target, block-diagonal rows)
+        for idx, (s, t) in enumerate(xr.quiver.arrows):
+            xa, za = xr.mats[idx], zr.mats[idx]
+            rows = [list(xa.row(r)) + [0] * za.cols for r in range(xa.rows)]
+            rows += [[0] * xa.cols + list(za.row(r)) for r in range(za.rows)]
+            self.arrows.append((idx, s, t, rows))
+
+    def __call__(self, vec) -> Optional[int]:
+        """Catalog class of H^n of cone(vec); None when it is zero,
+        ConeClassifier.OUT_OF_BOUND when it leaves the catalog bound."""
+        p, n = self.cat.p, self.n
+        d_in, d_out = _diff(self.d_in, vec), _diff(self.d_out, vec)
         bases = []   # per vertex: (image, complement), both reduced echelon
-        for v, dim in enumerate(self._dims(k)):
+        for v, dim in enumerate(self.dims):
             im = RowSpace(p, dim)
-            if d_in is not None:
-                for c in range(dims_in[v]):
-                    im.add([row[c] for row in d_in[v]])
-            ker = kernel_rows(p, d_out[v] if d_out is not None else [], dim)
+            for c in range(self.dims_in[v]):
+                im.add([row[c] for row in d_in[v]])
+            ker = kernel_rows(p, d_out[v], dim)
             comp = RowSpace(p, dim)
             for u in ker:
                 comp.add(im.reduce(u))
@@ -867,9 +870,9 @@ class ConeClassifier:
         if not any(hdims):
             return None
         if any(d > b for d, b in zip(hdims, self.cat.bound)):
-            return self.OUT_OF_BOUND
+            return ConeClassifier.OUT_OF_BOUND
         data = []
-        for idx, s, t, rows in self._arrows(k):
+        for idx, s, t, rows in self.arrows:
             im, comp = bases[t]
             cols = []
             for w in bases[s][1].rows:
@@ -900,18 +903,22 @@ def cone_homology(cat: Catalog, sig: tuple, coords: tuple) -> Optional[int]:
 
     It is H^0 of the cone over the local table of x_n, x_(n+1) and z_n,
     z_(n+1) placed in degrees 0 and 1, whose blocks are exactly those three.
-    The local table and its ConeClassifier are built once per signature and
-    cached in cat.derived_cone_tables."""
-    kernel = cat.derived_cone_tables.get(sig)
-    if kernel is None:
+    cat.derived_cone_tables keeps per signature only what a miss reads: the
+    local table's length, each block's positions in it and complement, and
+    the ConeDegree of H^0; the table and its complexes are dropped."""
+    local = cat.derived_cone_tables.get(sig)
+    if local is None:
         x_n, x_n1, z_n, z_n1 = sig
         x = DerivedClass(tuple((d, i) for d, i in ((0, x_n), (1, x_n1)) if i is not None))
         z = DerivedClass(tuple((d, i) for d, i in ((0, z_n), (1, z_n1)) if i is not None))
         table = SummandHomClasses(cat, x, z, cap=None,
                                   label=f"cone_homology({x.name(cat)} -> {z.name(cat)})")
-        kernel = cat.derived_cone_tables[sig] = ConeClassifier(table, cat)
-    vec = kernel.table.vector(dict(zip(_hn_blocks(0), coords)))
-    return kernel._homology_class(kernel.degrees.index(0), vec)
+        embeds = tuple((table.positions(key), table.blocks[key].complement)
+                       if key in table.blocks else None for key in _hn_blocks(0))
+        local = cat.derived_cone_tables[sig] = (
+            table.space.total, embeds, ConeDegree(table, cat, 0))
+    total, embeds, degree = local
+    return degree(_block_vector(cat.p, total, zip(embeds, coords)))
 
 
 _MISS = object()

@@ -84,7 +84,6 @@ class HallContext:
         self._cone_rows: dict = {}     # (x, z) -> cone_table rows
         self._product_cache: dict = {}
         self._aut_lifts: dict = {}     # x -> derived_aut_lifts(x)
-        self._ext_products: dict = {}  # (x, z) -> ext_alternating_product
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -434,50 +433,47 @@ def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
     return lifts
 
 
-def ext_alternating_product(ctx: HallContext, x: DerivedClass,
-                            z: DerivedClass) -> Fraction:
-    """prod_(i>0) |Ext^-i(x, z)|^((-1)^i), exact; cached on the context
-    per (x, z).  ext_dim is additive over summand pairs, so this is the
-    product over the pairs (x_a at degree a, z_b at degree b) of
-    E(x_a[-a], z_b[-b]), which depends only on (x_a, z_b, a - b)."""
-    got = ctx._ext_products.get((x, z))
-    if got is None:
-        got = Fraction(1)
-        for a_deg, a in x.entries:
-            for b_deg, b in z.entries:
-                got *= _ext_factor(ctx, a, b, a_deg - b_deg)
-        ctx._ext_products[(x, z)] = got
-    return got
+def ext_exponent(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> int:
+    """sum_(i>0) (-1)^i dim Ext^-i(x, z): over F_p every |Ext^-i(x, z)| is a
+    power of p, so prod_(i>0) |Ext^-i(x, z)|^((-1)^i) = p^ext_exponent.
+    ext_dim is additive over summand pairs, so this is the sum over the
+    pairs (x_a at degree a, z_b at degree b) of the exponent of
+    E(x_a[-a], z_b[-b]), which depends only on (x_a, z_b, a - b) and is
+    cached on the catalog."""
+    factors = ctx.catalog.derived_ext_factors
+    total = 0
+    for a_deg, a in x.entries:
+        for b_deg, b in z.entries:
+            e = factors.get((a, b, a_deg - b_deg))
+            total += _ext_factor(ctx, a, b, a_deg - b_deg) if e is None else e
+    return total
 
 
-def _ext_factor(ctx: HallContext, a: int, b: int, k: int) -> Fraction:
-    """E(a[-k], b) for catalog module classes a, b, cached on the catalog
-    per (a, b, k)."""
+def _ext_factor(ctx: HallContext, a: int, b: int, k: int) -> int:
+    """The exponent e of E(a[-k], b) = p^e for catalog module classes a, b,
+    cached on the catalog per (a, b, k)."""
     cat = ctx.catalog
-    got = cat.derived_ext_factors.get((a, b, k))
-    if got is None:
-        x, z = DerivedClass.from_module(a, k), DerivedClass.from_module(b)
-        got = Fraction(1)
-        # Ext^-i(x, z) can only be nonzero for i <= deg x - deg z + 1
-        for i in range(1, k + 2):
-            d = ext_dim(x, z, -i, cat, cap=ctx.caps.candidates)
-            if d:
-                q = Fraction(cat.p**d)
-                got *= (1 / q) if i % 2 else q
-        cat.derived_ext_factors[(a, b, k)] = got
+    x, z = DerivedClass.from_module(a, k), DerivedClass.from_module(b)
+    # Ext^-i(x, z) can only be nonzero for i <= deg x - deg z + 1
+    got = cat.derived_ext_factors[(a, b, k)] = sum(
+        (-1) ** i * ext_dim(x, z, -i, cat, cap=ctx.caps.candidates)
+        for i in range(1, k + 2))
     return got
 
 
 def derived_hall_number(ctx: HallContext, x: DerivedClass, y: DerivedClass,
                         z: DerivedClass) -> Fraction:
-    """The cone-counting structure constant; an exact nonnegative rational."""
+    """The cone-counting structure constant, count * p^e / |Aut x| with
+    e = ext_exponent(x, z) - ext_exponent(x, x); an exact nonnegative
+    rational."""
     count = cone_histogram(ctx, x, z).get(y, 0)
     if not count:
         return Fraction(0)
     aut_x = derived_aut_order(ctx, x)
-    num = Fraction(count) * ext_alternating_product(ctx, x, z)
-    den = Fraction(aut_x) * ext_alternating_product(ctx, x, x)
-    return num / den
+    e = ext_exponent(ctx, x, z) - ext_exponent(ctx, x, x)
+    if e < 0:
+        return Fraction(count, aut_x * ctx.catalog.p ** -e)
+    return Fraction(count * ctx.catalog.p ** e, aut_x)
 
 
 def derived_support(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> list:

@@ -6,7 +6,7 @@ decomposable when it is isomorphic to the direct sum of two nonzero kept
 classes.  The tuple sweep is the orbit sweep on tuples of entry tuples that
 the code sweep replaced: reps.orbit over reps.act moves made of adjacent
 transvections and a primitive-root scaling, with a dict from every key to
-its class.  The module also holds the Hom fingerprint, a Krull-Schmidt
+its class as the seen-set, read out in code order as the label arrays.  The module also holds the Hom fingerprint, a Krull-Schmidt
 invariant that the tests compare with is_isomorphic, and the all-transvection
 generating set of GL_d in catalog._generators's format.
 """
@@ -102,9 +102,12 @@ def act_generators(quiver, p, dims):
 def tuple_sweep_catalog(quiver, p, bound):
     """The catalog by the orbit sweep on entry tuples: per dimension vector,
     walk Rep_d in itertools.product order and sweep the reps.orbit of each
-    tuple not yet in the key table; |Aut| = |GL_d| / |orbit|."""
+    tuple not yet in the key table; |Aut| = |GL_d| / |orbit|.  The label
+    array of dims lists the class of each tuple in that order, which is the
+    order of their codes."""
     entries = []
     class_of_key = {}
+    labels = {}
     dim_vectors = sorted(
         itertools.product(*(range(b + 1) for b in bound)),
         key=lambda d: (sum(d), d),
@@ -129,7 +132,9 @@ def tuple_sweep_catalog(quiver, p, bound):
                 index, Representation(quiver, p, dims, mats), gl // len(orbit)))
             mass += len(orbit)
         assert mass == p ** sum(r * c for r, c in shapes)
-    return Catalog(quiver, p, bound, entries, class_of_key)
+        labels[dims] = [class_of_key[(dims, state)] for state in itertools.product(
+            *(itertools.product(range(p), repeat=r * c) for r, c in shapes))]
+    return Catalog(quiver, p, bound, entries, labels)
 
 
 def all_transvection_generators(quiver, p, dims):

@@ -222,7 +222,7 @@ def assert_same_catalog(cat, ref):
     assert [e.aut_order for e in cat.entries] == [e.aut_order for e in ref.entries]
     assert ([e.indecomposable for e in cat.entries]
             == [e.indecomposable for e in ref.entries])
-    assert cat._class_of_key == ref._class_of_key
+    assert cat._labels == ref._labels
 
 
 @pytest.mark.parametrize("quiver,p,bound", SWEEP_UNIVERSES)
@@ -309,7 +309,7 @@ def test_adjacent_transvections_give_the_all_transvection_catalog(monkeypatch, q
     assert [e.aut_order for e in cat.entries] == [e.aut_order for e in full.entries]
     assert ([e.indecomposable for e in cat.entries]
             == [e.indecomposable for e in full.entries])
-    assert cat._class_of_key == full._class_of_key
+    assert cat._labels == full._labels
 
 
 def test_orbit_size_not_dividing_gl_raises(monkeypatch):
@@ -334,3 +334,29 @@ def test_in_bound_key_missing_from_table_raises():
     cat = catalog_build(a_n_quiver(2), 2, (1, 1))
     with pytest.raises(InvariantError, match="missing"):
         Catalog(cat.quiver, cat.p, cat.bound, cat.entries, {})
+
+
+@pytest.mark.parametrize("key, message", [
+    (((1, 1), ()), "has 0 arrow matrices, the quiver 1 arrows"),
+    (((1, 1), ((0,), (1,))), "has 2 arrow matrices"),
+    (((1, 1), ((0, 1),)), "has 2 entries for a 1x1 arrow matrix"),
+    (((1, 1), ((2,),)), "has entry 2 outside 0..1"),
+    (((1, 1), ((-1,),)), "has entry -1 outside 0..1"),
+    (((1, 0), ((),)), None),
+], ids=["no-arrow", "two-arrows", "long-matrix", "entry-p", "entry-negative",
+        "well-formed"])
+def test_malformed_keys_raise_instead_of_reading_another_code(key, message):
+    # the label array of dims (1, 1) has p^1 = 2 codes; a malformed key
+    # must not be read as one of them
+    cat = catalog_build(a_n_quiver(2), 2, (1, 1))
+    if message is None:
+        assert [cat.classify_key(key)] == cat.classes_with_dims((1, 0))
+        return
+    with pytest.raises(InvariantError, match=message):
+        cat.classify_key(key)
+
+
+def test_keys_beyond_the_bound_leave_the_universe():
+    cat = catalog_build(a_n_quiver(2), 2, (1, 1))
+    with pytest.raises(OutOfUniverseError, match=r"\(2, 1\) exceeds catalog bound"):
+        cat.classify_key(((2, 1), ((0, 0),)))

@@ -291,11 +291,9 @@ def test_verify_byte_determinism_across_processes(a2_file):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_141_without_a_traceback(a2_file, unbuffered):
-    # the read end of the pipe is closed before the child writes, as when
-    # `hall ... | head` has stopped reading; with a buffered stdout the
-    # write fails only at the flush, which must not fail again at shutdown
+def run_with_closed_stdout(argv, unbuffered):
+    """`python -m hallalg.cli argv` with the read end of its stdout pipe
+    already closed, as when `hall ... | head` has stopped reading."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -303,12 +301,29 @@ def test_closed_stdout_exits_141_without_a_traceback(a2_file, unbuffered):
         env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "hallalg.cli", "catalog", "--quiver", a2_file,
-             "-p", "3", "--bound", "2,2"],
+        return subprocess.run(
+            [sys.executable, "-m", "hallalg.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env,
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(a2_file, unbuffered):
+    # with a buffered stdout the write fails only at the flush, which must
+    # not fail again at shutdown
+    proc = run_with_closed_stdout(
+        ["catalog", "--quiver", a2_file, "-p", "3", "--bound", "2,2"], unbuffered)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_while_streaming_a_table_exits_141(a2_file, unbuffered):
+    # the table is far longer than one stdout buffer, so a buffered write
+    # fails in the middle of the cells
+    proc = run_with_closed_stdout(
+        ["hall-table", "--quiver", a2_file, "-p", "3", "--bound", "2,2"], unbuffered)
     assert proc.returncode == 141
     assert proc.stderr == b""

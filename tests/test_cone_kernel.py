@@ -180,7 +180,7 @@ def test_kernel_rejects_non_module_map(a2_cat):
 
 def test_kernel_missing_key_raises(a2_cat):
     kernel = _classifier(a2_cat, ((0, 4),), ((0, 2),))
-    a2_cat._class_of_key.clear()
+    a2_cat._labels.clear()
     with pytest.raises(InvariantError, match="missing from the orbit table"):
         kernel((1,))
 

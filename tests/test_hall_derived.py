@@ -10,7 +10,7 @@ from hallalg.hall import (
     derived_aut_order,
     derived_hall_number,
     derived_product,
-    ext_alternating_product,
+    ext_exponent,
     hall_number_classical,
     multiply,
 )
@@ -259,15 +259,16 @@ def test_associativity_sample_derived(dctx, a2_cat):
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
 
 
-def test_ext_products_cache_matches_a_fresh_recomputation(a2_cat):
-    # every pair of basis keys of A2 p=2 (1,1), window [-1, 1]: the cached
-    # products, filled by the whole product table, against the alternating
-    # product of ext_dim taken afresh over more degrees than the cache reads
+def test_ext_exponents_match_a_fresh_recomputation(a2_cat):
+    # every pair of basis keys of A2 p=2 (1,1), window [-1, 1]: p^ext_exponent,
+    # read from the per-(a, b, k) exponents that the whole product table
+    # filled, against the alternating product of ext_dim taken afresh over
+    # more degrees than the exponents read
     ctx = HallContext("derived", a2_cat, window=(-1, 1))
     for x, y in in_bound_pairs(ctx):
         derived_product(ctx, x, y)
-    filled = dict(ctx._ext_products)
-    assert filled
+    filled = dict(a2_cat.derived_ext_factors)
+    assert filled and all(type(e) is int for e in filled.values())
 
     def fresh(x, z):
         out = Fraction(1)
@@ -279,8 +280,4 @@ def test_ext_products_cache_matches_a_fresh_recomputation(a2_cat):
     keys = ctx.basis_keys()
     for x in keys:
         for z in keys:
-            want = fresh(x, z)
-            assert ext_alternating_product(ctx, x, z) == want, (x, z)
-            if (x, z) in filled:
-                assert filled[(x, z)] == want, (x, z)
-    assert len(ctx._ext_products) == len(keys) ** 2
+            assert Fraction(a2_cat.p) ** ext_exponent(ctx, x, z) == fresh(x, z), (x, z)

@@ -9,6 +9,8 @@ whole-table vector (ConeClassifier) shows that the memo key fixes the class,
 while a key without one of the blocks H^n reads does not.
 """
 
+import gc
+import types
 from collections import Counter
 
 import pytest
@@ -16,10 +18,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hallalg.catalog import catalog_build
 from hallalg.derived import (
+    Complex,
     ConeBlocks,
     ConeClassifier,
+    ConeDegree,
     DerivedClass,
+    GradedMapSpace,
     HomotopyClasses,
+    SummandHomClasses,
     derived_class_of,
     hom_block,
     hom_class_table,
@@ -28,6 +34,7 @@ from hallalg.derived import (
     stalk_realization,
 )
 from hallalg.errors import InvariantError
+from hallalg.reps import Representation
 from hallalg.hall import HallContext, basis_product, cone_histogram, cone_table
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.verify import in_bound_pairs
@@ -172,3 +179,25 @@ def test_block_dim_disagreeing_with_the_module_route_raises(monkeypatch):
     x = DerivedClass.from_module(2)
     with pytest.raises(InvariantError, match="module route 5"):
         hom_class_table(cat, x, DerivedClass.from_module(1).shift(1))
+
+
+def test_local_cone_tables_keep_only_what_a_miss_reads():
+    # per signature: the local table's length, each block's positions and
+    # complement, and the ConeDegree of H^0; no table, complex or
+    # representation of the local table stays reachable (the catalog, which
+    # holds its own, is not walked)
+    ctx = reached_context(a_n_quiver(2), 2, (1, 1), (-1, 1))
+    cat = ctx.catalog
+    held = (SummandHomClasses, HomotopyClasses, GradedMapSpace, Complex,
+            Representation)
+    seen, todo = set(), list(cat.derived_cone_tables.values())
+    for total, embeds, degree in todo:
+        assert type(total) is int and len(embeds) == 3
+        assert isinstance(degree, ConeDegree) and degree.n == 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or obj is cat or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, held), type(obj)
+        todo.extend(gc.get_referents(obj))
