@@ -10,8 +10,9 @@ Subcommands:
   base-change    check both composites of a base-change square from JSON
 
 Exit codes: 0 success / all checks pass, 1 check failure or violated
-invariant, 2 usage or input error, 3 enumeration cap exceeded, 141
-(128 + SIGPIPE) stdout closed by its reader, as in `hall ... | head`.
+invariant, 2 usage or input error, 3 enumeration cap exceeded or a result
+outside the catalog bound or shift window, 141 (128 + SIGPIPE) stdout
+closed by its reader, as in `hall ... | head`.
 Output is byte-deterministic for a fixed configuration: keys are sorted,
 rationals print as gcd-reduced "num/den" with positive denominator.
 """
@@ -30,7 +31,13 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .catalog import catalog_build
-from .errors import EnumerationCapError, HallAlgError, InputError, InvariantError
+from .errors import (
+    EnumerationCapError,
+    HallAlgError,
+    InputError,
+    InvariantError,
+    OutOfUniverseError,
+)
 from .hall import EnumerationCaps, HallContext, basis_product
 from .lf import (
     BaseChangeSquare,
@@ -355,7 +362,8 @@ def main(argv=None) -> int:
         # flush at interpreter shutdown has nowhere to fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except EnumerationCapError as exc:
+    except (EnumerationCapError, OutOfUniverseError) as exc:
+        # well-formed input, but the universe is too small for it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except InvariantError as exc:

@@ -6,7 +6,7 @@ isomorphic to y.  The equivalent exact-sequence count divided by
 |Aut x| |Aut y| is computed independently (count_exact_sequences) and tied
 to the subobject count by a tested identity, not assumed.
 
-Derived structure constants follow the cone-counting formula
+Derived structure constants are Toën's cone counts,
 
     g(x, y; z) = |[x,z]_y| prod_(i>0) |Ext^-i(x,z)|^((-1)^i)
                  / ( |Aut x| prod_(i>0) |Ext^-i(x,x)|^((-1)^i) )
@@ -16,10 +16,20 @@ is quasi-isomorphic to y, enumerated exhaustively.  |Aut x| is the number
 of Hom classes x -> x with vanishing cone, which for module stalks equals
 the module automorphism count.
 
-Product support is determined exactly by triangle rotation: z can occur in
-x * y iff z is the cone of some map y[-1] -> x.  A support class whose
-homology leaves the catalog bound raises OutOfUniverseError rather than
-being silently dropped.
+Triangles rotate: x -> z -> y -> x[1] is y[-1] -> x -> z -> y, so the same
+constant is also a count over the Hom classes y[-1] -> x,
+
+    g(x, y; z) = N * |Aut z| / (|Aut x| |Aut y|)
+                 * p^(E(y[-1], x) + E(z, z) - E(x, x) - E(y, y))
+
+with N the number of those classes whose cone is z and E = ext_exponent.
+One histogram over Hom(y[-1], x) therefore gives both the exact support of
+chi_x * chi_y (z occurs iff it is the cone of some y[-1] -> x) and every
+structure constant of the product: derived_product, the production route,
+builds it once per product and keeps it nowhere.  derived_hall_number, the
+direct count over Hom(x, z), stays as the oracle (verify's stalk check and
+the differential tests).  A support class whose homology leaves the
+catalog bound raises OutOfUniverseError rather than being silently dropped.
 """
 
 from __future__ import annotations
@@ -80,7 +90,8 @@ class HallContext:
         self._mono_images: dict = {}   # (x, z) -> {image key: #monos}
         self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
         self._subspaces: dict = {}     # image/kernel key -> the one copy kept
-        self._cone_hist: dict = {}     # (x, z) -> {cone class: count}
+        self._cone_hist: dict = {}     # (x, z) -> cone_histogram(x, z)
+        self._aut_orders: dict = {}    # x -> derived_aut_order(x)
         self._cone_rows: dict = {}     # (x, z) -> cone_table rows
         self._product_cache: dict = {}
         self._aut_lifts: dict = {}     # x -> derived_aut_lifts(x)
@@ -301,10 +312,10 @@ def classical_product(ctx: HallContext, x: int, y: int) -> dict:
 # -- derived engine ------------------------------------------------------------
 
 
-def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
+def cone_counts(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
     """{derived class of cone(f): count} over all Hom classes f: x -> z;
-    cones whose homology leaves the catalog bound count under None.  Cached
-    on the context.
+    cones whose homology leaves the catalog bound count under None.  Not
+    cached: derived_product reads each histogram once.
 
     The Hom classes are enumerated in summand-block coordinates
     (derived.ConeBlocks) and each cone is classified through the
@@ -315,16 +326,23 @@ def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
     its dim against the module route when it is built, so the check ties
     the enumeration to the module Hom and Ext^1 dimensions.
     """
+    cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.caps.candidates,
+                       max_exponent=ctx.caps.hom_exponent)
+    hist = {}
+    for coords in cones.coordinates():
+        dc = cones.cone_class(coords)
+        hist[dc] = hist.get(dc, 0) + 1
+    _check_class_total(ctx, "cone_histogram", x, z, sum(hist.values()))
+    return hist
+
+
+def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
+    """cone_counts(ctx, x, z), cached on the context for derived_hall_number,
+    whose callers (verify's stalk check, the tests) read the (x, z) and
+    (x, x) histograms again."""
     hist = ctx._cone_hist.get((x, z))
     if hist is None:
-        cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.caps.candidates,
-                           max_exponent=ctx.caps.hom_exponent)
-        hist = {}
-        for coords in cones.coordinates():
-            dc = cones.cone_class(coords)
-            hist[dc] = hist.get(dc, 0) + 1
-        _check_class_total(ctx, "cone_histogram", x, z, sum(hist.values()))
-        ctx._cone_hist[(x, z)] = hist
+        hist = ctx._cone_hist[(x, z)] = cone_counts(ctx, x, z)
     return hist
 
 
@@ -370,8 +388,18 @@ def _check_class_total(ctx: HallContext, layer: str, x: DerivedClass,
 
 
 def derived_aut_order(ctx: HallContext, x: DerivedClass) -> int:
-    """|Aut(x)| in the derived sense: Hom classes x -> x with zero cone."""
-    return cone_histogram(ctx, x, x).get(DerivedClass.zero(), 0)
+    """|Aut(x)| in the derived sense: Hom classes x -> x with zero cone.
+    Cached on the context as one int per key; the histogram is dropped."""
+    order = ctx._aut_orders.get(x)
+    if order is None:
+        order = cone_counts(ctx, x, x).get(DerivedClass.zero(), 0)
+        if not order:
+            raise InvariantError(
+                f"derived_aut_order({x.name(ctx.catalog)}): no Hom class "
+                f"x -> x has a zero cone, not even the identity"
+            )
+        ctx._aut_orders[x] = order
+    return order
 
 
 def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
@@ -463,24 +491,29 @@ def _ext_factor(ctx: HallContext, a: int, b: int, k: int) -> int:
 
 def derived_hall_number(ctx: HallContext, x: DerivedClass, y: DerivedClass,
                         z: DerivedClass) -> Fraction:
-    """The cone-counting structure constant, count * p^e / |Aut x| with
+    """Toën's direct count over Hom(x, z), count * p^e / |Aut x| with
     e = ext_exponent(x, z) - ext_exponent(x, x); an exact nonnegative
-    rational."""
+    rational.  The oracle of derived_product, which counts over
+    Hom(y[-1], x) instead (see the module docstring)."""
     count = cone_histogram(ctx, x, z).get(y, 0)
     if not count:
         return Fraction(0)
-    aut_x = derived_aut_order(ctx, x)
     e = ext_exponent(ctx, x, z) - ext_exponent(ctx, x, x)
+    return _times_p_power(ctx, count, derived_aut_order(ctx, x), e)
+
+
+def _times_p_power(ctx: HallContext, num: int, den: int, e: int) -> Fraction:
+    """num / den * p^e, exactly."""
     if e < 0:
-        return Fraction(count, aut_x * ctx.catalog.p ** -e)
-    return Fraction(count * ctx.catalog.p ** e, aut_x)
+        return Fraction(num, den * ctx.catalog.p ** -e)
+    return Fraction(num * ctx.catalog.p ** e, den)
 
 
-def derived_support(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> list:
-    """The exact support of chi_x * chi_y: z occurs iff z is the cone of
-    some Hom class y[-1] -> x (triangle rotation).  Any unrepresentable cone
-    means the product truly leaves the universe: raise, never truncate."""
-    hist = cone_histogram(ctx, y.shift(-1), x)
+def _support(ctx: HallContext, x: DerivedClass, y: DerivedClass,
+             hist: dict) -> list:
+    """The sorted classes of hist, the cone histogram of y[-1] -> x.  Any
+    unrepresentable cone means the product truly leaves the universe:
+    raise, never truncate."""
     if None in hist:
         raise OutOfUniverseError(
             f"product {ctx.key_name(x)} * {ctx.key_name(y)} has support "
@@ -496,13 +529,27 @@ def derived_support(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> list:
     return support
 
 
+def derived_support(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> list:
+    """The exact support of chi_x * chi_y: z occurs iff z is the cone of
+    some Hom class y[-1] -> x (triangle rotation)."""
+    return _support(ctx, x, y, cone_counts(ctx, y.shift(-1), x))
+
+
 def derived_product(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> dict:
-    out = {}
-    for z in derived_support(ctx, x, y):
-        g = derived_hall_number(ctx, x, y, z)
-        if g:
-            out[z] = g
-    return out
+    """{z: g(x, y; z)} from the one histogram N over Hom(y[-1], x), by the
+    rotation identity of the module docstring.  A cap error can name a Hom
+    space the direct count would not have read first, such as (z, z) for
+    |Aut z|; the exit code and the empty stdout of a table are the same."""
+    y1 = y.shift(-1)
+    hist = cone_counts(ctx, y1, x)
+    support = _support(ctx, x, y, hist)
+    den = derived_aut_order(ctx, x) * derived_aut_order(ctx, y)
+    e = ext_exponent(ctx, y1, x) - ext_exponent(ctx, x, x) - ext_exponent(ctx, y, y)
+    return {
+        z: _times_p_power(ctx, hist[z] * derived_aut_order(ctx, z), den,
+                          e + ext_exponent(ctx, z, z))
+        for z in support
+    }
 
 
 # -- the bilinear product -------------------------------------------------------

@@ -1,9 +1,9 @@
 """Cone classes against their oracle, derived_class_of(mapping_cone(...)).
 
 The differential sweeps run every (x, z) Hom table that `hall derived-table`
-reaches on a universe and compare its cone histogram and each cone_table
-row, both read through the shared cone-homology memo, with the
-object-building route.  A hypothesis test does the same on random acyclic
+or the direct count of its structure constants reaches on a universe and
+compare its cone histogram and each cone_table row, both read through the
+shared cone-homology memo, with the object-building route.  A hypothesis test does the same on random acyclic
 quivers.  The remaining tests cover the invariant checks (which must raise
 InvariantError, also under python -O) and the cap messages.
 """
@@ -28,7 +28,12 @@ from hallalg.derived import (
 )
 from hallalg.errors import EnumerationCapError, InvariantError
 from hallalg.fq import FqMatrix
-from hallalg.hall import HallContext, basis_product, cone_histogram, cone_table
+from hallalg.hall import (
+    HallContext,
+    cone_histogram,
+    cone_table,
+    derived_hall_number,
+)
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.reps import RepMorphism, enumerate_homs, enumerate_subreps
 from hallalg.verify import in_bound_pairs
@@ -46,6 +51,21 @@ def oracle_rows(cat, x, z, vectors=None):
     ]
 
 
+def reach_both_routes(ctx):
+    """Walk both routes of every product that `hall derived-table` computes
+    on ctx, so that ctx._cone_hist holds every Hom table either reads: the
+    support histogram over y[-1] -> x, which derived_product reads once
+    and does not cache, and the direct count's tables, (x, z) for each z in
+    the support and (x, x).  The (z, z) that derived_product reads for
+    |Aut z| are among the (x, x): every such z is in bound, and (z, 0) is a
+    pair."""
+    for x, y in in_bound_pairs(ctx):
+        for z in cone_histogram(ctx, y.shift(-1), x):
+            derived_hall_number(ctx, x, y, z)
+        cone_histogram(ctx, x, x)
+    return ctx
+
+
 def sweep(quiver, p, bound, window, sample=None):
     """Compare every Hom table that the derived product table reaches with
     the oracle.  Its cone histogram, which builds no table and no rows, must
@@ -53,9 +73,8 @@ def sweep(quiver, p, bound, window, sample=None):
     oracle rows: all of them, so that the histogram equals the oracle's, or
     with `sample` set, that many rows spread evenly over the table (first
     and last included)."""
-    ctx = HallContext("derived", catalog_build(quiver, p, bound), window=window)
-    for x, y in in_bound_pairs(ctx):
-        basis_product(ctx, x, y)
+    ctx = reach_both_routes(
+        HallContext("derived", catalog_build(quiver, p, bound), window=window))
     reached = list(ctx._cone_hist)
     rows = none = 0
     for x, z in reached:

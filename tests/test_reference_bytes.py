@@ -10,7 +10,10 @@ moved to summand-block coordinates, three classical verify reports to
 those of the commit before the verify checks shared one enumeration of
 monomorphisms, and four catalogs and two classical tables to those of the
 commit before the catalog swept Rep_d on integer codes.  The two tables
-classify every subobject key, so they read the whole key table.
+classify every subobject key, so they read the whole key table.  Two more
+derived tables (A2 p=2 window -1,2 and A3 p=2 window -1,0) and one derived
+verify report (A2 p=2 window -1,1) are pinned to the digests of the commit
+before derived products were counted over the rotated triangle.
 """
 
 import hashlib
@@ -77,7 +80,12 @@ def run_cli(tmp_path, quiver, argv):
      "c63b3d9573c1a1f6d7998923eafc2b87b84d4724e2ebc1de02dc2424913d26d7"),
     ("kronecker", ["derived-table", "-p", "2", "--bound", "1,1", "--window=-1,0"],
      "4b40f096846b35ef1af0ecdd869141c1a55d51c1dcb797b93e2c3d198d419e53"),
-], ids=["a2-p3-window-1,1", "kronecker-p2-window-1,0"])
+    ("a2", ["derived-table", "-p", "2", "--bound", "1,1", "--window=-1,2"],
+     "eaf52279f7836150ab8cd0451d52add69a6974b6ca2cde8290513965c992096e"),
+    ("a3", ["derived-table", "-p", "2", "--bound", "1,1,1", "--window=-1,0"],
+     "76d80eedbaa43354ef2595e5a50a4d31e2dd8273682d0660f0655e1d8e526132"),
+], ids=["a2-p3-window-1,1", "kronecker-p2-window-1,0", "a2-p2-window-1,2",
+        "a3-p2-window-1,0"])
 def test_derived_table_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
     proc = run_cli(tmp_path, QUIVERS[quiver], argv)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
@@ -91,7 +99,9 @@ def test_derived_table_stdout_matches_the_pinned_digest(quiver, argv, digest, tm
      "bccb731826daaa6c32198eaa0692f1319114a1494ff3019e1747fbe46a6530dc"),
     ("a3", ["-p", "3", "--bound", "2,1,1"],
      "be61d4712befbe0824314a71c21e6ff06555bde7996ed2d699d229c2132cdf7b"),
-], ids=["a2-p3-22", "kronecker-p2-22", "a3-p3-211"])
+    ("a2", ["-p", "2", "--bound", "1,1", "--mode", "derived", "--window=-1,1"],
+     "ad1bb987024e1324f43c9a6195ad497e35444586d8d4647043d36be2f48cb590"),
+], ids=["a2-p3-22", "kronecker-p2-22", "a3-p3-211", "a2-p2-derived-window-1,1"])
 def test_verify_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
     proc = run_cli(tmp_path, QUIVERS[quiver], ["verify", "--checks", "all", *argv])
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")

@@ -35,10 +35,9 @@ from hallalg.derived import (
 )
 from hallalg.errors import InvariantError
 from hallalg.reps import Representation
-from hallalg.hall import HallContext, basis_product, cone_histogram, cone_table
+from hallalg.hall import HallContext, cone_histogram, cone_table
 from hallalg.quivers import Quiver, a_n_quiver
-from hallalg.verify import in_bound_pairs
-from test_cone_kernel import universes
+from test_cone_kernel import reach_both_routes, universes
 
 KRONECKER = Quiver(2, ((0, 1), (0, 1)))
 
@@ -48,11 +47,10 @@ def oracle_table(cat, x, z):
 
 
 def reached_context(quiver, p, bound, window):
-    """A derived context after `hall derived-table` has run on it."""
-    ctx = HallContext("derived", catalog_build(quiver, p, bound), window=window)
-    for x, y in in_bound_pairs(ctx):
-        basis_product(ctx, x, y)
-    return ctx
+    """A derived context after both routes of every product of `hall
+    derived-table` have run on it."""
+    return reach_both_routes(
+        HallContext("derived", catalog_build(quiver, p, bound), window=window))
 
 
 @pytest.mark.parametrize("quiver, p, bound, window", [

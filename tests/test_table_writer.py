@@ -79,7 +79,7 @@ def test_cells_with_no_terms_match_the_document_route(capsys, monkeypatch, a2_fi
 
 
 @pytest.mark.parametrize("error, code", [
-    (EnumerationCapError, 3), (OutOfUniverseError, 2),
+    (EnumerationCapError, 3), (OutOfUniverseError, 3),
 ], ids=["cap", "out-of-universe"])
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_an_error_at_the_last_cell_prints_nothing(capsys, monkeypatch, a2_file,
@@ -117,10 +117,12 @@ sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
-def test_derived_table_window_minus1_2_peaks_below_80_mib(a2_file):
-    # 14,641 cells, about 5 MB of JSON: the output is never held whole and
-    # the Ext factors are integer exponents, so the run peaks near 47 MiB
-    # (112 MiB when the document and its JSON text were built first)
+def test_derived_table_window_minus1_2_peaks_below_40_mib(a2_file):
+    # 14,641 cells, about 5 MB of JSON: the output is never held whole, the
+    # Ext factors are integer exponents, and each product reads one cone
+    # histogram that is never cached, so the run peaks near 28 MiB (47 MiB
+    # when every histogram was cached, 112 MiB when the document and its
+    # JSON text were built first)
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS, "derived-table", "--quiver", a2_file,
          "-p", "2", "--bound", "1,1", "--window=-1,2"],
@@ -129,4 +131,4 @@ def test_derived_table_window_minus1_2_peaks_below_80_mib(a2_file):
     )
     assert proc.returncode == 0, proc.stderr
     peak_kib = int(proc.stderr)
-    assert peak_kib < 80 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
+    assert peak_kib < 40 * 1024, f"peak RSS {peak_kib / 1024:.1f} MiB"
