@@ -89,7 +89,6 @@ class RunConfig:
     mode: str
     window: Optional[tuple]
     cap: int
-    format: str
 
     def __post_init__(self):
         if self.cap <= 0:
@@ -132,7 +131,6 @@ def _config(args, mode: str) -> RunConfig:
         mode=mode,
         window=window,
         cap=args.cap,
-        format=args.format,
     )
 
 

@@ -11,7 +11,10 @@ that normal form: the catalog class of H^n for each degree n.
 
 Derived Hom is computed on the nose as chain maps out of a projective
 realization (each summand replaced by its two-term projective resolution),
-modulo null-homotopic maps.  All of it is exact F_p linear algebra.
+modulo null-homotopic maps.  All of it is exact F_p linear algebra.  P(x)
+is K-projective, so composing with the augmentation P(x) -> C(x) is a
+bijection [P(x), P(x)] -> [P(x), C(x)] on Hom classes, through which
+hall.derived_aut_lifts reads the derived automorphisms off [P(x), P(x)].
 
 Both inputs of the cone count are local, and each local piece is computed
 once per catalog.  Hom(x, z) is a direct sum over pairs of summands, one
@@ -359,11 +362,6 @@ class ChainMap:
         mats = {n: self.mat(n).compose(other.mat(n)) for n in degs}
         return ChainMap(other.source, self.target, mats, validate=False)
 
-    def __add__(self, other: "ChainMap") -> "ChainMap":
-        degs = set(self.mats) | set(other.mats)
-        mats = {n: self.mat(n) + other.mat(n) for n in degs}
-        return ChainMap(self.source, self.target, mats, validate=False)
-
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.mats.values())
 
@@ -521,6 +519,19 @@ def _check_class_count(label: str, p: int, dim: int, cap: int,
         )
 
 
+def combinations(p: int, vectors: Sequence[Sequence[int]], total: int) -> Iterator[tuple]:
+    """Every F_p-combination of vectors of length total, in the
+    itertools.product order of the coefficient tuples."""
+    zero = (0,) * total
+    for coeffs in itertools.product(range(p), repeat=len(vectors)):
+        vec = list(zero)
+        for c, b in zip(coeffs, vectors):
+            if c:
+                for j, val in enumerate(b):
+                    vec[j] = (vec[j] + c * val) % p
+        yield tuple(vec)
+
+
 class _ClassTable:
     """Hom classes x -> z once their coordinates are known: `space` (the
     GradedMapSpace of X -> Z), `null` (the null-homotopic maps, a RowSpace)
@@ -531,14 +542,7 @@ class _ClassTable:
         return self.p ** self.dim
 
     def class_vectors(self) -> Iterator[tuple]:
-        zero = (0,) * self.space.total
-        for coeffs in itertools.product(range(self.p), repeat=self.dim):
-            vec = list(zero)
-            for c, b in zip(coeffs, self.complement):
-                if c:
-                    for j, val in enumerate(b):
-                        vec[j] = (vec[j] + c * val) % self.p
-            yield tuple(vec)
+        return combinations(self.p, self.complement, self.space.total)
 
     def canon(self, vec: Sequence[int]) -> tuple:
         """Canonical coset representative: unique in vec + null-homotopics."""
@@ -646,7 +650,7 @@ class SummandHomClasses(_ClassTable):
     the union of the block complements in kernel basis order: the same
     vectors, in the same order, as the whole-table solve HomotopyClasses(
     P(x), C(z)).  origin[j] is the (block, index) that complement vector j
-    comes from.  cycle_basis and null are assembled on first use.
+    comes from.  null is assembled on first use.
     cap=None skips the class count caps.
     """
 
@@ -708,10 +712,6 @@ class SummandHomClasses(_ClassTable):
         return _block_vector(self.p, self.space.total, (
             ((self.positions(key), self.blocks[key].complement), cs)
             for key, cs in coords.items() if any(cs)))
-
-    @functools.cached_property
-    def cycle_basis(self) -> list:
-        return [v for v, _ in self._embed("cycle_basis", _last_nonzero)]
 
     @functools.cached_property
     def null(self) -> RowSpace:

@@ -6,10 +6,11 @@ all canonical forms (reduced row echelon, kernel bases) are deterministic so
 matrices can double as dictionary keys and orbit representatives.
 
 Dimensions stay at desk scale (< ~64), so the cubic Gaussian elimination here
-is the right tool; there is deliberately no sparse machinery.  Block
-matrices are assembled by FqMatrix.blocks, the linear equations saying that
-unknown matrices intertwine two given ones are built by intertwining_rows,
-and kernel_rows solves such systems on plain int lists.
+is the right tool; there is deliberately no sparse machinery.  RowSpace is
+the one elimination loop, and FqMatrix.rref fills one.  Block matrices are
+assembled by FqMatrix.blocks, the linear equations saying that unknown
+matrices intertwine two given ones are built by intertwining_rows, and
+kernel_rows solves such systems on plain int lists.
 """
 
 from __future__ import annotations
@@ -283,15 +284,15 @@ class FqMatrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self) -> tuple:
-        """Reduced row echelon form.
-
-        Returns (rref_matrix, pivot_columns).  The RREF is the unique
-        canonical representative of the row space.
-        """
-        rows = [list(self.row(i)) for i in range(self.rows)]
-        pivots = eliminate(self.p, rows, self.cols)
-        flat = [v for row in rows for v in row]
-        return FqMatrix(self.p, self.rows, self.cols, flat), tuple(pivots)
+        """Reduced row echelon form: the rows of a RowSpace of the rows,
+        padded with zero rows.  Returns (rref_matrix, pivot_columns); the
+        RREF is the unique canonical representative of the row space."""
+        space = RowSpace(self.p, self.cols)
+        for i in range(self.rows):
+            space.add(self.row(i))
+        flat = [v for row in space.rows for v in row]
+        flat += [0] * ((self.rows - space.dim) * self.cols)
+        return FqMatrix(self.p, self.rows, self.cols, flat), tuple(space.pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -330,35 +331,6 @@ class FqMatrix:
         for i in range(n):
             data.extend(red.data[i * 2 * n + n : (i + 1) * 2 * n])
         return FqMatrix(self.p, n, n, data)
-
-
-def eliminate(p: int, rows: list, ncols: int) -> list:
-    """Bring rows, a list of int lists of length ncols, to reduced row
-    echelon form in place and return the pivot columns.  The one
-    elimination loop, run by FqMatrix.rref and the per-vertex key
-    memos of reps."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(rows):
-            break
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = inv_mod(rows[r][c], p)
-        rows[r] = [(inv * v) % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
 
 
 def solve(a: FqMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -433,9 +405,10 @@ def intertwining_rows(total: int, t_off: Optional[int], a: FqMatrix,
 class RowSpace:
     """Incrementally maintained row space in fully reduced echelon form.
 
-    The workhorse for image spans, membership tests, complement picking and
-    canonical coset representatives: reduce(v) returns the unique vector in
-    v + span with zeros at every pivot position.
+    The package's one elimination loop: FqMatrix.rref, kernel_rows, image
+    spans, membership tests, complement picking and canonical coset
+    representatives all run through add and reduce; reduce(v) returns the
+    unique vector in v + span with zeros at every pivot position.
     """
 
     __slots__ = ("p", "ncols", "rows", "pivots")

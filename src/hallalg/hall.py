@@ -42,16 +42,15 @@ from typing import Dict, Iterable, Optional, Union
 
 from .catalog import Catalog
 from .derived import (
-    ChainMap,
     ConeBlocks,
     DerivedClass,
     HomotopyClasses,
     augmentation_map,
+    combinations,
     ext_dim,
     hom_class_table,
 )
 from .errors import InputError, InvariantError, OutOfUniverseError
-from .fq import FqMatrix, solve
 from . import reps
 
 BasisKey = Union[int, DerivedClass]
@@ -403,60 +402,44 @@ def derived_aut_order(ctx: HallContext, x: DerivedClass) -> int:
 
 
 def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
-    """One endomorphism lift per derived automorphism class of x.
+    """One chain map P(x) -> P(x) per derived automorphism class of x, by
+    which the orbit check of hallalg.verify acts; cached on the context.
 
-    The automorphism classes live in the table of maps P(x) -> C(x); acting
-    on other Hom sets needs genuine chain maps P(x) -> P(x), so each class
-    is lifted through the augmentation quasi-isomorphism by solving a linear
-    system over the chain-map space of (P(x), P(x)).  Cached on the
-    context; the orbit check of hallalg.verify acts by these lifts.
+    Composing with the augmentation eps is a bijection [P(x), P(x)] ->
+    [P(x), C(x)] (see hallalg.derived) and linear, so each class of
+    HomotopyClasses(P(x), P(x)) maps to the same combination of the images
+    of its complement, and the classes whose image has a zero cone are
+    lifted.  The bijection and the count |Aut x| are checked.
     """
     cache = ctx._aut_lifts
     if x in cache:
         return cache[x]
     cat = ctx.catalog
-    table = hom_class_table(cat, x, x, cap=ctx.caps.candidates,
-                            max_exponent=ctx.caps.hom_exponent)
-    P = table.X
-    pp = HomotopyClasses(P, P, cap=ctx.caps.candidates,
-                         max_exponent=ctx.caps.hom_exponent)
+    caps = dict(cap=ctx.caps.candidates, max_exponent=ctx.caps.hom_exponent)
+    table = hom_class_table(cat, x, x, **caps)
+    pp = HomotopyClasses(table.X, table.X, **caps)
     eps = augmentation_map(cat, x)
-
-    pp_maps = [pp.lift(b) for b in pp.cycle_basis]
-    eps_cols = [table.vector_of(eps.compose(g)) for g in pp_maps]
-    null_cols = list(table.null.basis())
-    cols = eps_cols + null_cols
-    p = cat.p
-
-    lifts = []
-    for vec, cone in cone_table(ctx, x, x):
-        if cone != DerivedClass.zero():
-            continue
-        if not cols:
-            # only the empty complex: the identity of the zero object
-            lifts.append(ChainMap(P, P, {}, validate=False))
-            continue
-        res = solve(FqMatrix.from_cols(p, len(vec), cols), vec)
-        if res is None:
-            raise InvariantError(
-                f"derived automorphisms of {x.name(cat)}: class {tuple(vec)} "
-                f"does not lift to a chain map P -> P"
-            )
-        coeffs = res[0][: len(eps_cols)]
-        g = ChainMap(P, P, {}, validate=False)
-        for c, base in zip(coeffs, pp_maps):
-            if c:
-                scaled = ChainMap(
-                    P, P, {n: m.scale(c) for n, m in base.mats.items()},
-                    validate=False,
-                )
-                g = g + scaled
-        if table.canon(table.vector_of(eps.compose(g))) != table.canon(vec):
-            raise InvariantError(
-                f"derived automorphisms of {x.name(cat)}: the lift of class "
-                f"{tuple(vec)} lies in another class"
-            )
-        lifts.append(g)
+    cones = {table.canon(vec): cone for vec, cone in cone_table(ctx, x, x)}
+    basis = [table.canon(table.vector_of(eps.compose(pp.lift(b))))
+             for b in pp.complement]
+    images, lifts = set(), []
+    for vec, image in zip(pp.class_vectors(),
+                          combinations(cat.p, basis, table.space.total)):
+        images.add(image)
+        if cones.get(image) == DerivedClass.zero():
+            lifts.append(pp.lift(vec))
+    if len(images) != pp.count or images != cones.keys():
+        raise InvariantError(
+            f"derived automorphisms of {x.name(cat)}: the {pp.count} classes "
+            f"P -> P reach {len(images)} classes P -> C, not the table's "
+            f"{len(cones)}: composing with the augmentation is not a bijection"
+        )
+    order = derived_aut_order(ctx, x)
+    if len(lifts) != order:
+        raise InvariantError(
+            f"derived automorphisms of {x.name(cat)}: {len(lifts)} lifts "
+            f"with a zero cone != derived_aut_order {order}"
+        )
     cache[x] = lifts
     return lifts
 

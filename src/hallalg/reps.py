@@ -26,7 +26,6 @@ from .fq import (
     FqMatrix,
     RowSpace,
     check_prime,
-    eliminate,
     enumerate_subspaces,
     gaussian_binomial,
     intertwining_rows,
@@ -345,10 +344,11 @@ def column_space(p: int, cols: int, rows: int, entries: tuple):
     """Flat RREF data of the column space of the rows x cols matrix with
     row-major entries when its columns are independent, else None.  Keys
     read it per vertex block, and a universe has few distinct blocks."""
-    basis = [list(entries[j::cols]) for j in range(cols)]
-    if len(eliminate(p, basis, rows)) != cols:
-        return None
-    return tuple(v for col in basis for v in col)
+    space = RowSpace(p, rows)
+    for j in range(cols):
+        if not space.add(entries[j::cols]):
+            return None
+    return tuple(v for row in space.rows for v in row)
 
 
 @lru_cache(maxsize=None)
@@ -356,13 +356,14 @@ def row_kernel(p: int, cols: int, rows: int, entries: tuple):
     """Flat RREF data of the kernel of the rows x cols matrix with row-major
     entries when its rows are independent, else None; memoized per block
     as column_space is."""
-    basis = [list(entries[i * cols : (i + 1) * cols]) for i in range(rows)]
-    pivots = eliminate(p, basis, cols)
-    if len(pivots) != rows:
-        return None
-    kernel = kernel_from_rref(p, basis, pivots, cols)
-    eliminate(p, kernel, cols)
-    return tuple(v for row in kernel for v in row)
+    space = RowSpace(p, cols)
+    for i in range(rows):
+        if not space.add(entries[i * cols : (i + 1) * cols]):
+            return None
+    kernel = RowSpace(p, cols)
+    for v in kernel_from_rref(p, space.rows, space.pivots, cols):
+        kernel.add(v)
+    return tuple(v for row in kernel.rows for v in row)
 
 
 def _per_vertex(memo, x: Representation, y: Representation, key: tuple):

@@ -10,8 +10,8 @@ groupoids, so everything is computable by orbit enumeration:
   Hom(a, b) under the two-sided action (g, h) . f = h f g^-1 of
   Aut(a) x Aut(b), with pi_1 the stabilizer of the arrow;
 * the target leg t: X1 -> X0 carries, over each class z, the groupoid of
-  subobjects of z: components are precomposition orbits of the injective
-  maps a -> z under Aut(a), with pi_1 the stabilizer of the map.
+  subobjects of z: components are the image classes of the injective maps
+  a -> z, which are their orbits under Aut(a), and Aut(a) acts freely.
 
 The other leg sends [f: a -> b] to (class of a, class of coker f) in
 X0 x X0, which for a monomorphism is its cone exactly.  The product
@@ -19,16 +19,16 @@ mu = t_! o (s x c)^* then reproduces the classical Hall numbers through
 homotopy cardinality alone, with no subobject counting anywhere on the
 path.
 
-Every orbit is swept by reps.orbit, the package's orbit search on Hom
-keys, which acts on the entry tuples of RepMorphism.key(): the generators
-of Aut(a) and Aut(b) become moves on the keys of Hom(a, b)
-(reps.composition_moves).
-The injective keys and their images come from hall.mono_keys, the one
-enumeration of monos a -> b that the exact-sequence count and the orbit
-check read too; a morphism is built only for the least key of each arrow
-class, and its cokernel is classified by the key reps.quotient_key reads
-off its image.  The orbit code is mode-neutral; only build_span_model
-restricts it to injective keys.
+Every arrow class is swept by reps.orbit, the package's orbit search on
+Hom keys, which acts on the entry tuples of RepMorphism.key(): the
+generators of Aut(a) and Aut(b) become moves on the keys of Hom(a, b)
+(reps.composition_moves).  The injective keys and their images come from
+hall.mono_keys, the one enumeration of monos a -> b that the
+exact-sequence count and the orbit check read too; a morphism is built
+only for the least key of each arrow class, and its cokernel is
+classified by the key reps.quotient_key reads off its image.  The orbit
+code is mode-neutral; only build_span_model restricts it to injective
+keys.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _orbits(keys, moves, p: int) -> list:
     return sorted(orbits, key=lambda o: o[0])
 
 
-def _stabilizer_order(group_order: int, orbit: set, what: str) -> int:
+def _stabilizer_order(group_order: int, orbit, what: str) -> int:
     """|Stab| = |group| / |orbit|, which must divide exactly."""
     stab, rem = divmod(group_order, len(orbit))
     if rem:
@@ -108,10 +108,11 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     auts = {i: cat.aut_order(i) for i in range(n)}
 
     # An Aut(a) x Aut(b)-orbit of injective maps a -> b is an arrow class;
-    # its Aut(a)-orbits are the fiber components over b that include it.
-    # Ranks follow orbit minima, so the enumeration order never reaches an
-    # id.  Injectivity is constant on an orbit, so the orbits of the
-    # injective keys alone are exactly the arrow classes.
+    # its Aut(a)-orbits, the fiber components over b that include it, are
+    # its image classes, since f, f' have one image iff f' = f g for some
+    # g in Aut(a).  Ranks follow orbit minima, so the enumeration order
+    # never reaches an id.  Injectivity is constant on an orbit, so the
+    # orbits of the injective keys alone are exactly the arrow classes.
     arrow_classes: Dict[tuple, ArrowClass] = {}
     x1_pairs = []
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
@@ -122,7 +123,6 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                 continue
             ra, rb = cat.rep(a), cat.rep(b)
             both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
-            pre = reps.composition_moves((), gens[a], ra.dims, rb.dims)
             comma = []
             for rank, (canon_key, orbit) in enumerate(_orbits(monos, both, cat.p)):
                 comp = ("m", a, b, rank)
@@ -141,11 +141,14 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                         reps.quotient_key(rb, monos[canon_key])),
                 )
                 x1_pairs.append((comp, (stab,)))
-                for sub_key, sub in _orbits(orbit, pre, cat.p):
+                images: dict = {}
+                for k in orbit:
+                    images.setdefault(monos[k], []).append(k)
+                for sub in images.values():
                     fstab = _stabilizer_order(
                         auts[a], sub, f"maps {cat.name(a)} -> {cat.name(b)}, Aut"
                     )
-                    comma.append((sub_key, fstab, comp))
+                    comma.append((min(sub), fstab, comp))
             comma.sort(key=lambda o: o[0])
             for rank, (_, fstab, comp) in enumerate(comma):
                 fiber_parts[b].append((("f", b, a, rank), (fstab,), comp))

@@ -17,6 +17,7 @@ check's pass/fail verdict rests only on the inverted identity).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
@@ -172,44 +173,34 @@ def _profile_groups(keys, profiles) -> dict:
     return groups
 
 
-def in_bound_pairs(ctx: HallContext) -> list:
-    """Sorted pairs of basis keys whose per-degree dims sum within the
-    bound.  Keys with one profile pair with the same keys, so each profile
-    group is matched against the groups once."""
+def _in_bound(ctx: HallContext, arity: int) -> list:
+    """Sorted arity-tuples of basis keys whose per-degree dims sum within
+    the bound.  Keys with one profile extend a tuple alike, so each profile
+    group is matched once against what each prefix of groups leaves of the
+    bound."""
     keys, profiles, bound = _profiles(ctx)
     groups = _profile_groups(keys, profiles)
-    out = []
-    for prof_x, xs in groups.items():
-        if not _fits(prof_x, bound):
-            continue
-        rem = _minus(bound, prof_x)
-        ys = [y for prof, ks in groups.items() if _fits(prof, rem) for y in ks]
-        out.extend((x, y) for x in xs for y in ys)
-    out.sort()
-    return out
+
+    def match(rem: tuple, depth: int):
+        for prof, ks in groups.items():
+            if _fits(prof, rem):
+                if depth == 1:
+                    yield (ks,)
+                else:
+                    for rest in match(_minus(rem, prof), depth - 1):
+                        yield (ks, *rest)
+
+    return sorted(t for parts in match(bound, arity) for t in itertools.product(*parts))
+
+
+def in_bound_pairs(ctx: HallContext) -> list:
+    """Sorted pairs of basis keys whose per-degree dims sum within the
+    bound."""
+    return _in_bound(ctx, 2)
 
 
 def in_bound_triples(ctx: HallContext) -> list:
-    keys, profiles, bound = _profiles(ctx)
-    groups = _profile_groups(keys, profiles)
-    out = []
-    for prof_x, xs in groups.items():
-        if not _fits(prof_x, bound):
-            continue
-        rem_x = _minus(bound, prof_x)
-        for prof_y, ys in groups.items():
-            if not _fits(prof_y, rem_x):
-                continue
-            rem_xy = _minus(rem_x, prof_y)
-            zs = [
-                z
-                for prof_z, zks in groups.items()
-                if _fits(prof_z, rem_xy)
-                for z in zks
-            ]
-            out.extend((x, y, z) for x in xs for y in ys for z in zs)
-    out.sort()
-    return out
+    return _in_bound(ctx, 3)
 
 
 def verify_suite(ctx: HallContext, span=None,

@@ -252,6 +252,36 @@ def test_kernel_rows_equals_kernel_basis(m):
     assert kernel_rows(m.p, m.row_list(), m.cols) == want
 
 
+def brute_span(p, n, vecs):
+    """Every F_p-combination of vecs in F_p^n, by enumeration."""
+    out = {(0,) * n}
+    for v in vecs:
+        out = {tuple((a + c * b) % p for a, b in zip(u, v)) for u in out for c in range(p)}
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rowspace_rows_are_the_reduced_echelon_span(data):
+    # RowSpace is the one elimination loop (FqMatrix.rref, kernel_rows and
+    # the reps key memos fill one), so it is checked against enumeration
+    p = data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(0, 5))
+    vecs = data.draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=n, max_size=n),
+                              max_size=4))
+    space = RowSpace(p, n)
+    grew = [space.add(v) for v in vecs]
+    rows, pivots = space.rows, space.pivots
+    assert pivots == sorted(set(pivots))
+    for r, (row, pc) in enumerate(zip(rows, pivots)):
+        assert all(0 <= v < p for v in row)
+        assert not any(row[:pc]) and row[pc] == 1
+        assert all(other[pc] == 0 for i, other in enumerate(rows) if i != r)
+    spanned = brute_span(p, n, vecs)
+    assert brute_span(p, n, rows) == spanned
+    assert len(spanned) == p ** space.dim == p ** sum(grew)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_intertwining_rows_evaluate_the_equation(data):

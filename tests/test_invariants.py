@@ -16,7 +16,12 @@ import pytest
 
 from hallalg import hall, reps, span, verify
 from hallalg.catalog import catalog_build
-from hallalg.derived import DerivedClass
+from hallalg.derived import (
+    ChainMap,
+    DerivedClass,
+    projective_realization,
+    stalk_realization,
+)
 from hallalg.errors import InvariantError
 from hallalg.fq import FqMatrix
 from hallalg.hall import HallContext
@@ -64,21 +69,22 @@ def test_span_arrow_orbit_divisibility(monkeypatch):
 
 
 def test_span_fiber_orbit_divisibility(monkeypatch):
-    real = span._orbit
-    swept = set()
+    # the 4 monos c1 -> c1 over F_5 share one image; relabelling the image of
+    # one splits the arrow class into image classes of 3 and 1
+    real = span.mono_keys
 
-    def padded(start, moves, p):
-        orbit = real(start, moves, p)
-        if start in swept:   # a comma fiber splits an arrow-class orbit
-            orbit = orbit | {((-1,),)}
-        swept.update(orbit)
-        return orbit
+    def relabelled(ctx, a, b):
+        monos = real(ctx, a, b)
+        if (a, b) != (1, 1):
+            return monos
+        *rest, (last, _) = monos
+        return (*rest, (last, "another image"))
 
-    monkeypatch.setattr(span, "_orbit", padded)
+    monkeypatch.setattr(span, "mono_keys", relabelled)
     with pytest.raises(InvariantError,
-                       match=r"^build_span_model\(maps c0 -> c0, Aut\): orbit of "
-                             r"size 2 does not divide the group order 1$"):
-        span.build_span_model(a1_context(2))
+                       match=r"^build_span_model\(maps c1 -> c1, Aut\): orbit of "
+                             r"size 3 does not divide the group order 4$"):
+        span.build_span_model(a1_context(5))
 
 
 @pytest.mark.parametrize("extra, what", [
@@ -93,15 +99,28 @@ def test_orbit_stabilizer_checks(monkeypatch, extra, what):
         verify.orbit_stabilizer_check(a1_context(3), 1, 1, 0)
 
 
-@pytest.mark.parametrize("solution, what", [
-    (lambda a, b: None, "does not lift to a chain map P -> P"),
-    (lambda a, b: ((0,) * a.cols, None), "lies in another class"),
-])
-def test_derived_aut_lift_checks(monkeypatch, solution, what):
-    monkeypatch.setattr(hall, "solve", solution)
-    ctx = HallContext("derived", catalog_build(a_n_quiver(1), 3, (1,)), window=(0, 0))
-    with pytest.raises(InvariantError, match=rf"^derived automorphisms of c1: .*{what}$"):
-        hall.derived_aut_lifts(ctx, DerivedClass.from_module(1))
+def a1_derived_context():
+    return HallContext("derived", catalog_build(a_n_quiver(1), 3, (1,)), window=(0, 0))
+
+
+def test_derived_aut_lifts_need_a_bijection(monkeypatch):
+    # a zero augmentation sends the 3 classes P -> P to one class P -> C
+    monkeypatch.setattr(hall, "augmentation_map", lambda cat, dc: ChainMap(
+        projective_realization(cat, dc), stalk_realization(cat, dc), {}))
+    with pytest.raises(InvariantError,
+                       match=r"^derived automorphisms of c1: the 3 classes P -> P "
+                             r"reach 1 classes P -> C, not the table's 3: composing "
+                             r"with the augmentation is not a bijection$"):
+        hall.derived_aut_lifts(a1_derived_context(), DerivedClass.from_module(1))
+
+
+def test_derived_aut_lifts_count_the_automorphisms(monkeypatch):
+    real = hall.derived_aut_order
+    monkeypatch.setattr(hall, "derived_aut_order", lambda ctx, x: real(ctx, x) + 1)
+    with pytest.raises(InvariantError,
+                       match=r"^derived automorphisms of c1: 2 lifts with a zero "
+                             r"cone != derived_aut_order 3$"):
+        hall.derived_aut_lifts(a1_derived_context(), DerivedClass.from_module(1))
 
 
 @pytest.mark.skipif(sys.flags.optimize, reason="this is the python -O run")
