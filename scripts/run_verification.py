@@ -4,8 +4,12 @@
 Covers the one-vertex quiver at p = 2, 3, the two-vertex A_2 quiver at
 p = 2 and the three-vertex A_3 quiver at p = 2, classical with the span
 cross-check, the A_2 quiver in derived mode too, plus the Kronecker quiver
-(two parallel arrows) at p = 2 in derived mode.  Prints one line per (universe, check) and exits nonzero on any
-failure.
+(two parallel arrows) at p = 2 in derived mode.  A_2 at p = 2 with bound
+(2,2) runs in derived mode on the window [-1,0] with the unit, assoc and
+stalk checks only: the orbit check still acts through derived_aut_lifts,
+which solves a whole P(x) -> P(x) Hom space per key, and waits for the
+block action of ROADMAP item 2.  Prints one line per (universe, check) and
+exits nonzero on any failure.
 """
 
 import json
@@ -60,6 +64,12 @@ def main():
         "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 1)
     )
     failures += run("A_2 p=2 derived [-1,1]", dctx)
+
+    dctx = HallContext(
+        "derived", catalog_build(a_n_quiver(2), 2, (2, 2)), window=(-1, 0)
+    )
+    failures += run("A_2 p=2 derived (2,2) [-1,0]", dctx,
+                    checks=("unit", "assoc", "stalk"))
 
     kronecker = Quiver(2, ((0, 1), (0, 1)))
     kctx = HallContext(

@@ -38,7 +38,7 @@ from .errors import (
     InvariantError,
     OutOfUniverseError,
 )
-from .hall import EnumerationCaps, HallContext, basis_product
+from .hall import EnumerationCaps, HallContext, compute_product
 from .lf import (
     BaseChangeSquare,
     FiniteSupportFn,
@@ -206,9 +206,11 @@ def _table(args, mode: str) -> int:
     """Every cell's product is computed before the first byte is written,
     so a cap or out-of-universe error leaves stdout empty; the cells are
     then written one at a time in the chosen format, with no document
-    built."""
+    built.  Each cell is computed once, so the products bypass the
+    context's product cache, which would keep a second reference to every
+    cell's dict."""
     ctx = _context(args, mode)
-    cells = [(x, y, basis_product(ctx, x, y)) for x, y in in_bound_pairs(ctx)]
+    cells = [(x, y, compute_product(ctx, x, y)) for x, y in in_bound_pairs(ctx)]
     quote = encode_basestring_ascii if args.format == "json" else str
     name = functools.cache(lambda key: quote(ctx.key_name(key)))
     if args.format == "json":

@@ -13,8 +13,8 @@ Derived structure constants are Toën's cone counts,
 
 where [x,z]_y is the set of derived Hom classes x -> z whose mapping cone
 is quasi-isomorphic to y, enumerated exhaustively.  |Aut x| is the number
-of Hom classes x -> x with vanishing cone, which for module stalks equals
-the module automorphism count.
+of Hom classes x -> x with vanishing cone (derived_aut_order), which for
+module stalks equals the module automorphism count.
 
 Triangles rotate: x -> z -> y -> x[1] is y[-1] -> x -> z -> y, so the same
 constant is also a count over the Hom classes y[-1] -> x,
@@ -30,11 +30,25 @@ builds it once per product and keeps it nowhere.  derived_hall_number, the
 direct count over Hom(x, z), stays as the oracle (verify's stalk check and
 the differential tests).  A support class whose homology leaves the
 catalog bound raises OutOfUniverseError rather than being silently dropped.
+
+The path algebra is hereditary, so |Aut x| also has a closed form
+(derived_aut_formula).  An entry (n, a) of a DerivedClass is the stalk
+a[-n], and Hom(a[-m], b[-n]) = Ext^(m-n)(a, b) vanishes unless m - n is 0
+or 1.  So End(x) is the product of the End(x_n) plus the square-zero ideal
+of the Ext^1(x_(n+1), x_n) (a product of two of them lands in Ext^2 = 0),
+and an endomorphism is invertible iff its diagonal part is:
+
+    |Aut x| = prod_n |Aut x_n| * p^(sum_n dim Ext^1(x_(n+1), x_n))
+
+(Toën, math/0501343; Xiao-Xu, math/0608144).  derived_product reads the
+closed form; derived_hall_number and the automorphism lifts of the orbit
+check read the count, so the two routes share no value.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,7 +104,8 @@ class HallContext:
         self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
         self._subspaces: dict = {}     # image/kernel key -> the one copy kept
         self._cone_hist: dict = {}     # (x, z) -> cone_histogram(x, z)
-        self._aut_orders: dict = {}    # x -> derived_aut_order(x)
+        self._aut_orders: dict = {}    # x -> derived_aut_order(x), the count
+        self._aut_formula: dict = {}   # x -> derived_aut_formula(x)
         self._cone_rows: dict = {}     # (x, z) -> cone_table rows
         self._product_cache: dict = {}
         self._aut_lifts: dict = {}     # x -> derived_aut_lifts(x)
@@ -401,6 +416,21 @@ def derived_aut_order(ctx: HallContext, x: DerivedClass) -> int:
     return order
 
 
+def derived_aut_formula(ctx: HallContext, x: DerivedClass) -> int:
+    """|Aut(x)| in closed form, prod_n |Aut x_n| * p^(sum_n dim
+    Ext^1(x_(n+1), x_n)) over the degrees n of x (see the module
+    docstring); cached on the context as one int per key.  derived_product
+    reads this; derived_aut_order, the zero-cone count, is its oracle."""
+    order = ctx._aut_formula.get(x)
+    if order is None:
+        cat = ctx.catalog
+        e = sum(cat.ext1_dim(b, a)
+                for (m, a), (n, b) in zip(x.entries, x.entries[1:]) if n == m + 1)
+        order = ctx._aut_formula[x] = (
+            math.prod(cat.aut_order(a) for _, a in x.entries) * cat.p ** e)
+    return order
+
+
 def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
     """One chain map P(x) -> P(x) per derived automorphism class of x, by
     which the orbit check of hallalg.verify acts; cached on the context.
@@ -520,16 +550,20 @@ def derived_support(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> list:
 
 def derived_product(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> dict:
     """{z: g(x, y; z)} from the one histogram N over Hom(y[-1], x), by the
-    rotation identity of the module docstring.  A cap error can name a Hom
-    space the direct count would not have read first, such as (z, z) for
-    |Aut z|; the exit code and the empty stdout of a table are the same."""
+    rotation identity of the module docstring, with every |Aut| in closed
+    form, prod_n |Aut x_n| * p^(sum_n dim Ext^1(x_(n+1), x_n))
+    (derived_aut_formula: End(x) of a hereditary algebra is the product of
+    the End(x_n) plus a square-zero ideal of Ext^1s), so no End space is
+    enumerated.  A cap error can name a Hom space the direct count would
+    not have read first; the exit code and the empty stdout of a table are
+    the same."""
     y1 = y.shift(-1)
     hist = cone_counts(ctx, y1, x)
     support = _support(ctx, x, y, hist)
-    den = derived_aut_order(ctx, x) * derived_aut_order(ctx, y)
+    den = derived_aut_formula(ctx, x) * derived_aut_formula(ctx, y)
     e = ext_exponent(ctx, y1, x) - ext_exponent(ctx, x, x) - ext_exponent(ctx, y, y)
     return {
-        z: _times_p_power(ctx, hist[z] * derived_aut_order(ctx, z), den,
+        z: _times_p_power(ctx, hist[z] * derived_aut_formula(ctx, z), den,
                           e + ext_exponent(ctx, z, z))
         for z in support
     }
@@ -538,15 +572,19 @@ def derived_product(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> dict:
 # -- the bilinear product -------------------------------------------------------
 
 
+def compute_product(ctx: HallContext, x: BasisKey, y: BasisKey) -> dict:
+    """{z: g(x, y; z)} by the context's mode, not cached: the tables
+    compute each cell once."""
+    if ctx.mode == "classical":
+        return classical_product(ctx, x, y)
+    return derived_product(ctx, x, y)
+
+
 def basis_product(ctx: HallContext, x: BasisKey, y: BasisKey) -> dict:
-    key = (x, y)
-    got = ctx._product_cache.get(key)
+    """compute_product, cached on the context per (x, y) for multiply."""
+    got = ctx._product_cache.get((x, y))
     if got is None:
-        if ctx.mode == "classical":
-            got = classical_product(ctx, x, y)
-        else:
-            got = derived_product(ctx, x, y)
-        ctx._product_cache[key] = got
+        got = ctx._product_cache[(x, y)] = compute_product(ctx, x, y)
     return got
 
 

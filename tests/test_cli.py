@@ -186,15 +186,17 @@ def test_catalog_cap_error_names_layer_and_object(capsys, a2_file):
 
 def test_derived_table_cap_error_names_the_hom_table(capsys, a2_file):
     # the cone histograms build no Hom table, but cap the class count with
-    # the table's message, before any cell is printed
+    # the table's message, before any cell is printed; at cap 4 every
+    # single summand block (at most 2**2 classes) is within the cap, so a
+    # product's histogram over Hom(y[-1], x) is the first to exceed it
     code, out, err = run(capsys, [
         "derived-table", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
-        "--window=-1,1", "--cap", "2",
+        "--window=-1,1", "--cap", "4",
     ])
     assert code == 3
     assert out == ""
-    assert err == ("error: hom_class_table(c1[1]+c1 -> c1[1]+c1): 2**2 homotopy "
-                   "classes exceed cap 2\n")
+    assert err == ("error: hom_class_table(c2+c2[-1]+c2[-2] -> c1[1]+c1+c1[-1]): "
+                   "2**3 homotopy classes exceed cap 4\n")
 
 
 @pytest.mark.parametrize("argv", [

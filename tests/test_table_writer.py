@@ -66,7 +66,7 @@ def test_cells_with_no_terms_match_the_document_route(capsys, monkeypatch, a2_fi
     def product(ctx, x, y):
         return {} if x == y else basis_product(ctx, x, y)
 
-    monkeypatch.setattr(cli, "basis_product", product)
+    monkeypatch.setattr(cli, "compute_product", product)
     argv = [command, "--quiver", a2_file, "-p", "2", "--bound", "1,1", "--window=0,0"]
     ctx, mode, modulus = oracle_context(argv)
     for fmt in FORMATS:
@@ -93,7 +93,7 @@ def test_an_error_at_the_last_cell_prints_nothing(capsys, monkeypatch, a2_file,
             raise error("the last cell")
         return basis_product(ctx, x, y)
 
-    monkeypatch.setattr(cli, "basis_product", product)
+    monkeypatch.setattr(cli, "compute_product", product)
     assert cli.main(argv) == code
     out = capsys.readouterr()
     assert out.out == ""
