@@ -63,6 +63,7 @@ from .reps import (
     hom_basis,
     is_isomorphic,
     kernel_cokernel,
+    morphism_from_flat,
 )
 from .span import SpanModel, build_span_model, mu_span
 from .verify import orbit_stabilizer_check, verify_suite

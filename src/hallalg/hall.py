@@ -62,6 +62,7 @@ from .derived import (
     augmentation_map,
     combinations,
     ext_dim,
+    hom_block,
     hom_class_table,
 )
 from .errors import InputError, InvariantError, OutOfUniverseError
@@ -163,19 +164,29 @@ class HallContext:
         )
 
     def chi(self, key: BasisKey) -> "HallElement":
-        return HallElement(self, {key: Fraction(1)})
+        return HallElement(self, {key: 1})
 
 
 class HallElement:
-    """Finite-support exact-rational combination of basis classes."""
+    """Finite-support exact-rational combination of basis classes.
+
+    A coefficient is an int when it is integral, else a Fraction: an int
+    is kept as it is, a Fraction with denominator 1 becomes its numerator,
+    and anything else goes through Fraction, so no float is ever stored.
+    Classical structure constants count subobjects, so classical elements
+    hold ints only; the span route and the derived constants bring in
+    proper fractions."""
 
     __slots__ = ("context", "values")
 
     def __init__(self, context: HallContext, values: Optional[dict] = None):
         self.context = context
-        self.values: Dict[BasisKey, Fraction] = {}
+        self.values: Dict[BasisKey, Union[int, Fraction]] = {}
         for k, v in (values or {}).items():
-            v = Fraction(v)
+            if type(v) is not int:
+                v = Fraction(v)
+                if v.denominator == 1:
+                    v = v.numerator
             if v:
                 self.values[k] = v
 
@@ -183,7 +194,7 @@ class HallElement:
         self._check(other)
         out = dict(self.values)
         for k, v in other.values.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return HallElement(self.context, out)
 
     def __sub__(self, other: "HallElement") -> "HallElement":
@@ -200,8 +211,8 @@ class HallElement:
             and self.values == other.values
         )
 
-    def __call__(self, key: BasisKey) -> Fraction:
-        return self.values.get(key, Fraction(0))
+    def __call__(self, key: BasisKey) -> Union[int, Fraction]:
+        return self.values.get(key, 0)
 
     def sorted_items(self) -> list:
         return sorted(self.values.items(), key=lambda kv: kv[0])
@@ -319,7 +330,7 @@ def classical_product(ctx: HallContext, x: int, y: int) -> dict:
     for z in cat.classes_with_dims(dims):
         g = hall_number_classical(ctx, x, y, z)
         if g:
-            out[z] = Fraction(g)
+            out[z] = g
     return out
 
 
@@ -492,13 +503,13 @@ def ext_exponent(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> int:
 
 def _ext_factor(ctx: HallContext, a: int, b: int, k: int) -> int:
     """The exponent e of E(a[-k], b) = p^e for catalog module classes a, b,
-    cached on the catalog per (a, b, k)."""
+    cached on the catalog per (a, b, k).  Ext^-i(a[-k], b) is
+    hom_block(a, b, k - i), read by its dim alone: no class of it is
+    enumerated, so no class-count cap applies."""
     cat = ctx.catalog
-    x, z = DerivedClass.from_module(a, k), DerivedClass.from_module(b)
-    # Ext^-i(x, z) can only be nonzero for i <= deg x - deg z + 1
+    # Ext^-i(a[-k], b) can only be nonzero for i <= k + 1
     got = cat.derived_ext_factors[(a, b, k)] = sum(
-        (-1) ** i * ext_dim(x, z, -i, cat, cap=ctx.caps.candidates)
-        for i in range(1, k + 2))
+        (-1) ** i * hom_block(cat, a, b, k - i).dim for i in range(1, k + 2))
     return got
 
 
@@ -593,9 +604,9 @@ def multiply(a: HallElement, b: HallElement) -> HallElement:
     if a.context is not b.context:
         raise InputError("elements live in different Hall contexts")
     ctx = a.context
-    out: Dict[BasisKey, Fraction] = {}
+    out: Dict[BasisKey, Union[int, Fraction]] = {}
     for x, cx in a.values.items():
         for y, cy in b.values.items():
             for z, g in basis_product(ctx, x, y).items():
-                out[z] = out.get(z, Fraction(0)) + cx * cy * g
+                out[z] = out.get(z, 0) + cx * cy * g
     return HallElement(ctx, out)

@@ -19,7 +19,7 @@ import itertools
 import random as _random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import EnumerationCapError, InputError, InvariantError
 from .fq import (
@@ -260,7 +260,11 @@ def morphism_from_flat(x: Representation, y: Representation, flat: Sequence[int]
 @lru_cache(maxsize=None)
 def hom_basis(x: Representation, y: Representation) -> tuple:
     """A deterministic basis of Hom(x, y), the solution space of the
-    intertwining equations f_j @ x_a = y_a @ f_i over all arrows.
+    intertwining equations f_j @ x_a = y_a @ f_i over all arrows, as flat
+    rows: each basis vector is the tuple of its vertex-matrix entries
+    concatenated (RepMorphism.flat()), so morphism_from_flat(x, y, row)
+    is the basis morphism.  Most readers only count or add the rows, and
+    build no RepMorphism.
 
     |Hom(x, y)| = p ** len(result).
     """
@@ -275,7 +279,7 @@ def hom_basis(x: Representation, y: Representation) -> tuple:
     rows = []
     for idx, (s, t) in enumerate(q.arrows):
         rows += intertwining_rows(total, offsets[t], x.mats[idx], offsets[s], y.mats[idx])
-    return tuple(morphism_from_flat(x, y, v) for v in kernel_rows(p, rows, total))
+    return tuple(map(tuple, kernel_rows(p, rows, total)))
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
@@ -298,7 +302,8 @@ def hom_keys(x: Representation, y: Representation,
     The lex successor of a coefficient tuple raises its last digit k below
     p - 1 and wraps the later digits from p - 1 to 0, which adds the step
     flats[k] + ... + flats[d-1] mod p (as -(p - 1) = 1), so with the steps
-    precomputed an element costs one vector addition and no RepMorphism.
+    precomputed an element costs one vector addition and no RepMorphism;
+    the steps are sums of the flat rows of hom_basis.
     The cap is checked when this is called, before the first key; the keys
     are then produced lazily.
     """
@@ -312,7 +317,7 @@ def hom_keys(x: Representation, y: Representation,
     ends = list(itertools.accumulate(
         (y.dims[v] * x.dims[v] for v in range(x.quiver.vertex_count)), initial=0))
     steps = list(itertools.accumulate(
-        [b.flat() for b in reversed(basis)],
+        reversed(basis),
         lambda acc, f: tuple([(a + b) % p for a, b in zip(acc, f)])))[::-1]
     return _carry_keys(p, steps, (0,) * ends[-1], list(zip(ends, ends[1:])))
 
@@ -416,23 +421,47 @@ def aut_elements(x: Representation) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def aut_generators(x: Representation) -> tuple:
+def aut_generators(x: Representation, order: Optional[int] = None) -> tuple:
     """A small generating set of Aut(x), for orbit breadth-first searches.
 
-    Greedy: walk the full element list, keeping each element not yet in the
-    generated subgroup.  Deterministic because the element list is.
+    Greedy: walk the keys of hom_keys(x, x), keeping each invertible key
+    not yet in the generated subgroup, until that subgroup has at least
+    `order` elements (|Aut x|, which the caller knows; None walks every
+    key).  Deterministic because the key order is.  The closure grows by
+    the new generator alone: the old elements under its move, then the
+    elements that brings in under every move; a RepMorphism is built only
+    for the generators kept.  Raises InvariantError when the walk ends
+    short of `order`; an order below |Aut x| is left to the caller's orbit
+    divisibility checks.
     """
-    elements = aut_elements(x)
-    ident = RepMorphism.identity(x).key()
+    p = x.p
+    closure = {RepMorphism.identity(x).key()}
     gens: list = []
-    closure = {ident}
-    for g in elements:
-        if g.key() in closure:
+    moves: list = []
+    for k in hom_keys(x, x):
+        if k in closure or not key_is_invertible(x, x, k):
             continue
+        g = morphism_from_key(x, x, k)
         gens.append(g)
-        closure = orbit(ident, composition_moves(gens, (), x.dims, x.dims), x.p)
-        if len(closure) == len(elements):
+        new = composition_moves([g], (), x.dims, x.dims)
+        moves += new
+        todo = [image for state in list(closure) for move in new
+                if (image := act(state, move, p)) not in closure]
+        closure.update(todo)
+        while todo:
+            state = todo.pop()
+            for move in moves:
+                image = act(state, move, p)
+                if image not in closure:
+                    closure.add(image)
+                    todo.append(image)
+        if order is not None and len(closure) >= order:
             break
+    if order is not None and len(closure) < order:
+        raise InvariantError(
+            f"aut_generators(dims {x.dims}): the invertible keys generate "
+            f"{len(closure)} automorphisms, not |Aut| = {order}"
+        )
     return tuple(gens)
 
 
@@ -728,12 +757,12 @@ def is_isomorphic(x: Representation, y: Representation,
     if d:
         rng = _random.Random(0x15011 ^ (d << 8) ^ x.p)
         for _ in range(_ISO_SAMPLE_ROUNDS):
-            f = RepMorphism.zero(x, y)
+            flat = [0] * len(basis[0])
             for b in basis:
                 c = rng.randrange(x.p)
                 if c:
-                    f = f + b.scale(c)
-            if f.is_invertible():
+                    flat = [(a + c * v) % x.p for a, v in zip(flat, b)]
+            if morphism_from_flat(x, y, flat).is_invertible():
                 return True
     for f in enumerate_homs(x, y, cap=cap):
         if f.is_invertible():
@@ -865,7 +894,8 @@ def ext1_dim(x: Representation, y: Representation) -> int:
         ext1 = 0
     else:
         rank = FqMatrix.from_rows(
-            x.p, [list(g.compose(res.delta).flat()) for g in b0]
+            x.p, [list(morphism_from_flat(res.p0, y, g).compose(res.delta).flat())
+                  for g in b0]
         ).rank() if b0 else 0
         ext1 = len(b1) - rank
     defect = hom_dim(x, y) - ext1 - euler_form(x.quiver, x.dims, y.dims)

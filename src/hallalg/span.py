@@ -104,8 +104,8 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     )
     x00 = lf_product(x0, x0)
 
-    gens = {i: reps.aut_generators(cat.rep(i)) for i in range(n)}
     auts = {i: cat.aut_order(i) for i in range(n)}
+    gens = {i: reps.aut_generators(cat.rep(i), auts[i]) for i in range(n)}
 
     # An Aut(a) x Aut(b)-orbit of injective maps a -> b is an arrow class;
     # its Aut(a)-orbits, the fiber components over b that include it, are

@@ -63,11 +63,12 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
     for k in keys:
         if k in seen:
             continue
-        orbit_keys = sorted(set(act(by_key[k])))
+        images = act(by_key[k])
+        orbit_keys = sorted(set(images))
         if not all(ok in by_key for ok in orbit_keys):
             raise InvariantError(f"{label}: an orbit of Aut leaves the set [x,z]_y")
         seen.update(orbit_keys)
-        stab = sum(1 for ok in act(by_key[k]) if ok == k)
+        stab = images.count(k)
         if stab * len(orbit_keys) != aut_size:
             raise InvariantError(
                 f"{label}: |Stab| {stab} * |orbit| {len(orbit_keys)} != "

@@ -15,7 +15,7 @@ from hallalg.reps import RepMorphism
 def homs_by_addition(x, y, cap=reps.DEFAULT_CAP):
     """Every element of Hom(x, y), lexicographically by basis coefficients;
     the cap is checked when this is called."""
-    basis = reps.hom_basis(x, y)
+    basis = [reps.morphism_from_flat(x, y, b) for b in reps.hom_basis(x, y)]
     d = len(basis)
     if x.p ** d > cap:
         raise EnumerationCapError(
@@ -55,3 +55,22 @@ def count_exact_sequences_per_triple(ctx, x, y, z):
         if g.is_surjective():
             total += inj_by_image.get(g.kernel_key(), 0)
     return total
+
+
+def greedy_aut_generators(x):
+    """The greedy generating set of Aut(x) over the whole element list of
+    reps.aut_elements, the closure recomputed from the identity after each
+    generator: the oracle of reps.aut_generators, which walks the keys of
+    End(x) and grows the closure by each new generator alone."""
+    elements = reps.aut_elements(x)
+    ident = RepMorphism.identity(x).key()
+    gens = []
+    closure = {ident}
+    for g in elements:
+        if g.key() in closure:
+            continue
+        gens.append(g)
+        closure = reps.orbit(ident, reps.composition_moves(gens, (), x.dims, x.dims), x.p)
+        if len(closure) == len(elements):
+            break
+    return tuple(gens)

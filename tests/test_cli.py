@@ -329,3 +329,16 @@ def test_closed_stdout_while_streaming_a_table_exits_141(a2_file, unbuffered):
         ["hall-table", "--quiver", a2_file, "-p", "3", "--bound", "2,2"], unbuffered)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+def test_derived_cap_error_names_an_enumerated_hom_space(capsys, a2_file):
+    # the Ext factors read Hom block dims with no class-count cap, so the
+    # cap is first exceeded by a Hom space whose classes are enumerated
+    code, out, err = run(capsys, [
+        "derived-table", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
+        "--window=-1,1", "--cap", "2",
+    ])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: hom_class_table(c2+c2[-1] -> c1[1]+c1): 2**2 "
+                   "homotopy classes exceed cap 2\n")

@@ -12,11 +12,12 @@ and target-leg fibers of a build over all of Hom with span_oracle's orbits.
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from hom_oracle import homs_by_addition
+from hom_oracle import greedy_aut_generators, homs_by_addition
 from span_oracle import morphism_orbits
 from test_cone_kernel import universes
 from hallalg import reps, span
 from hallalg.catalog import catalog_build
+from hallalg.errors import InvariantError
 from hallalg.hall import HallContext
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.reps import RepMorphism
@@ -139,3 +140,40 @@ def test_span_model_from_injective_keys_matches_the_oracle(quiver, p, bound):
     for z, fiber in zip(model.x0.components, model.t.fibers):
         got = list(zip(fiber.lftype.components, fiber.lftype.orders, fiber.incl))
         assert got == want_fibers[z], z
+
+
+def check_generators_against_greedy(cat):
+    for e in cat.entries:
+        want = [g.key() for g in greedy_aut_generators(e.rep)]
+        assert [g.key() for g in reps.aut_generators(e.rep, e.aut_order)] == want
+        assert [g.key() for g in reps.aut_generators(e.rep)] == want
+
+
+@pytest.mark.parametrize("quiver,p,bound", UNIVERSES)
+def test_key_walk_generators_match_the_greedy_oracle(quiver, p, bound):
+    check_generators_against_greedy(catalog_build(quiver, p, bound))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(universe=universes())
+def test_key_walk_generators_match_the_greedy_oracle_on_random_quivers(universe):
+    quiver, p, bound = universe
+    check_generators_against_greedy(catalog_build(quiver, p, bound))
+
+
+def test_generator_walk_short_of_the_order_raises():
+    x = catalog_build(a_n_quiver(1), 3, (2,)).rep(2)    # k^2, |GL_2(F_3)| = 48
+    with pytest.raises(InvariantError, match=r"^aut_generators\(dims \(2,\)\): the "
+                       r"invertible keys generate 48 automorphisms, not \|Aut\| = 96$"):
+        reps.aut_generators(x, 96)
+
+
+# over F_2 the Kronecker universe with bound (1, 1) has no generator to drop
+@pytest.mark.parametrize("quiver,p,bound", UNIVERSES[:3])
+def test_dropping_a_generator_fails_the_closure_test(monkeypatch, quiver, p, bound):
+    real = reps.aut_generators
+    monkeypatch.setattr(reps, "aut_generators",
+                        lambda x, order=None: real(x, order)[:-1])
+    with pytest.raises(AssertionError):
+        test_generator_closure_is_the_automorphism_group(quiver, p, bound)
