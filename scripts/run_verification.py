@@ -4,7 +4,9 @@
 Covers the one-vertex quiver at p = 2, 3, the two-vertex A_2 quiver at
 p = 2 and the three-vertex A_3 quiver at p = 2, classical with the span
 cross-check, the A_2 quiver in derived mode too, plus the Kronecker quiver
-(two parallel arrows) at p = 2 in derived mode.  A_2 at p = 2 with bound
+(two parallel arrows) at p = 2 in derived mode.  A_3 at p = 3 with bound
+(2,2,2) runs the classical orbit check alone, about 15 s at 165 MiB on a
+2-vCPU machine.  A_2 at p = 2 with bound
 (2,2) runs in derived mode on the window [-1,0] with the unit, assoc and
 stalk checks only: the orbit check still acts through derived_aut_lifts,
 which solves a whole P(x) -> P(x) Hom space per key, and waits for the
@@ -59,6 +61,9 @@ def main():
 
     ctx = HallContext("classical", catalog_build(a_n_quiver(3), 2, (2, 2, 1)))
     failures += run("A_3 p=2 bound (2,2,1)", ctx, span=build_span_model(ctx))
+
+    ctx = HallContext("classical", catalog_build(a_n_quiver(3), 3, (2, 2, 2)))
+    failures += run("A_3 p=3 bound (2,2,2)", ctx, checks=("orbit",))
 
     dctx = HallContext(
         "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 1)

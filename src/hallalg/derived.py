@@ -508,6 +508,10 @@ def homotopy_boundaries(X: Complex, Z: Complex, gs: GradedMapSpace) -> list:
     return out
 
 
+# Hom classes are enumerated only up to this dim, whatever the count cap
+HOM_EXPONENT_CAP = 20
+
+
 def _check_class_count(label: str, p: int, dim: int, cap: int,
                        max_exponent: int) -> None:
     """Raise EnumerationCapError when p**dim Hom classes exceed the caps."""
@@ -566,7 +570,7 @@ class HomotopyClasses(_ClassTable):
     """
 
     def __init__(self, X: Complex, Z: Complex, cap: Optional[int] = reps.DEFAULT_CAP,
-                 max_exponent: int = 20, label: str = "HomotopyClasses"):
+                 label: str = "HomotopyClasses"):
         self.X = X
         self.Z = Z
         self.p = X.p
@@ -578,7 +582,7 @@ class HomotopyClasses(_ClassTable):
         self.complement = complement_basis(self.null, self.cycle_basis)
         self.dim = len(self.complement)
         if cap is not None:
-            _check_class_count(label, self.p, self.dim, cap, max_exponent)
+            _check_class_count(label, self.p, self.dim, cap, HOM_EXPONENT_CAP)
 
 
 def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
@@ -650,12 +654,11 @@ class SummandHomClasses(_ClassTable):
     the union of the block complements in kernel basis order: the same
     vectors, in the same order, as the whole-table solve HomotopyClasses(
     P(x), C(z)).  origin[j] is the (block, index) that complement vector j
-    comes from.  null is assembled on first use.
-    cap=None skips the class count caps.
+    comes from.  null is assembled on first use.  No class count cap is
+    applied here; hom_class_table applies its own.
     """
 
     def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
-                 cap: Optional[int] = reps.DEFAULT_CAP, max_exponent: int = 20,
                  label: str = "SummandHomClasses"):
         self.X = projective_realization(cat, x)
         self.Z = stalk_realization(cat, z)
@@ -669,8 +672,6 @@ class SummandHomClasses(_ClassTable):
         self.complement = [tuple(v) for v, _ in embedded]
         self.origin = [o for _, o in embedded]
         self.dim = len(self.complement)
-        if cap is not None:
-            _check_class_count(label, self.p, self.dim, cap, max_exponent)
 
     def positions(self, key: tuple) -> list:
         """The table coordinate of each coordinate of the block of the
@@ -911,8 +912,8 @@ def cone_homology(cat: Catalog, sig: tuple, coords: tuple) -> Optional[int]:
         x_n, x_n1, z_n, z_n1 = sig
         x = DerivedClass(tuple((d, i) for d, i in ((0, x_n), (1, x_n1)) if i is not None))
         z = DerivedClass(tuple((d, i) for d, i in ((0, z_n), (1, z_n1)) if i is not None))
-        table = SummandHomClasses(cat, x, z, cap=None,
-                                  label=f"cone_homology({x.name(cat)} -> {z.name(cat)})")
+        table = SummandHomClasses(
+            cat, x, z, label=f"cone_homology({x.name(cat)} -> {z.name(cat)})")
         embeds = tuple((table.positions(key), table.blocks[key].complement)
                        if key in table.blocks else None for key in _hn_blocks(0))
         local = cat.derived_cone_tables[sig] = (
@@ -946,14 +947,14 @@ class ConeBlocks:
     """
 
     def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
-                 cap: int = reps.DEFAULT_CAP, max_exponent: int = 20):
+                 cap: int = reps.DEFAULT_CAP):
         self.cat = cat
         blocks = summand_blocks(cat, x, z)
         self.keys = [key for key, block in blocks.items() if block.dim]
         self.dims = [blocks[key].dim for key in self.keys]
         dim = sum(self.dims)
-        if dim > max_exponent or cat.p ** dim > cap:   # name the table only to raise
-            _check_class_count(_table_label(cat, x, z), cat.p, dim, cap, max_exponent)
+        if dim > HOM_EXPONENT_CAP or cat.p ** dim > cap:   # name the table only to raise
+            _check_class_count(_table_label(cat, x, z), cat.p, dim, cap, HOM_EXPONENT_CAP)
         slot = {key: i for i, key in enumerate(self.keys)}
         xs, zs = dict(x.entries), dict(z.entries)
         memo = cat.derived_cone_homology
@@ -999,20 +1000,19 @@ def _table_label(cat: Catalog, x: DerivedClass, z: DerivedClass) -> str:
 
 
 def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
-                    cap: int = reps.DEFAULT_CAP, max_exponent: int = 20) -> SummandHomClasses:
+                    cap: int = reps.DEFAULT_CAP) -> SummandHomClasses:
     """Hom classes x -> z in the derived category, assembled from the
     per-summand blocks of hom_block and cached on the catalog per (x, z);
-    raises EnumerationCapError when the p**dim classes exceed the caps.
-    Read where class vectors are needed (cone_table, derived_aut_lifts and
-    verify); counting cones needs only the blocks (ConeBlocks)."""
-    cache = cat.derived_hom_tables
-    key = (x, z)
-    if key not in cache:
-        cache[key] = SummandHomClasses(
-            cat, x, z, cap=cap, max_exponent=max_exponent,
-            label=_table_label(cat, x, z),
-        )
-    return cache[key]
+    raises EnumerationCapError, on every call and so for a cached table
+    too, when the p**dim classes exceed the caps.  Read where class
+    vectors are needed (cone_table, derived_aut_lifts and verify); counting
+    cones needs only the blocks (ConeBlocks)."""
+    table = cat.derived_hom_tables.get((x, z))
+    if table is None:
+        table = cat.derived_hom_tables[(x, z)] = SummandHomClasses(
+            cat, x, z, label=_table_label(cat, x, z))
+    _check_class_count(table.label, cat.p, table.dim, cap, HOM_EXPONENT_CAP)
+    return table
 
 
 def stalk_hom_dim(cat: Catalog, a: int, b: int, k: int,

@@ -46,38 +46,6 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-@dataclass(frozen=True)
-class FqScalar:
-    """A residue in F_p.  Matrices store raw ints; this wrapper is the
-    value type for scalar arithmetic at API boundaries (examples)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        check_prime(self.modulus)
-        if not 0 <= self.value < self.modulus:
-            raise InputError(f"residue {self.value} not in [0, {self.modulus})")
-
-    def __add__(self, other: "FqScalar") -> "FqScalar":
-        self._check(other)
-        return FqScalar((self.value + other.value) % self.modulus, self.modulus)
-
-    def __mul__(self, other: "FqScalar") -> "FqScalar":
-        self._check(other)
-        return FqScalar((self.value * other.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "FqScalar":
-        return FqScalar(-self.value % self.modulus, self.modulus)
-
-    def inverse(self) -> "FqScalar":
-        return FqScalar(inv_mod(self.value, self.modulus), self.modulus)
-
-    def _check(self, other: "FqScalar") -> None:
-        if self.modulus != other.modulus:
-            raise InputError("mixed moduli")
-
-
 class FqMatrix:
     """Immutable dense matrix over F_p, row-major int storage."""
 

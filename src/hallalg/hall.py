@@ -74,7 +74,6 @@ BasisKey = Union[int, DerivedClass]
 @dataclass
 class EnumerationCaps:
     candidates: int = 10_000_000
-    hom_exponent: int = 20
 
 
 @dataclass
@@ -351,8 +350,7 @@ def cone_counts(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
     its dim against the module route when it is built, so the check ties
     the enumeration to the module Hom and Ext^1 dimensions.
     """
-    cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.caps.candidates,
-                       max_exponent=ctx.caps.hom_exponent)
+    cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.caps.candidates)
     hist = {}
     for coords in cones.coordinates():
         dc = cones.cone_class(coords)
@@ -384,9 +382,8 @@ def cone_table(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> list:
     rows = ctx._cone_rows.get((x, z))
     if rows is None:
         cat = ctx.catalog
-        caps = dict(cap=ctx.caps.candidates, max_exponent=ctx.caps.hom_exponent)
-        table = hom_class_table(cat, x, z, **caps)
-        cones = ConeBlocks(cat, x, z, **caps)
+        table = hom_class_table(cat, x, z, cap=ctx.caps.candidates)
+        cones = ConeBlocks(cat, x, z, cap=ctx.caps.candidates)
         slot = {key: s for s, key in enumerate(cones.keys)}
         origin = [(slot[key], i) for key, i in table.origin]
         rows = []
@@ -456,9 +453,8 @@ def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
     if x in cache:
         return cache[x]
     cat = ctx.catalog
-    caps = dict(cap=ctx.caps.candidates, max_exponent=ctx.caps.hom_exponent)
-    table = hom_class_table(cat, x, x, **caps)
-    pp = HomotopyClasses(table.X, table.X, **caps)
+    table = hom_class_table(cat, x, x, cap=ctx.caps.candidates)
+    pp = HomotopyClasses(table.X, table.X, cap=ctx.caps.candidates)
     eps = augmentation_map(cat, x)
     cones = {table.canon(vec): cone for vec, cone in cone_table(ctx, x, x)}
     basis = [table.canon(table.vector_of(eps.compose(pp.lift(b))))

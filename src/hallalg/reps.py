@@ -408,14 +408,16 @@ def epi_kernel_key(x: Representation, y: Representation, key: tuple):
 @lru_cache(maxsize=None)
 def aut_order(x: Representation) -> int:
     """|Aut(x)|, counted by enumerating all p^(dim End) endomorphisms and
-    keeping those with every vertex matrix invertible."""
+    keeping those with every vertex matrix invertible.  The test oracle
+    only: production reads Catalog.aut_order."""
     return len(aut_elements(x))
 
 
 @lru_cache(maxsize=None)
 def aut_elements(x: Representation) -> tuple:
     """Every automorphism of x, in the order of hom_keys; a RepMorphism is
-    built only for the keys that pass the invertibility rank test."""
+    built only for the keys that pass the invertibility rank test.  The
+    test oracle only: production acts by aut_generators."""
     return tuple(morphism_from_key(x, x, k) for k in hom_keys(x, x)
                  if key_is_invertible(x, x, k))
 

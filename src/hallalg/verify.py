@@ -13,6 +13,12 @@ exactly.  The report also evaluates the same sum with the stabilizer orders
 NOT inverted; that reading is expected to fail whenever the action has a
 nontrivial stabilizer, and the failures are logged rather than hidden (the
 check's pass/fail verdict rests only on the inverted identity).
+
+In the classical mode every key of [x,z]_y is injective, so f g = f forces
+g = 1 and Aut(x) acts freely: each orbit is swept by reps.orbit over the
+generators the span model reads, and must hold exactly Catalog.aut_order(x)
+keys.  The derived mode acts by every derived automorphism
+(hall.derived_aut_lifts), whose stabilizers can be nontrivial.
 """
 
 from __future__ import annotations
@@ -50,12 +56,11 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
     """Exact orbit/stabilizer accounting of Aut(x) acting on [x,z]_y by
     precomposition; see the module docstring for what is verified."""
     if ctx.mode == "classical":
-        elements, act, aut_size = _classical_action(ctx, x, z, y)
+        keys, act, aut_size = _classical_action(ctx, x, z, y)
     else:
-        elements, act, aut_size = _derived_action(ctx, x, z, y)
+        keys, act, aut_size = _derived_action(ctx, x, z, y)
 
-    keys = [k for k, _ in elements]
-    by_key = dict(elements)
+    members = set(keys)
     seen = set()
     orbits = []
     label = (f"orbit_stabilizer_check({ctx.key_name(x)}, {ctx.key_name(z)}, "
@@ -63,18 +68,16 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
     for k in keys:
         if k in seen:
             continue
-        images = act(by_key[k])
-        orbit_keys = sorted(set(images))
-        if not all(ok in by_key for ok in orbit_keys):
+        orbit, stab = act(k)
+        if not orbit <= members:
             raise InvariantError(f"{label}: an orbit of Aut leaves the set [x,z]_y")
-        seen.update(orbit_keys)
-        stab = images.count(k)
-        if stab * len(orbit_keys) != aut_size:
+        seen |= orbit
+        if stab * len(orbit) != aut_size:
             raise InvariantError(
-                f"{label}: |Stab| {stab} * |orbit| {len(orbit_keys)} != "
+                f"{label}: |Stab| {stab} * |orbit| {len(orbit)} != "
                 f"|Aut| {aut_size}"
             )
-        orbits.append({"size": len(orbit_keys), "stabilizer": stab})
+        orbits.append({"size": len(orbit), "stabilizer": stab})
 
     inv_sum = sum((Fraction(1, o["stabilizer"]) for o in orbits), Fraction(0))
     plain_sum = sum((Fraction(o["stabilizer"]) for o in orbits), Fraction(0))
@@ -96,44 +99,43 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
 
 
 def _classical_action(ctx: HallContext, x: int, z: int, y: int):
-    """Aut(x) acting on the keys of the monos x -> z (hall.mono_keys) with
-    cokernel y, one reps.act move per automorphism g (f |-> f g).
-    composition_moves drops the moves that change no key, the identity's
-    among them; each dropped g fixes every f and is counted as such."""
+    """Aut(x) acting by f |-> f g on the keys of the monos x -> z
+    (hall.mono_keys) with cokernel y, as (keys, act, |Aut x|) where
+    act(key) = (its orbit, its stabilizer order).  The orbit is swept by
+    reps.orbit over the moves of reps.aut_generators, the generating set
+    the span model reads.  An injective f has f g = f only for g = 1, so
+    the stabilizer is 1 and orbit_stabilizer_check holds every orbit to
+    exactly Catalog.aut_order(x) keys."""
     cat = ctx.catalog
     xr, zr = cat.rep(x), cat.rep(z)
-    elements = []
+    order = cat.aut_order(x)
+    keys = []
     cokernels = {}    # image key -> class of the cokernel, which it fixes
     for k, image in mono_keys(ctx, x, z):
         if image not in cokernels:
             cokernels[image] = cat.classify_key(reps.quotient_key(zr, image))
         if cokernels[image] == y:
-            elements.append((k, k))
-    auts = reps.aut_elements(xr)
-    moves = reps.composition_moves((), auts, xr.dims, zr.dims)
-    fixing = len(auts) - len(moves)
-
-    def act(f):
-        return [f] * fixing + [reps.act(f, m, cat.p) for m in moves]
-
-    return elements, act, len(auts)
+            keys.append(k)
+    moves = reps.composition_moves((), reps.aut_generators(xr, order),
+                                   xr.dims, zr.dims)
+    return keys, lambda k: (reps.orbit(k, moves, cat.p), 1), order
 
 
 def _derived_action(ctx: HallContext, x: DerivedClass, z: DerivedClass,
                     y: DerivedClass):
-    cat = ctx.catalog
-    table = hom_class_table(cat, x, z, cap=ctx.caps.candidates,
-                            max_exponent=ctx.caps.hom_exponent)
-    elements = []
-    for vec, cone in cone_table(ctx, x, z):
-        if cone == y:
-            elements.append((table.canon(vec), table.lift(vec)))
-    lifts = derived_aut_lifts(ctx, x)
+    """Aut(x) acting on [x,z]_y through every lift of derived_aut_lifts,
+    as _classical_action's (keys, act, |Aut x|); the stabilizer counts the
+    lifts that fix the class."""
+    table = hom_class_table(ctx.catalog, x, z, cap=ctx.caps.candidates)
+    lift = {table.canon(vec): table.lift(vec)
+            for vec, cone in cone_table(ctx, x, z) if cone == y}
+    auts = derived_aut_lifts(ctx, x)
 
-    def act(f):
-        return [table.canon(table.vector_of(f.compose(g))) for g in lifts]
+    def act(k):
+        images = [table.canon(table.vector_of(lift[k].compose(g))) for g in auts]
+        return set(images), images.count(k)
 
-    return elements, act, len(lifts)
+    return list(lift), act, len(auts)
 
 
 # -- the suite ---------------------------------------------------------------------

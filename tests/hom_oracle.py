@@ -7,6 +7,8 @@ RepMorphism built by adding scaled basis morphisms, and each triple
 enumerates both of its Hom spaces again.
 """
 
+from functools import lru_cache
+
 from hallalg import reps
 from hallalg.errors import EnumerationCapError
 from hallalg.reps import RepMorphism
@@ -74,3 +76,21 @@ def greedy_aut_generators(x):
         if len(closure) == len(elements):
             break
     return tuple(gens)
+
+
+def aut_element_images(x, z, key):
+    """The images f g of the key f of a map x -> z under every element g of
+    reps.aut_elements(x), in that order, each g turned into its move by
+    reps.composition_moves; a g whose move changes no entry fixes f.  The
+    oracle of the orbit check, which sweeps the moves of reps.aut_generators
+    with reps.orbit."""
+    return [reps.act(key, move, x.p) if move else key
+            for move in _element_moves(x, z.dims)]
+
+
+@lru_cache(maxsize=None)
+def _element_moves(x, dims):
+    """The move of each element of reps.aut_elements(x) on the keys of maps
+    from x to a representation of dims, None where nothing changes."""
+    return tuple(next(iter(reps.composition_moves((), [g], x.dims, dims)), None)
+                 for g in reps.aut_elements(x))

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from hallalg import hall
+from hallalg import derived, hall
 from hallalg.catalog import catalog_build
 from hallalg.cli import main as cli_main
 from hallalg.derived import (
@@ -221,15 +221,26 @@ def test_solve_matrix_outside_span_raises():
 # -- cap messages name the layer and the object ----------------------------------------
 
 
-def test_hom_class_table_cap_message(a2_cat):
+def test_hom_class_table_cap_message(monkeypatch, a2_cat):
     x = DerivedClass.from_module(2)
     z = DerivedClass.from_module(1).shift(1)
     with pytest.raises(EnumerationCapError,
                        match=r"^hom_class_table\(c2 -> c1\[1\]\): 2\*\*1 homotopy "
                              r"classes exceed cap 1$"):
         hom_class_table(a2_cat, x, z, cap=1)
+    monkeypatch.setattr(derived, "HOM_EXPONENT_CAP", 0)
     with pytest.raises(EnumerationCapError, match="exceed hom exponent cap 0$"):
-        hom_class_table(a2_cat, x, z, max_exponent=0)
+        hom_class_table(a2_cat, x, z)
+
+
+def test_cached_hom_class_table_is_capped_on_every_call(a2_cat):
+    x = DerivedClass.from_module(2)
+    z = DerivedClass.from_module(1).shift(1)
+    assert hom_class_table(a2_cat, x, z).count == 2
+    with pytest.raises(EnumerationCapError,
+                       match=r"^hom_class_table\(c2 -> c1\[1\]\): 2\*\*1 homotopy "
+                             r"classes exceed cap 1$"):
+        hom_class_table(a2_cat, x, z, cap=1)
 
 
 def test_enumerate_homs_cap_message(a2_cat):

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from hallalg.errors import EnumerationCapError, InputError
 from hallalg.fq import (
     FqMatrix,
-    FqScalar,
     FqSubspace,
     RowSpace,
     enumerate_subspaces,
@@ -137,17 +136,6 @@ def test_solve_consistency(m):
     assert res is not None
     x, _ = res
     assert m.mul_vec(x) == b
-
-
-def test_scalar_arithmetic():
-    a = FqScalar(2, 5)
-    b = FqScalar(4, 5)
-    assert (a + b).value == 1
-    assert (a * b).value == 3
-    assert (-a).value == 3
-    assert a.inverse().value == 3
-    with pytest.raises(InputError):
-        FqScalar(2, 4)  # non-prime modulus
 
 
 def test_matrix_inverse_roundtrip():

@@ -87,14 +87,25 @@ def test_span_fiber_orbit_divisibility(monkeypatch):
         span.build_span_model(a1_context(5))
 
 
-@pytest.mark.parametrize("extra, what", [
-    (RepMorphism.zero, r"an orbit of Aut leaves the set \[x,z\]_y"),
-    (lambda r, _: RepMorphism.identity(r), r"\|Stab\| 2 \* \|orbit\| 2 != \|Aut\| 3"),
+def zero(gens, r):
+    return gens + (RepMorphism.zero(r, r),)
+
+
+def drop_last(gens, r):
+    return gens[:-1]
+
+
+@pytest.mark.parametrize("change, what", [
+    (zero, r"an orbit of Aut leaves the set \[x,z\]_y"),
+    pytest.param(drop_last, r"\|Stab\| 1 \* \|orbit\| 1 != \|Aut\| 2",
+                 id="drop_last"),
 ])
-def test_orbit_stabilizer_checks(monkeypatch, extra, what):
-    # Aut(S) = F_3^* acts on the two injections S -> S with cokernel 0
-    real = reps.aut_elements
-    monkeypatch.setattr(reps, "aut_elements", lambda r: real(r) + (extra(r, r),))
+def test_orbit_stabilizer_checks(monkeypatch, change, what):
+    # Aut(S) = F_3^*, generated by -1, acts freely on the two injections
+    # S -> S with cokernel 0
+    real = reps.aut_generators
+    monkeypatch.setattr(reps, "aut_generators",
+                        lambda r, order=None: change(real(r, order), r))
     with pytest.raises(InvariantError, match=rf"^orbit_stabilizer_check\(c1, c1, c0\): {what}$"):
         verify.orbit_stabilizer_check(a1_context(3), 1, 1, 0)
 

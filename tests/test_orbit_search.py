@@ -7,15 +7,18 @@ span_oracle; each move must be exactly one composition; and reps.orbit from
 the identity key over aut_generators must reach all of Aut(x).  The span
 model, which sweeps only the injective keys, must have the arrow classes
 and target-leg fibers of a build over all of Hom with span_oracle's orbits.
+The orbit check's generator sweep must give, on every triple it checks, the
+orbits of the element images of hom_oracle.aut_element_images, each of
+|Aut x| keys and with a trivial stabilizer.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from hom_oracle import greedy_aut_generators, homs_by_addition
+from hom_oracle import aut_element_images, greedy_aut_generators, homs_by_addition
 from span_oracle import morphism_orbits
 from test_cone_kernel import universes
-from hallalg import reps, span
+from hallalg import reps, span, verify
 from hallalg.catalog import catalog_build
 from hallalg.errors import InvariantError
 from hallalg.hall import HallContext
@@ -177,3 +180,34 @@ def test_dropping_a_generator_fails_the_closure_test(monkeypatch, quiver, p, bou
                         lambda x, order=None: real(x, order)[:-1])
     with pytest.raises(AssertionError):
         test_generator_closure_is_the_automorphism_group(quiver, p, bound)
+
+
+ORBIT_CHECK_UNIVERSES = [
+    pytest.param(a_n_quiver(2), 2, (2, 2), id="A2-p2-22"),
+    pytest.param(a_n_quiver(2), 3, (2, 2), id="A2-p3-22"),
+    pytest.param(a_n_quiver(3), 2, (2, 2, 1), id="A3-p2-221"),
+    pytest.param(KRONECKER, 2, (2, 2), id="kronecker-p2-22"),
+    pytest.param(Quiver(1, ((0, 0),)), 3, (2,), id="jordan-p3-2"),
+]
+
+
+@pytest.mark.parametrize("quiver,p,bound", ORBIT_CHECK_UNIVERSES)
+def test_orbit_check_orbits_match_the_element_images(quiver, p, bound):
+    ctx = HallContext("classical", catalog_build(quiver, p, bound))
+    cat = ctx.catalog
+    triples = verify._orbit_triples(ctx, verify.in_bound_pairs(ctx))
+    assert triples
+    for x, z, y in triples:
+        keys, act, order = verify._classical_action(ctx, x, z, y)
+        assert order == cat.aut_order(x)
+        seen = set()
+        for k in keys:
+            if k in seen:
+                continue
+            orbit, stab = act(k)
+            images = aut_element_images(cat.rep(x), cat.rep(z), k)
+            assert orbit == set(images), (x, z, y, k)
+            assert stab == images.count(k) == 1, (x, z, y, k)
+            assert len(orbit) == order, (x, z, y, k)
+            seen |= orbit
+        assert seen == set(keys), (x, z, y)

@@ -205,15 +205,14 @@ def test_quotient_read_at_the_pivots_fails_riedtmann(monkeypatch, tmp_path, caps
 
 
 def test_orbit_check_counts_the_identity(monkeypatch):
-    """One nontrivial move in place of the dropped identity move: |Stab|
-    misses the identity and the orbit-stabilizer count fails."""
-    ctx = HallContext("classical", catalog_build(a_n_quiver(2), 2, (2, 2)))
-    real = reps.composition_moves
-
-    def doubled(left, right, src_dims, dst_dims):
-        moves = real(left, right, src_dims, dst_dims)
-        return moves + moves[:1]
-
-    monkeypatch.setattr(reps, "composition_moves", doubled)
-    with pytest.raises(InvariantError, match=r"\|Stab\|"):
+    """The identity is the only automorphism fixing a mono, so each orbit
+    must hold all of Aut(x): with the last generator dropped, F_3^* on the
+    injections c1 -> c1 stops moving and the orbit-stabilizer count
+    fails."""
+    ctx = HallContext("classical", catalog_build(a_n_quiver(2), 3, (2, 2)))
+    real = reps.aut_generators
+    monkeypatch.setattr(reps, "aut_generators",
+                        lambda x, order=None: real(x, order)[:-1])
+    with pytest.raises(InvariantError, match=r"^orbit_stabilizer_check\(c1, c1, c0\): "
+                                             r"\|Stab\| 1 \* \|orbit\| 1 != \|Aut\| 2$"):
         verify_suite(ctx, checks=("orbit",))
