@@ -3,15 +3,16 @@
 
 Covers the one-vertex quiver at p = 2, 3, the two-vertex A_2 quiver at
 p = 2 and the three-vertex A_3 quiver at p = 2, classical with the span
-cross-check, the A_2 quiver in derived mode too, plus the Kronecker quiver
-(two parallel arrows) at p = 2 in derived mode.  A_3 at p = 3 with bound
-(2,2,2) runs the classical orbit check alone, about 15 s at 165 MiB on a
-2-vCPU machine.  A_2 at p = 2 with bound
-(2,2) runs in derived mode on the window [-1,0] with the unit, assoc and
-stalk checks only: the orbit check still acts through derived_aut_lifts,
-which solves a whole P(x) -> P(x) Hom space per key, and waits for the
-block action of ROADMAP item 2.  Prints one line per (universe, check) and
-exits nonzero on any failure.
+cross-check, the A_2 quiver in derived mode at p = 2 and 3, plus the
+Kronecker quiver (two parallel arrows) at p = 2 in derived mode; the
+derived orbit check acts on the block coordinates of each Hom class
+(derived.precompositions).  A_3 at p = 3 with bound (2,2,2) runs the
+classical orbit check alone, about 15 s at 165 MiB on a 2-vCPU machine.
+A_2 at p = 2 with bound (2,2) runs in derived mode on the window [-1,0]
+with the unit, assoc and stalk checks only: collecting the orbit check's
+triples there needs a cone histogram over every Hom(x, z) in the support
+of every product, and the cone-homology memo misses on most of them.
+Prints one line per (universe, check) and exits nonzero on any failure.
 """
 
 import json
@@ -69,6 +70,11 @@ def main():
         "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 1)
     )
     failures += run("A_2 p=2 derived [-1,1]", dctx)
+
+    dctx = HallContext(
+        "derived", catalog_build(a_n_quiver(2), 3, (1, 1)), window=(-1, 1)
+    )
+    failures += run("A_2 p=3 derived [-1,1]", dctx)
 
     dctx = HallContext(
         "derived", catalog_build(a_n_quiver(2), 2, (2, 2)), window=(-1, 0)

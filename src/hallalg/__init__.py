@@ -32,7 +32,6 @@ from .fq import (
     solve,
 )
 from .hall import (
-    EnumerationCaps,
     HallContext,
     HallElement,
     count_exact_sequences,

@@ -271,8 +271,10 @@ class Catalog:
         # derived-category caches, filled by hallalg.derived
         self.derived_stalks: dict = {}          # DerivedClass -> Complex
         self.derived_projectives: dict = {}     # DerivedClass -> Complex
-        self.derived_hom_tables: dict = {}      # (x, z) -> SummandHomClasses
+        self.derived_hom_tables: dict = {}      # (x, z) -> HomotopyClasses, the oracle
         self.derived_hom_blocks: dict = {}      # (a, b, k) -> HomotopyClasses
+        self.derived_block_lifts: dict = {}     # (a, b, k) -> chain maps P(A) -> P(B[k])
+        self.derived_compositions: dict = {}    # (a, b, c, k1, k2) -> composition_table
         # (x_n, x_(n+1), z_n, z_(n+1)) -> {three block coefficient tuples:
         # class of cone H^n}, and what a miss of it reads (cone_homology)
         self.derived_cone_homology: dict = {}

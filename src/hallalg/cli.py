@@ -38,7 +38,7 @@ from .errors import (
     InvariantError,
     OutOfUniverseError,
 )
-from .hall import EnumerationCaps, HallContext, compute_product
+from .hall import HallContext, compute_product
 from .lf import (
     BaseChangeSquare,
     FiniteSupportFn,
@@ -100,12 +100,7 @@ class RunConfig:
         quiver = Quiver.load(self.quiver_path)
         bound = _parse_bound_for(self.bound, quiver.vertex_count)
         catalog = catalog_build(quiver, self.modulus, bound, cap=self.cap)
-        return HallContext(
-            self.mode,
-            catalog,
-            window=self.window,
-            caps=EnumerationCaps(candidates=self.cap),
-        )
+        return HallContext(self.mode, catalog, window=self.window, cap=self.cap)
 
 
 def _parse_bound_for(parts: tuple, vertex_count: int) -> tuple:

@@ -11,10 +11,7 @@ that normal form: the catalog class of H^n for each degree n.
 
 Derived Hom is computed on the nose as chain maps out of a projective
 realization (each summand replaced by its two-term projective resolution),
-modulo null-homotopic maps.  All of it is exact F_p linear algebra.  P(x)
-is K-projective, so composing with the augmentation P(x) -> C(x) is a
-bijection [P(x), P(x)] -> [P(x), C(x)] on Hom classes, through which
-hall.derived_aut_lifts reads the derived automorphisms off [P(x), P(x)].
+modulo null-homotopic maps.  All of it is exact F_p linear algebra.
 
 Both inputs of the cone count are local, and each local piece is computed
 once per catalog.  Hom(x, z) is a direct sum over pairs of summands, one
@@ -25,14 +22,17 @@ memoized per signature (x_n, x_(n+1), z_n, z_(n+1)) and the three
 coefficient tuples, and a miss is computed on one local two-degree table
 per signature, of which only the ConeDegree of H^0 and the blocks'
 positions and complements are kept: counting cones builds no (x, z) table.
-hom_class_table still assembles whole tables from the blocks for the
-callers that read class vectors; the whole-table solve HomotopyClasses is
-its oracle, and derived_class_of(mapping_cone(...)) is the cone oracle.
+
+P(A) is K-projective, so composing with the augmentation P(B[k]) ->
+C(B[k]) is a bijection [P(A), P(B[k])] -> [P(A), C(B[k])] on Hom classes.
+Through it, composition_table composes block complements once per catalog
+triple, and precompositions acts on the block coordinates by them.
+hom_class_table, the whole-table solve, is the oracle of the block
+coordinates, and derived_class_of(mapping_cone(...)) the cone oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -536,10 +536,28 @@ def combinations(p: int, vectors: Sequence[Sequence[int]], total: int) -> Iterat
         yield tuple(vec)
 
 
-class _ClassTable:
-    """Hom classes x -> z once their coordinates are known: `space` (the
+class HomotopyClasses:
+    """Hom in the derived category between two realized complexes, by
+    solving the whole equation system of X -> Z: `space` (the
     GradedMapSpace of X -> Z), `null` (the null-homotopic maps, a RowSpace)
-    and `complement` (chain maps spanning a complement of null)."""
+    and `complement` (chain maps spanning a complement of null), with a
+    canonical coset key per class.  cap=None skips the class count caps.
+    """
+
+    def __init__(self, X: Complex, Z: Complex, cap: Optional[int] = reps.DEFAULT_CAP,
+                 label: str = "HomotopyClasses"):
+        self.X = X
+        self.Z = Z
+        self.p = X.p
+        self.label = label
+        self.space, self.cycle_basis = chain_map_space(X, Z)
+        self.null = RowSpace(self.p, self.space.total)
+        for b in homotopy_boundaries(X, Z, self.space):
+            self.null.add(b)
+        self.complement = complement_basis(self.null, self.cycle_basis)
+        self.dim = len(self.complement)
+        if cap is not None:
+            _check_class_count(label, self.p, self.dim, cap, HOM_EXPONENT_CAP)
 
     @property
     def count(self) -> int:
@@ -558,31 +576,11 @@ class _ClassTable:
     def vector_of(self, f: ChainMap) -> tuple:
         return self.space.flatten(f.mats)
 
-
-class HomotopyClasses(_ClassTable):
-    """Hom in the derived category between two realized complexes: the chain
-    map space modulo null-homotopics, with one lifted representative per
-    class and a canonical coset key for classifying arbitrary chain maps.
-
-    Solves the whole equation system of X -> Z.  hom_class_table assembles
-    the same table from per-summand blocks built here; this whole-table
-    build is its test oracle.  cap=None skips the class count caps.
-    """
-
-    def __init__(self, X: Complex, Z: Complex, cap: Optional[int] = reps.DEFAULT_CAP,
-                 label: str = "HomotopyClasses"):
-        self.X = X
-        self.Z = Z
-        self.p = X.p
-        self.label = label
-        self.space, self.cycle_basis = chain_map_space(X, Z)
-        self.null = RowSpace(self.p, self.space.total)
-        for b in homotopy_boundaries(X, Z, self.space):
-            self.null.add(b)
-        self.complement = complement_basis(self.null, self.cycle_basis)
-        self.dim = len(self.complement)
-        if cap is not None:
-            _check_class_count(label, self.p, self.dim, cap, HOM_EXPONENT_CAP)
+    def coefficients(self) -> dict:
+        """{canon(class vector): its coefficient tuple on the complement}
+        over every class, in the order of class_vectors."""
+        return {self.canon(vec): coeffs for coeffs, vec in zip(
+            itertools.product(range(self.p), repeat=self.dim), self.class_vectors())}
 
 
 def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
@@ -626,36 +624,18 @@ def summand_blocks(cat: Catalog, x: DerivedClass, z: DerivedClass) -> dict:
     }
 
 
-def _first_nonzero(vec: Sequence[int]) -> int:
-    return next(j for j, val in enumerate(vec) if val)
-
-
-def _last_nonzero(vec: Sequence[int]) -> int:
-    return max(j for j, val in enumerate(vec) if val)
-
-
-class SummandHomClasses(_ClassTable):
-    """Hom(x, z) in the derived category, assembled from per-summand blocks.
+class SummandHomClasses:
+    """The coordinates of Hom(x, z) in the derived category, laid out from
+    the per-summand blocks.
 
     P(x)^n = p0(x_n) (+) p1(x_(n+1)) and C(z) has zero differentials, so
-    the chain maps P(x) -> C(z), the null-homotopic ones and their
-    complement are the direct sums over the blocks of summand_blocks(x, z)
-    of the same spaces of each block: the chain condition f^a o delta = 0
-    and the boundaries h o delta each touch one pair.  A block coordinate
-    (vertex, row, col) of the pair (a, b) maps to (degree b, vertex, row,
-    col + the width of p0(x_b) when a = b + 1) of the table's
-    GradedMapSpace, which keeps the order of the coordinates inside a
-    block.
-
-    So the canonical kernel basis of the whole system is the union of the
-    block bases ordered by their last nonzero coordinate (the free column),
-    the reduced echelon rows of the null space are the union of the block
-    rows ordered by pivot, and the complement picked by complement_basis is
-    the union of the block complements in kernel basis order: the same
-    vectors, in the same order, as the whole-table solve HomotopyClasses(
-    P(x), C(z)).  origin[j] is the (block, index) that complement vector j
-    comes from.  null is assembled on first use.  No class count cap is
-    applied here; hom_class_table applies its own.
+    the chain maps P(x) -> C(z) and the null-homotopic ones are the direct
+    sums over the blocks of summand_blocks(x, z) of the same spaces of each
+    block.  A block coordinate (vertex, row, col) of the pair (a, b) sits
+    at (degree b, vertex, row, col + the width of p0(x_b) when a = b + 1)
+    of the table's GradedMapSpace (positions).  So `vector` turns ConeBlocks
+    coordinates into a class vector of hom_class_table, and cone_homology
+    lays out its local tables with it.
     """
 
     def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
@@ -668,10 +648,6 @@ class SummandHomClasses(_ClassTable):
         self.blocks = {key: block for key, block in summand_blocks(cat, x, z).items()
                        if block.space.total}
         self._positions: dict = {}
-        embedded = self._embed("complement", _last_nonzero)
-        self.complement = [tuple(v) for v, _ in embedded]
-        self.origin = [o for _, o in embedded]
-        self.dim = len(self.complement)
 
     def positions(self, key: tuple) -> list:
         """The table coordinate of each coordinate of the block of the
@@ -692,34 +668,12 @@ class SummandHomClasses(_ClassTable):
             self._positions[key] = pos
         return pos
 
-    def _embed(self, attr: str, order) -> list:
-        """(vector, (block key, index)) for the block vectors at
-        attrgetter(attr)(block), in table coordinates, sorted by order of
-        the vector."""
-        out = []
-        for key, block in self.blocks.items():
-            pos = self.positions(key)
-            for i, b in enumerate(operator.attrgetter(attr)(block)):
-                vec = [0] * self.space.total
-                for j, val in zip(pos, b):
-                    vec[j] = val
-                out.append((vec, (key, i)))
-        out.sort(key=lambda e: order(e[0]))
-        return out
-
     def vector(self, coords: dict) -> list:
         """The table vector with coefficients coords[key] on the complement
         of the block of each summand pair key."""
         return _block_vector(self.p, self.space.total, (
             ((self.positions(key), self.blocks[key].complement), cs)
             for key, cs in coords.items() if any(cs)))
-
-    @functools.cached_property
-    def null(self) -> RowSpace:
-        space = RowSpace(self.p, self.space.total)
-        space.rows = [v for v, _ in self._embed("null.rows", _first_nonzero)]
-        space.pivots = [_first_nonzero(r) for r in space.rows]
-        return space
 
 
 def _block_vector(p: int, total: int, parts) -> list:
@@ -932,7 +886,7 @@ class ConeBlocks:
     A Hom class is one coefficient tuple per block of summand_blocks(x, z)
     of nonzero dim (`keys`, with `dims`), over that block's complement; the
     whole-table class vector has those coefficients on the embedded block
-    complements (SummandHomClasses.origin).  The class count is capped with
+    complements (SummandHomClasses.vector).  The class count is capped with
     the cap message of hom_class_table.
 
     cone(f)^n = p0(x_(n+1)) (+) p1(x_(n+2)) (+) z_n.  The kernel of d^n
@@ -1000,19 +954,104 @@ def _table_label(cat: Catalog, x: DerivedClass, z: DerivedClass) -> str:
 
 
 def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
-                    cap: int = reps.DEFAULT_CAP) -> SummandHomClasses:
-    """Hom classes x -> z in the derived category, assembled from the
-    per-summand blocks of hom_block and cached on the catalog per (x, z);
-    raises EnumerationCapError, on every call and so for a cached table
-    too, when the p**dim classes exceed the caps.  Read where class
-    vectors are needed (cone_table, derived_aut_lifts and verify); counting
-    cones needs only the blocks (ConeBlocks)."""
+                    cap: int = reps.DEFAULT_CAP) -> HomotopyClasses:
+    """Hom classes x -> z in the derived category: the whole-table solve
+    HomotopyClasses(P(x), C(z)), cached on the catalog per (x, z) and
+    capped on every call.  The oracle of the block coordinates
+    (SummandHomClasses.vector); no production path reads it."""
     table = cat.derived_hom_tables.get((x, z))
     if table is None:
-        table = cat.derived_hom_tables[(x, z)] = SummandHomClasses(
-            cat, x, z, label=_table_label(cat, x, z))
+        table = cat.derived_hom_tables[(x, z)] = HomotopyClasses(
+            projective_realization(cat, x), stalk_realization(cat, z), cap=None,
+            label=_table_label(cat, x, z))
     _check_class_count(table.label, cat.p, table.dim, cap, HOM_EXPONENT_CAP)
     return table
+
+
+def _block_lifts(cat: Catalog, a: int, b: int, k: int) -> list:
+    """One chain map P(A) -> P(B[k]) per complement vector g_j of
+    hom_block(a, b, k), whose composite with the augmentation is in the
+    class of g_j; cached on the catalog per (a, b, k).  Composing with the
+    augmentation is linear and, checked here, a bijection on classes."""
+    key = (a, b, k)
+    lifts = cat.derived_block_lifts.get(key)
+    if lifts is None:
+        block = hom_block(cat, a, b, k)
+        target = DerivedClass.from_module(b).shift(k)
+        pp = HomotopyClasses(block.X, projective_realization(cat, target), cap=None)
+        eps = augmentation_map(cat, target)
+        coeffs = block.coefficients()
+        basis = [coeffs[block.canon(block.vector_of(eps.compose(pp.lift(v))))]
+                 for v in pp.complement]
+        preimage = dict(zip(combinations(cat.p, basis, block.dim), pp.class_vectors()))
+        if not len(preimage) == pp.count == block.count:
+            raise InvariantError(
+                f"lifts of {DerivedClass.from_module(a).name(cat)} -> "
+                f"{target.name(cat)}: the {pp.count} classes P -> P reach "
+                f"{len(preimage)} classes P -> C, not the block's {block.count}: "
+                f"composing with the augmentation is not a bijection"
+            )
+        lifts = cat.derived_block_lifts[key] = [
+            pp.lift(preimage[tuple(int(i == j) for i in range(block.dim))])
+            for j in range(block.dim)]
+    return lifts
+
+
+def composition_table(cat: Catalog, a: int, b: int, c: int, k1: int,
+                      k2: int) -> tuple:
+    """Hom(B, C[k2]) x Hom(A, B[k1]) -> Hom(A, C[k1 + k2]) for catalog
+    module classes A, B, C, cached on the catalog: row j, column i holds the
+    coefficients, on hom_block(a, c, k1 + k2), of f_i o g_j for the
+    complement vectors g_j of hom_block(a, b, k1) and f_i of hom_block(b,
+    c, k2).  g_j is lifted to P(A) -> P(B[k1]) (_block_lifts), and f_i is
+    re-indexed by k1; C is a stalk, so no sign enters."""
+    key = (a, b, c, k1, k2)
+    table = cat.derived_compositions.get(key)
+    if table is None:
+        first, target = hom_block(cat, b, c, k2), hom_block(cat, a, c, k1 + k2)
+        P = projective_realization(cat, DerivedClass.from_module(b).shift(k1))
+        C = stalk_realization(cat, DerivedClass.from_module(c).shift(k1 + k2))
+        fs = [ChainMap(P, C, {n - k1: m for n, m in first.lift(v).mats.items()},
+                       validate=False) for v in first.complement]
+        coeffs = target.coefficients()
+        table = cat.derived_compositions[key] = tuple(
+            tuple(coeffs[target.canon(target.vector_of(f.compose(g)))] for f in fs)
+            for g in _block_lifts(cat, a, b, k1))
+    return table
+
+
+def precompositions(cat: Catalog, x: DerivedClass, z: DerivedClass, gs) -> list:
+    """For each Hom class g: x -> x of gs, in ConeBlocks(x, x) coordinates,
+    the matrix of f |-> f g on the Hom classes f: x -> z, flattened from
+    ConeBlocks(x, z) block after block, as its columns: coordinate k of f g
+    is the dot product of f with column k.
+
+    The path algebra is hereditary, so the block (a, b) of f g is the sum
+    over c in {a, a - 1} of f_(c, b) g_(a, c): Hom o Hom for a = b, and for
+    a = b + 1 the Yoneda products Ext^1 o Hom (c = a) and Hom o Ext^1
+    (c = b); Ext^1 o Ext^1 lands in Ext^2 = 0."""
+    # the blocks of nonzero dim, in the order of ConeBlocks.keys
+    hom = {key: block.dim for key, block in summand_blocks(cat, x, z).items() if block.dim}
+    end = [key for key, block in summand_blocks(cat, x, x).items() if block.dim]
+    total = sum(hom.values())
+    offset = dict(zip(hom, itertools.accumulate(hom.values(), initial=0)))
+    slot = {key: s for s, key in enumerate(end)}
+    xs, zs = dict(x.entries), dict(z.entries)
+    # (offset of f_(c, b), slot of g_(a, c), offset of (a, b), their products)
+    terms = [(offset[(c, b)], slot[(a, c)], offset[(a, b)],
+              composition_table(cat, xs[a], xs[c], zs[b], a - c, c - b))
+             for a, b in hom for c in (a, a - 1)
+             if (c, b) in offset and (a, c) in slot]
+    out = []
+    for g in gs:
+        rows = [[0] * total for _ in range(total)]
+        for f_off, g_slot, t_off, table in terms:
+            for gj, products in zip(g[g_slot], table):
+                for i, coeffs in enumerate(products if gj else ()):
+                    for k, val in enumerate(coeffs):
+                        rows[f_off + i][t_off + k] += gj * val
+        out.append([tuple(v % cat.p for v in col) for col in zip(*rows)])
+    return out
 
 
 def stalk_hom_dim(cat: Catalog, a: int, b: int, k: int,

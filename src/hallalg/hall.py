@@ -41,8 +41,9 @@ and an endomorphism is invertible iff its diagonal part is:
     |Aut x| = prod_n |Aut x_n| * p^(sum_n dim Ext^1(x_(n+1), x_n))
 
 (Toën, math/0501343; Xiao-Xu, math/0608144).  derived_product reads the
-closed form; derived_hall_number and the automorphism lifts of the orbit
-check read the count, so the two routes share no value.
+closed form and derived_hall_number the count, so the two routes share no
+value; the orbit check acts by the zero-cone classes themselves
+(derived_automorphisms), whose number is checked against the closed form.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Union
 
@@ -58,12 +59,9 @@ from .catalog import Catalog
 from .derived import (
     ConeBlocks,
     DerivedClass,
-    HomotopyClasses,
-    augmentation_map,
-    combinations,
+    SummandHomClasses,
     ext_dim,
     hom_block,
-    hom_class_table,
 )
 from .errors import InputError, InvariantError, OutOfUniverseError
 from . import reps
@@ -72,20 +70,15 @@ BasisKey = Union[int, DerivedClass]
 
 
 @dataclass
-class EnumerationCaps:
-    candidates: int = 10_000_000
-
-
-@dataclass
 class HallContext:
     """A fixed algebra universe: catalog plus mode (and shift window for the
     derived mode).  Products that would leave the universe raise; they are
-    never truncated."""
+    never truncated, and no enumeration runs past `cap` candidates."""
 
     mode: str
     catalog: Catalog
     window: Optional[tuple] = None
-    caps: EnumerationCaps = field(default_factory=EnumerationCaps)
+    cap: int = reps.DEFAULT_CAP
 
     def __post_init__(self):
         if self.mode not in ("classical", "derived"):
@@ -106,9 +99,9 @@ class HallContext:
         self._cone_hist: dict = {}     # (x, z) -> cone_histogram(x, z)
         self._aut_orders: dict = {}    # x -> derived_aut_order(x), the count
         self._aut_formula: dict = {}   # x -> derived_aut_formula(x)
-        self._cone_rows: dict = {}     # (x, z) -> cone_table rows
         self._product_cache: dict = {}
-        self._aut_lifts: dict = {}     # x -> derived_aut_lifts(x)
+        self._automorphisms: dict = {}  # x -> derived_automorphisms(x)
+        self._orbit_pair: tuple = (None,)  # the last (x, z) of verify's orbit check
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -243,7 +236,7 @@ def subrep_histogram(ctx: HallContext, z: int) -> dict:
         hist = {}
         cat = ctx.catalog
         rep = cat.rep(z)
-        for bases, sub in reps.subobjects(rep, cap=ctx.caps.candidates):
+        for bases, sub in reps.subobjects(rep, cap=ctx.cap):
             key = (cat.classify_key(sub),
                    cat.classify_key(reps.quotient_key(rep, bases)))
             hist[key] = hist.get(key, 0) + 1
@@ -295,7 +288,7 @@ def mono_keys(ctx: HallContext, a: int, b: int) -> tuple:
         ra, rb = ctx.catalog.rep(a), ctx.catalog.rep(b)
         keys = ()
         if all(da <= db for da, db in zip(ra.dims, rb.dims)):
-            keys = reps.hom_keys(ra, rb, cap=ctx.caps.candidates)
+            keys = reps.hom_keys(ra, rb, cap=ctx.cap)
         got = ctx._monos[(a, b)] = tuple(
             (k, ctx._subspaces.setdefault(im, im)) for k in keys
             if (im := reps.mono_image_key(ra, rb, k)) is not None)
@@ -311,7 +304,7 @@ def _subspace_histogram(ctx: HallContext, z: int, y: int) -> dict:
         rz, ry = ctx.catalog.rep(z), ctx.catalog.rep(y)
         hist = ctx._epi_kernels[(z, y)] = Counter(
             ctx._subspaces.setdefault(ker, ker)
-            for k in reps.hom_keys(rz, ry, cap=ctx.caps.candidates)
+            for k in reps.hom_keys(rz, ry, cap=ctx.cap)
             if (ker := reps.epi_kernel_key(rz, ry, k)) is not None)
     return hist
 
@@ -350,7 +343,7 @@ def cone_counts(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
     its dim against the module route when it is built, so the check ties
     the enumeration to the module Hom and Ext^1 dimensions.
     """
-    cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.caps.candidates)
+    cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.cap)
     hist = {}
     for coords in cones.coordinates():
         dc = cones.cone_class(coords)
@@ -370,38 +363,23 @@ def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
 
 
 def cone_table(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> list:
-    """[(class vector, derived class of its cone)] over all Hom classes
-    f: x -> z, in the order of hom_class_table's class_vectors; cones whose
-    homology leaves the catalog bound get None.  Cached on the context;
-    only verify and derived_aut_lifts read rows.
-
-    Each complement vector of the table is one coefficient on one summand
-    block (SummandHomClasses.origin), so each row is classified through the
-    same memo as cone_histogram, and its count is cross-checked the same way.
-    """
-    rows = ctx._cone_rows.get((x, z))
-    if rows is None:
-        cat = ctx.catalog
-        table = hom_class_table(cat, x, z, cap=ctx.caps.candidates)
-        cones = ConeBlocks(cat, x, z, cap=ctx.caps.candidates)
-        slot = {key: s for s, key in enumerate(cones.keys)}
-        origin = [(slot[key], i) for key, i in table.origin]
-        rows = []
-        for coeffs, vec in zip(itertools.product(range(cat.p), repeat=table.dim),
-                               table.class_vectors()):
-            coords = [[0] * d for d in cones.dims]
-            for c, (s, i) in zip(coeffs, origin):
-                coords[s][i] = c
-            rows.append((vec, cones.cone_class(tuple(map(tuple, coords)))))
-        _check_class_total(ctx, "cone_table", x, z, len(rows))
-        ctx._cone_rows[(x, z)] = rows
+    """[(class vector in hom_class_table, derived class of its cone or
+    None)] over all Hom classes f: x -> z, in the order of
+    ConeBlocks.coordinates, classified and counted as cone_histogram does;
+    only the tests read rows, against the whole-table oracle."""
+    cat = ctx.catalog
+    table = SummandHomClasses(cat, x, z)
+    cones = ConeBlocks(cat, x, z, cap=ctx.cap)
+    rows = [(tuple(table.vector(dict(zip(cones.keys, coords)))), cones.cone_class(coords))
+            for coords in cones.coordinates()]
+    _check_class_total(ctx, "cone_table", x, z, len(rows))
     return rows
 
 
 def _check_class_total(ctx: HallContext, layer: str, x: DerivedClass,
                        z: DerivedClass, count: int) -> None:
     cat = ctx.catalog
-    expected = cat.p ** ext_dim(x, z, 0, cat, cap=ctx.caps.candidates)
+    expected = cat.p ** ext_dim(x, z, 0, cat, cap=ctx.cap)
     if count != expected:
         raise InvariantError(
             f"{layer}({x.name(cat)} -> {z.name(cat)}): hom class count "
@@ -439,46 +417,24 @@ def derived_aut_formula(ctx: HallContext, x: DerivedClass) -> int:
     return order
 
 
-def derived_aut_lifts(ctx: HallContext, x: DerivedClass) -> list:
-    """One chain map P(x) -> P(x) per derived automorphism class of x, by
-    which the orbit check of hallalg.verify acts; cached on the context.
-
-    Composing with the augmentation eps is a bijection [P(x), P(x)] ->
-    [P(x), C(x)] (see hallalg.derived) and linear, so each class of
-    HomotopyClasses(P(x), P(x)) maps to the same combination of the images
-    of its complement, and the classes whose image has a zero cone are
-    lifted.  The bijection and the count |Aut x| are checked.
-    """
-    cache = ctx._aut_lifts
-    if x in cache:
-        return cache[x]
-    cat = ctx.catalog
-    table = hom_class_table(cat, x, x, cap=ctx.caps.candidates)
-    pp = HomotopyClasses(table.X, table.X, cap=ctx.caps.candidates)
-    eps = augmentation_map(cat, x)
-    cones = {table.canon(vec): cone for vec, cone in cone_table(ctx, x, x)}
-    basis = [table.canon(table.vector_of(eps.compose(pp.lift(b))))
-             for b in pp.complement]
-    images, lifts = set(), []
-    for vec, image in zip(pp.class_vectors(),
-                          combinations(cat.p, basis, table.space.total)):
-        images.add(image)
-        if cones.get(image) == DerivedClass.zero():
-            lifts.append(pp.lift(vec))
-    if len(images) != pp.count or images != cones.keys():
-        raise InvariantError(
-            f"derived automorphisms of {x.name(cat)}: the {pp.count} classes "
-            f"P -> P reach {len(images)} classes P -> C, not the table's "
-            f"{len(cones)}: composing with the augmentation is not a bijection"
-        )
-    order = derived_aut_order(ctx, x)
-    if len(lifts) != order:
-        raise InvariantError(
-            f"derived automorphisms of {x.name(cat)}: {len(lifts)} lifts "
-            f"with a zero cone != derived_aut_order {order}"
-        )
-    cache[x] = lifts
-    return lifts
+def derived_automorphisms(ctx: HallContext, x: DerivedClass) -> list:
+    """The derived automorphisms of x, the Hom classes x -> x with a zero
+    cone, as ConeBlocks(x, x) coordinates: what the orbit check of
+    hallalg.verify acts by.  Cached on the context per key; their number is
+    checked against derived_aut_formula."""
+    auts = ctx._automorphisms.get(x)
+    if auts is None:
+        cones = ConeBlocks(ctx.catalog, x, x, cap=ctx.cap)
+        auts = [g for g in cones.coordinates()
+                if cones.cone_class(g) == DerivedClass.zero()]
+        order = derived_aut_formula(ctx, x)
+        if len(auts) != order:
+            raise InvariantError(
+                f"derived automorphisms of {x.name(ctx.catalog)}: {len(auts)} Hom "
+                f"classes x -> x with a zero cone != derived_aut_formula {order}"
+            )
+        ctx._automorphisms[x] = auts
+    return auts
 
 
 def ext_exponent(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> int:

@@ -18,24 +18,27 @@ In the classical mode every key of [x,z]_y is injective, so f g = f forces
 g = 1 and Aut(x) acts freely: each orbit is swept by reps.orbit over the
 generators the span model reads, and must hold exactly Catalog.aut_order(x)
 keys.  The derived mode acts by every derived automorphism
-(hall.derived_aut_lifts), whose stabilizers can be nontrivial.
+(hall.derived_automorphisms) on the ConeBlocks coordinates of Hom(x, z)
+(derived.precompositions); its stabilizers can be nontrivial, so each is
+counted element by element.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
-from .derived import DerivedClass, hom_class_table
-from .errors import InputError, InvariantError, OutOfUniverseError
+from .derived import ConeBlocks, DerivedClass, precompositions
+from .errors import InputError, InvariantError
 from .hall import (
     BasisKey,
     HallContext,
     basis_product,
-    cone_table,
+    cone_histogram,
     count_exact_sequences,
-    derived_aut_lifts,
+    derived_automorphisms,
     derived_hall_number,
     derived_support,
     hall_number_classical,
@@ -123,19 +126,28 @@ def _classical_action(ctx: HallContext, x: int, z: int, y: int):
 
 def _derived_action(ctx: HallContext, x: DerivedClass, z: DerivedClass,
                     y: DerivedClass):
-    """Aut(x) acting on [x,z]_y through every lift of derived_aut_lifts,
-    as _classical_action's (keys, act, |Aut x|); the stabilizer counts the
-    lifts that fix the class."""
-    table = hom_class_table(ctx.catalog, x, z, cap=ctx.caps.candidates)
-    lift = {table.canon(vec): table.lift(vec)
-            for vec, cone in cone_table(ctx, x, z) if cone == y}
-    auts = derived_aut_lifts(ctx, x)
+    """Aut(x) acting on [x,z]_y by f |-> f g in the flattened ConeBlocks
+    coordinates of Hom(x, z), as _classical_action's (keys, act, |Aut x|);
+    every automorphism is applied, so the stabilizer counts those that fix
+    the class.  The Hom classes by cone class and the matrices of Aut(x)
+    are kept on the context for the last (x, z): the triples come sorted."""
+    cat = ctx.catalog
+    if ctx._orbit_pair[0] != (x, z):
+        cones = ConeBlocks(cat, x, z, cap=ctx.cap)
+        classes: dict = {}
+        for coords in cones.coordinates():
+            classes.setdefault(cones.cone_class(coords), []).append(
+                tuple(itertools.chain.from_iterable(coords)))
+        ctx._orbit_pair = ((x, z), classes, precompositions(
+            cat, x, z, derived_automorphisms(ctx, x)))
+    _, classes, matrices = ctx._orbit_pair
 
     def act(k):
-        images = [table.canon(table.vector_of(lift[k].compose(g))) for g in auts]
+        images = [tuple(sum(map(operator.mul, k, col)) % cat.p for col in cols)
+                  for cols in matrices]
         return set(images), images.count(k)
 
-    return list(lift), act, len(auts)
+    return classes.get(y, []), act, len(matrices)
 
 
 # -- the suite ---------------------------------------------------------------------
@@ -299,7 +311,7 @@ def _check_stalk(ctx, span, pairs):
     if ctx.mode != "derived":
         return _skipped("derived contexts only")
     cat = ctx.catalog
-    twin = HallContext("classical", cat, caps=ctx.caps)
+    twin = HallContext("classical", cat, cap=ctx.cap)
     failures = []
     cases = 0
 
@@ -367,14 +379,9 @@ def _orbit_triples(ctx: HallContext, pairs) -> list:
                     triples.add((x, z, y))
     else:
         for x, y in pairs:
-            try:
-                support = derived_support(ctx, x, y)
-            except OutOfUniverseError:
-                continue
-            for z in support:
-                for _, cone in cone_table(ctx, x, z):
-                    if cone is not None:
-                        triples.add((x, z, cone))
+            for z in derived_support(ctx, x, y):
+                triples.update((x, z, cone) for cone in cone_histogram(ctx, x, z)
+                               if cone is not None)
     return sorted(triples)
 
 

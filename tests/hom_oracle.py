@@ -46,14 +46,14 @@ def count_exact_sequences_per_triple(ctx, x, y, z):
     if tuple(a + b for a, b in zip(xr.dims, yr.dims)) != zr.dims:
         return 0
     inj_by_image = {}
-    for f in homs_by_addition(xr, zr, cap=ctx.caps.candidates):
+    for f in homs_by_addition(xr, zr, cap=ctx.cap):
         if f.is_injective():
             key = f.image_key()
             inj_by_image[key] = inj_by_image.get(key, 0) + 1
     if not inj_by_image:
         return 0
     total = 0
-    for g in homs_by_addition(zr, yr, cap=ctx.caps.candidates):
+    for g in homs_by_addition(zr, yr, cap=ctx.cap):
         if g.is_surjective():
             total += inj_by_image.get(g.kernel_key(), 0)
     return total

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hallalg import hall, reps, span, verify
+from hallalg import derived, hall, reps, span, verify
 from hallalg.catalog import catalog_build
 from hallalg.derived import (
     ChainMap,
@@ -115,23 +115,25 @@ def a1_derived_context():
 
 
 def test_derived_aut_lifts_need_a_bijection(monkeypatch):
-    # a zero augmentation sends the 3 classes P -> P to one class P -> C
-    monkeypatch.setattr(hall, "augmentation_map", lambda cat, dc: ChainMap(
+    # the lifts behind the composition tables: a zero augmentation sends the
+    # 3 classes P(c1) -> P(c1) to one class P(c1) -> C(c1)
+    monkeypatch.setattr(derived, "augmentation_map", lambda cat, dc: ChainMap(
         projective_realization(cat, dc), stalk_realization(cat, dc), {}))
     with pytest.raises(InvariantError,
-                       match=r"^derived automorphisms of c1: the 3 classes P -> P "
-                             r"reach 1 classes P -> C, not the table's 3: composing "
-                             r"with the augmentation is not a bijection$"):
-        hall.derived_aut_lifts(a1_derived_context(), DerivedClass.from_module(1))
+                       match=r"^lifts of c1 -> c1: the 3 classes P -> P reach 1 "
+                             r"classes P -> C, not the block's 3: composing with "
+                             r"the augmentation is not a bijection$"):
+        derived.composition_table(a1_derived_context().catalog, 1, 1, 1, 0, 0)
 
 
 def test_derived_aut_lifts_count_the_automorphisms(monkeypatch):
-    real = hall.derived_aut_order
-    monkeypatch.setattr(hall, "derived_aut_order", lambda ctx, x: real(ctx, x) + 1)
+    # the zero-cone classes the orbit check acts by, against the closed form
+    real = hall.derived_aut_formula
+    monkeypatch.setattr(hall, "derived_aut_formula", lambda ctx, x: real(ctx, x) + 1)
     with pytest.raises(InvariantError,
-                       match=r"^derived automorphisms of c1: 2 lifts with a zero "
-                             r"cone != derived_aut_order 3$"):
-        hall.derived_aut_lifts(a1_derived_context(), DerivedClass.from_module(1))
+                       match=r"^derived automorphisms of c1: 2 Hom classes x -> x "
+                             r"with a zero cone != derived_aut_formula 3$"):
+        hall.derived_automorphisms(a1_derived_context(), DerivedClass.from_module(1))
 
 
 @pytest.mark.skipif(sys.flags.optimize, reason="this is the python -O run")

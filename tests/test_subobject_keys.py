@@ -19,7 +19,7 @@ from hallalg.catalog import catalog_build
 from hallalg.cli import main
 from hallalg.errors import EnumerationCapError, InvariantError
 from hallalg.fq import RowSpace
-from hallalg.hall import EnumerationCaps, HallContext, subrep_histogram
+from hallalg.hall import HallContext, subrep_histogram
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.verify import verify_suite
 
@@ -155,7 +155,7 @@ def test_cap_is_checked_before_the_search(a2_cat_11):
     message = r"^enumerate_subreps\(dims \(1, 1\)\): 4\+ subspace tuples exceed cap 3$"
     with pytest.raises(EnumerationCapError, match=message):
         reps.subobjects(z, cap=3)     # raises before the first tuple
-    ctx = HallContext("classical", a2_cat_11, caps=EnumerationCaps(candidates=3))
+    ctx = HallContext("classical", a2_cat_11, cap=3)
     with pytest.raises(EnumerationCapError, match=message):
         subrep_histogram(ctx, 4)
 

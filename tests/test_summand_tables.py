@@ -1,7 +1,8 @@
 """Derived tables from shared local pieces, against their oracles.
 
-hom_class_table assembles each (x, z) table from the per-summand blocks of
-hom_block; the whole-table solve HomotopyClasses(P(x), C(z)) is its oracle.
+SummandHomClasses lays out each (x, z) table from the per-summand blocks of
+hom_block; the whole-table solve hom_class_table = HomotopyClasses(P(x),
+C(z)) is its oracle.
 Cone classes come from one cone-homology memo per catalog, keyed by the
 summand signature and three block coefficient tuples; derived_class_of(
 mapping_cone(...)) is its oracle, and classifying every row afresh from its
@@ -34,6 +35,7 @@ from hallalg.derived import (
     stalk_realization,
 )
 from hallalg.errors import InvariantError
+from hallalg.fq import RowSpace
 from hallalg.reps import Representation
 from hallalg.hall import HallContext, cone_histogram, cone_table
 from hallalg.quivers import Quiver, a_n_quiver
@@ -60,27 +62,32 @@ def reached_context(quiver, p, bound, window):
     (a_n_quiver(3), 2, (1, 1, 1), (-1, 0)),
 ], ids=["a2-p2", "a2-p3", "kronecker-p2", "a3-p2"])
 def test_assembled_tables_match_the_whole_table_solve(quiver, p, bound, window):
+    # the embedded block complements are chain maps, independent modulo the
+    # null-homotopic maps of the whole-table solve, and give its p^dim
+    # classes: the ConeBlocks coordinates are coordinates of the whole table
     ctx = reached_context(quiver, p, bound, window)
     cat = ctx.catalog
     assert len(ctx._cone_hist) > 100
     for x, z in ctx._cone_hist:
-        table = hom_class_table(cat, x, z)
-        oracle = oracle_table(cat, x, z)
-        assert table.space.offsets == oracle.space.offsets
-        assert table.dim == oracle.dim
-        # the same bases, not only the same spans: the reduced echelon
-        # null rows and the complement, in the same order, so class_vectors
-        # runs in the same order too
-        assert table.null.rows == oracle.null.rows
-        assert table.null.pivots == oracle.null.pivots
-        assert table.complement == oracle.complement
-        ours = [table.canon(v) for v in table.class_vectors()]
-        assert ours == [oracle.canon(v) for v in table.class_vectors()]
-        assert sorted(ours) == sorted(oracle.canon(v) for v in oracle.class_vectors())
-        # each complement vector is one block's complement vector, embedded
-        for vec, (key, i) in zip(table.complement, table.origin):
-            assert vec == tuple(table.vector({key: tuple(
-                int(j == i) for j in range(table.blocks[key].dim))}))
+        layout = SummandHomClasses(cat, x, z)
+        oracle = hom_class_table(cat, x, z)
+        assert layout.space.offsets == oracle.space.offsets
+        cones = ConeBlocks(cat, x, z)
+        assert sum(cones.dims) == oracle.dim
+        cycles = RowSpace(p, oracle.space.total)
+        for v in oracle.cycle_basis:
+            cycles.add(v)
+        spanned = RowSpace(p, oracle.space.total)
+        for v in oracle.null.rows:
+            spanned.add(v)
+        for key, dim in zip(cones.keys, cones.dims):
+            for i in range(dim):
+                vec = layout.vector({key: tuple(int(j == i) for j in range(dim))})
+                assert not any(cycles.reduce(vec)), (x, z, key, i)
+                assert spanned.add(vec), (x, z, key, i)
+        classes = {oracle.canon(layout.vector(dict(zip(cones.keys, coords))))
+                   for coords in cones.coordinates()}
+        assert len(classes) == oracle.count
 
 
 def memo_mismatches(ctx) -> tuple:
@@ -175,7 +182,7 @@ def test_block_dim_disagreeing_with_the_module_route_raises(monkeypatch):
         hom_block(cat, 2, 1, 1)
     x = DerivedClass.from_module(2)
     with pytest.raises(InvariantError, match="module route 5"):
-        hom_class_table(cat, x, DerivedClass.from_module(1).shift(1))
+        ConeBlocks(cat, x, DerivedClass.from_module(1).shift(1))
 
 
 def test_local_cone_tables_keep_only_what_a_miss_reads():
