@@ -48,6 +48,7 @@ from .lf import (
     pushforward,
 )
 from .quivers import Quiver
+from .reps import DEFAULT_CAP
 from .span import build_span_model
 from .verify import ALL_CHECKS, in_bound_pairs, verify_suite
 
@@ -280,7 +281,7 @@ def _add_common(parser: argparse.ArgumentParser, derived_mode=False) -> None:
                         help="prime field modulus")
     parser.add_argument("--bound", required=True,
                         help="per-vertex dimension bound, e.g. 2,2")
-    parser.add_argument("--cap", type=int, default=10_000_000,
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="enumeration candidate cap")
     parser.add_argument("--format", choices=("json", "csv", "pretty"),
                         default="json")

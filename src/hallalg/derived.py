@@ -508,18 +508,12 @@ def homotopy_boundaries(X: Complex, Z: Complex, gs: GradedMapSpace) -> list:
     return out
 
 
-# Hom classes are enumerated only up to this dim, whatever the count cap
-HOM_EXPONENT_CAP = 20
-
-
-def _check_class_count(label: str, p: int, dim: int, cap: int,
-                       max_exponent: int) -> None:
-    """Raise EnumerationCapError when p**dim Hom classes exceed the caps."""
-    if dim > max_exponent or p ** dim > cap:
-        limit = (f"cap {cap}" if p ** dim > cap
-                 else f"hom exponent cap {max_exponent}")
+def _check_class_count(label: str, p: int, dim: int, cap: int) -> None:
+    """Raise EnumerationCapError when p**dim Hom classes exceed the cap, the
+    one enumeration limit (--cap)."""
+    if p ** dim > cap:
         raise EnumerationCapError(
-            f"{label}: {p}**{dim} homotopy classes exceed {limit}"
+            f"{label}: {p}**{dim} homotopy classes exceed cap {cap}"
         )
 
 
@@ -541,11 +535,11 @@ class HomotopyClasses:
     solving the whole equation system of X -> Z: `space` (the
     GradedMapSpace of X -> Z), `null` (the null-homotopic maps, a RowSpace)
     and `complement` (chain maps spanning a complement of null), with a
-    canonical coset key per class.  cap=None skips the class count caps.
+    canonical coset key per class.  Solving enumerates no class, so no cap
+    applies here; the callers that enumerate classes cap them.
     """
 
-    def __init__(self, X: Complex, Z: Complex, cap: Optional[int] = reps.DEFAULT_CAP,
-                 label: str = "HomotopyClasses"):
+    def __init__(self, X: Complex, Z: Complex, label: str = "HomotopyClasses"):
         self.X = X
         self.Z = Z
         self.p = X.p
@@ -556,8 +550,6 @@ class HomotopyClasses:
             self.null.add(b)
         self.complement = complement_basis(self.null, self.cycle_basis)
         self.dim = len(self.complement)
-        if cap is not None:
-            _check_class_count(label, self.p, self.dim, cap, HOM_EXPONENT_CAP)
 
     @property
     def count(self) -> int:
@@ -590,7 +582,7 @@ def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
     builds no complex: dim Hom(A, B) for k = 0 (reps.hom_dim), dim
     Ext^1(A, B) for k = 1 (reps.ext1_dim, the cokernel of Hom(p0, B) ->
     Hom(p1, B)) and 0 otherwise, since the path algebra of an acyclic
-    quiver is hereditary.  Built without the class count caps; its users
+    quiver is hereditary.  Built without the class count cap; its users
     apply their own."""
     cache = cat.derived_hom_blocks
     key = (a, b, k)
@@ -598,9 +590,9 @@ def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
     if block is None:
         x = DerivedClass.from_module(a)
         z = DerivedClass.from_module(b).shift(k)
-        label = f"stalk_hom_dim({x.name(cat)} -> {z.name(cat)})"
+        label = f"hom_block({x.name(cat)} -> {z.name(cat)})"
         block = HomotopyClasses(projective_realization(cat, x),
-                                stalk_realization(cat, z), cap=None, label=label)
+                                stalk_realization(cat, z), label=label)
         module = (cat.hom_dim(a, b) if k == 0
                   else cat.ext1_dim(a, b) if k == 1 else 0)
         if block.dim != module:
@@ -907,8 +899,8 @@ class ConeBlocks:
         self.keys = [key for key, block in blocks.items() if block.dim]
         self.dims = [blocks[key].dim for key in self.keys]
         dim = sum(self.dims)
-        if dim > HOM_EXPONENT_CAP or cat.p ** dim > cap:   # name the table only to raise
-            _check_class_count(_table_label(cat, x, z), cat.p, dim, cap, HOM_EXPONENT_CAP)
+        if cat.p ** dim > cap:   # name the table only to raise
+            _check_class_count(_table_label(cat, x, z), cat.p, dim, cap)
         slot = {key: i for i, key in enumerate(self.keys)}
         xs, zs = dict(x.entries), dict(z.entries)
         memo = cat.derived_cone_homology
@@ -962,9 +954,9 @@ def hom_class_table(cat: Catalog, x: DerivedClass, z: DerivedClass,
     table = cat.derived_hom_tables.get((x, z))
     if table is None:
         table = cat.derived_hom_tables[(x, z)] = HomotopyClasses(
-            projective_realization(cat, x), stalk_realization(cat, z), cap=None,
+            projective_realization(cat, x), stalk_realization(cat, z),
             label=_table_label(cat, x, z))
-    _check_class_count(table.label, cat.p, table.dim, cap, HOM_EXPONENT_CAP)
+    _check_class_count(table.label, cat.p, table.dim, cap)
     return table
 
 
@@ -978,7 +970,7 @@ def _block_lifts(cat: Catalog, a: int, b: int, k: int) -> list:
     if lifts is None:
         block = hom_block(cat, a, b, k)
         target = DerivedClass.from_module(b).shift(k)
-        pp = HomotopyClasses(block.X, projective_realization(cat, target), cap=None)
+        pp = HomotopyClasses(block.X, projective_realization(cat, target))
         eps = augmentation_map(cat, target)
         coeffs = block.coefficients()
         basis = [coeffs[block.canon(block.vector_of(eps.compose(pp.lift(v))))]
@@ -1054,26 +1046,12 @@ def precompositions(cat: Catalog, x: DerivedClass, z: DerivedClass, gs) -> list:
     return out
 
 
-def stalk_hom_dim(cat: Catalog, a: int, b: int, k: int,
-                  cap: int = reps.DEFAULT_CAP) -> int:
-    """dim of derived Hom(A, B[k]) for catalog module classes A, B: the dim
-    of hom_block(a, b, k), computed from the chain-map space of the
-    projective realization (out-of-range shifts genuinely solve to zero)
-    and checked there against the module route."""
-    block = hom_block(cat, a, b, k)
-    _check_class_count(block.label, cat.p, block.dim, cap, 64)
-    return block.dim
-
-
-def ext_dim(x: DerivedClass, z: DerivedClass, i: int, cat: Catalog,
-            cap: int = reps.DEFAULT_CAP) -> int:
+def ext_dim(x: DerivedClass, z: DerivedClass, i: int, cat: Catalog) -> int:
     """dim of derived Hom(x, z[i]); additive over the hereditary summand
     decomposition.  Each summand pair reads the dim of its hom_block, a
     chain-map solve that hom_block checks against the module Hom and Ext^1
-    dimensions.  cone_table compares p**ext_dim(x, z, 0) with the number of
-    classes it enumerates."""
-    total = 0
-    for a_deg, a_idx in x.entries:
-        for b_deg, b_idx in z.entries:
-            total += stalk_hom_dim(cat, a_idx, b_idx, i + a_deg - b_deg, cap=cap)
-    return total
+    dimensions; no class is enumerated, so no cap applies.  Each sweep of
+    the Hom classes x -> z compares its count with p**ext_dim(x, z, 0)
+    (hall._check_class_total)."""
+    return sum(hom_block(cat, a, b, i + a_deg - b_deg).dim
+               for a_deg, a in x.entries for b_deg, b in z.entries)

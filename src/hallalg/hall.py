@@ -26,9 +26,11 @@ with N the number of those classes whose cone is z and E = ext_exponent.
 One histogram over Hom(y[-1], x) therefore gives both the exact support of
 chi_x * chi_y (z occurs iff it is the cone of some y[-1] -> x) and every
 structure constant of the product: derived_product, the production route,
-builds it once per product and keeps it nowhere.  derived_hall_number, the
+builds it once per product and keeps it nowhere, and its keys are the
+support (verify's orbit check reads them).  derived_hall_number, the
 direct count over Hom(x, z), stays as the oracle (verify's stalk check and
-the differential tests).  A support class whose homology leaves the
+the differential tests), with derived_aut_order reading the zero cones of
+the cached (x, x) histogram.  A support class whose homology leaves the
 catalog bound raises OutOfUniverseError rather than being silently dropped.
 
 The path algebra is hereditary, so |Aut x| also has a closed form
@@ -97,11 +99,9 @@ class HallContext:
         self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
         self._subspaces: dict = {}     # image/kernel key -> the one copy kept
         self._cone_hist: dict = {}     # (x, z) -> cone_histogram(x, z)
-        self._aut_orders: dict = {}    # x -> derived_aut_order(x), the count
         self._aut_formula: dict = {}   # x -> derived_aut_formula(x)
         self._product_cache: dict = {}
         self._automorphisms: dict = {}  # x -> derived_automorphisms(x)
-        self._orbit_pair: tuple = (None,)  # the last (x, z) of verify's orbit check
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -353,9 +353,9 @@ def cone_counts(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
 
 
 def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
-    """cone_counts(ctx, x, z), cached on the context for derived_hall_number,
-    whose callers (verify's stalk check, the tests) read the (x, z) and
-    (x, x) histograms again."""
+    """cone_counts(ctx, x, z), cached on the context for derived_hall_number
+    and derived_aut_order, whose callers (verify's stalk check, the tests)
+    read the (x, z) and (x, x) histograms again."""
     hist = ctx._cone_hist.get((x, z))
     if hist is None:
         hist = ctx._cone_hist[(x, z)] = cone_counts(ctx, x, z)
@@ -378,8 +378,10 @@ def cone_table(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> list:
 
 def _check_class_total(ctx: HallContext, layer: str, x: DerivedClass,
                        z: DerivedClass, count: int) -> None:
+    """Raise InvariantError unless count, the number of Hom classes x -> z
+    that a sweep named by layer enumerated, is p^ext_dim(x, z, 0)."""
     cat = ctx.catalog
-    expected = cat.p ** ext_dim(x, z, 0, cat, cap=ctx.cap)
+    expected = cat.p ** ext_dim(x, z, 0, cat)
     if count != expected:
         raise InvariantError(
             f"{layer}({x.name(cat)} -> {z.name(cat)}): hom class count "
@@ -388,17 +390,15 @@ def _check_class_total(ctx: HallContext, layer: str, x: DerivedClass,
 
 
 def derived_aut_order(ctx: HallContext, x: DerivedClass) -> int:
-    """|Aut(x)| in the derived sense: Hom classes x -> x with zero cone.
-    Cached on the context as one int per key; the histogram is dropped."""
-    order = ctx._aut_orders.get(x)
-    if order is None:
-        order = cone_counts(ctx, x, x).get(DerivedClass.zero(), 0)
-        if not order:
-            raise InvariantError(
-                f"derived_aut_order({x.name(ctx.catalog)}): no Hom class "
-                f"x -> x has a zero cone, not even the identity"
-            )
-        ctx._aut_orders[x] = order
+    """|Aut(x)| in the derived sense: Hom classes x -> x with zero cone,
+    read off cone_histogram(x, x), which the context caches.  Reads no
+    value of derived_aut_formula, whose oracle it is."""
+    order = cone_histogram(ctx, x, x).get(DerivedClass.zero(), 0)
+    if not order:
+        raise InvariantError(
+            f"derived_aut_order({x.name(ctx.catalog)}): no Hom class "
+            f"x -> x has a zero cone, not even the identity"
+        )
     return order
 
 
@@ -503,12 +503,6 @@ def _support(ctx: HallContext, x: DerivedClass, y: DerivedClass,
                 f"product support {ctx.key_name(z)} leaves the shift window"
             )
     return support
-
-
-def derived_support(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> list:
-    """The exact support of chi_x * chi_y: z occurs iff z is the cone of
-    some Hom class y[-1] -> x (triangle rotation)."""
-    return _support(ctx, x, y, cone_counts(ctx, y.shift(-1), x))
 
 
 def derived_product(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> dict:

@@ -14,11 +14,16 @@ NOT inverted; that reading is expected to fail whenever the action has a
 nontrivial stabilizer, and the failures are logged rather than hidden (the
 check's pass/fail verdict rests only on the inverted identity).
 
-In the classical mode every key of [x,z]_y is injective, so f g = f forces
-g = 1 and Aut(x) acts freely: each orbit is swept by reps.orbit over the
+The check sweeps the pairs (x, z) with z in the support of some product
+chi_x * chi_y.  Each Hom(x, z) is split into its sets [x,z]_y once, and
+every y of the split is checked from it, in the order of the sorted
+triples.  In the classical mode the split is by the cokernel class of each
+mono x -> z (hall.mono_keys), and f g = f forces g = 1 for an injective f,
+so Aut(x) acts freely: each orbit is swept by reps.orbit over the
 generators the span model reads, and must hold exactly Catalog.aut_order(x)
-keys.  The derived mode acts by every derived automorphism
-(hall.derived_automorphisms) on the ConeBlocks coordinates of Hom(x, z)
+keys.  In the derived mode the split is by the cone class of each Hom class
+in ConeBlocks coordinates, and every derived automorphism
+(hall.derived_automorphisms) acts on those coordinates
 (derived.precompositions); its stabilizers can be nontrivial, so each is
 counted element by element.
 """
@@ -35,12 +40,11 @@ from .errors import InputError, InvariantError
 from .hall import (
     BasisKey,
     HallContext,
+    _check_class_total,
     basis_product,
-    cone_histogram,
     count_exact_sequences,
     derived_automorphisms,
     derived_hall_number,
-    derived_support,
     hall_number_classical,
     mono_keys,
     multiply,
@@ -55,40 +59,39 @@ def _fmt(q: Fraction) -> str:
 
 
 def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
-                           y: BasisKey) -> dict:
+                           y: BasisKey, action: Optional[tuple] = None) -> dict:
     """Exact orbit/stabilizer accounting of Aut(x) acting on [x,z]_y by
-    precomposition; see the module docstring for what is verified."""
-    if ctx.mode == "classical":
-        keys, act, aut_size = _classical_action(ctx, x, z, y)
-    else:
-        keys, act, aut_size = _derived_action(ctx, x, z, y)
+    precomposition; see the module docstring for what is verified.  action
+    is _action(ctx, x, z), which the orbit check builds once per (x, z) for
+    all of its y; it is built here when not given."""
+    classes, act, aut_size = _action(ctx, x, z) if action is None else action
+    keys = classes.get(y, [])
+    names = [ctx.key_name(k) for k in (x, z, y)]
+
+    def fail(what: str) -> InvariantError:
+        return InvariantError(f"orbit_stabilizer_check({', '.join(names)}): {what}")
 
     members = set(keys)
     seen = set()
     orbits = []
-    label = (f"orbit_stabilizer_check({ctx.key_name(x)}, {ctx.key_name(z)}, "
-             f"{ctx.key_name(y)})")
     for k in keys:
         if k in seen:
             continue
         orbit, stab = act(k)
         if not orbit <= members:
-            raise InvariantError(f"{label}: an orbit of Aut leaves the set [x,z]_y")
+            raise fail("an orbit of Aut leaves the set [x,z]_y")
         seen |= orbit
         if stab * len(orbit) != aut_size:
-            raise InvariantError(
-                f"{label}: |Stab| {stab} * |orbit| {len(orbit)} != "
-                f"|Aut| {aut_size}"
-            )
+            raise fail(f"|Stab| {stab} * |orbit| {len(orbit)} != |Aut| {aut_size}")
         orbits.append({"size": len(orbit), "stabilizer": stab})
 
     inv_sum = sum((Fraction(1, o["stabilizer"]) for o in orbits), Fraction(0))
     plain_sum = sum((Fraction(o["stabilizer"]) for o in orbits), Fraction(0))
     ratio = Fraction(len(keys), aut_size) if aut_size else Fraction(0)
     return {
-        "x": ctx.key_name(x),
-        "z": ctx.key_name(z),
-        "y": ctx.key_name(y),
+        "x": names[0],
+        "z": names[1],
+        "y": names[2],
         "set_size": len(keys),
         "aut_order": aut_size,
         "orbits": orbits,
@@ -101,10 +104,18 @@ def orbit_stabilizer_check(ctx: HallContext, x: BasisKey, z: BasisKey,
     }
 
 
-def _classical_action(ctx: HallContext, x: int, z: int, y: int):
-    """Aut(x) acting by f |-> f g on the keys of the monos x -> z
-    (hall.mono_keys) with cokernel y, as (keys, act, |Aut x|) where
-    act(key) = (its orbit, its stabilizer order).  The orbit is swept by
+def _action(ctx: HallContext, x: BasisKey, z: BasisKey) -> tuple:
+    """Aut(x) acting by f |-> f g on Hom(x, z), split once into its sets
+    [x,z]_y: ({y: keys of [x,z]_y}, act, |Aut x|), where act(key) = (its
+    orbit, its stabilizer order)."""
+    if ctx.mode == "classical":
+        return _classical_action(ctx, x, z)
+    return _derived_action(ctx, x, z)
+
+
+def _classical_action(ctx: HallContext, x: int, z: int) -> tuple:
+    """_action on the monos x -> z (hall.mono_keys), split by the class of
+    their cokernel, classified once per image.  The orbit is swept by
     reps.orbit over the moves of reps.aut_generators, the generating set
     the span model reads.  An injective f has f g = f only for g = 1, so
     the stabilizer is 1 and orbit_stabilizer_check holds every orbit to
@@ -112,42 +123,40 @@ def _classical_action(ctx: HallContext, x: int, z: int, y: int):
     cat = ctx.catalog
     xr, zr = cat.rep(x), cat.rep(z)
     order = cat.aut_order(x)
-    keys = []
+    classes: dict = {}
     cokernels = {}    # image key -> class of the cokernel, which it fixes
     for k, image in mono_keys(ctx, x, z):
-        if image not in cokernels:
-            cokernels[image] = cat.classify_key(reps.quotient_key(zr, image))
-        if cokernels[image] == y:
-            keys.append(k)
+        y = cokernels.get(image)
+        if y is None:
+            y = cokernels[image] = cat.classify_key(reps.quotient_key(zr, image))
+        classes.setdefault(y, []).append(k)
     moves = reps.composition_moves((), reps.aut_generators(xr, order),
                                    xr.dims, zr.dims)
-    return keys, lambda k: (reps.orbit(k, moves, cat.p), 1), order
+    return classes, lambda k: (reps.orbit(k, moves, cat.p), 1), order
 
 
-def _derived_action(ctx: HallContext, x: DerivedClass, z: DerivedClass,
-                    y: DerivedClass):
-    """Aut(x) acting on [x,z]_y by f |-> f g in the flattened ConeBlocks
-    coordinates of Hom(x, z), as _classical_action's (keys, act, |Aut x|);
-    every automorphism is applied, so the stabilizer counts those that fix
-    the class.  The Hom classes by cone class and the matrices of Aut(x)
-    are kept on the context for the last (x, z): the triples come sorted."""
+def _derived_action(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> tuple:
+    """_action on the flattened ConeBlocks coordinates of Hom(x, z), split
+    by cone class (None for a cone that leaves the catalog bound) with the
+    enumerated total checked against p^ext_dim as cone_histogram checks
+    it.  Every derived automorphism is applied (derived.precompositions),
+    so the stabilizer counts those that fix the class."""
     cat = ctx.catalog
-    if ctx._orbit_pair[0] != (x, z):
-        cones = ConeBlocks(cat, x, z, cap=ctx.cap)
-        classes: dict = {}
-        for coords in cones.coordinates():
-            classes.setdefault(cones.cone_class(coords), []).append(
-                tuple(itertools.chain.from_iterable(coords)))
-        ctx._orbit_pair = ((x, z), classes, precompositions(
-            cat, x, z, derived_automorphisms(ctx, x)))
-    _, classes, matrices = ctx._orbit_pair
+    cones = ConeBlocks(cat, x, z, cap=ctx.cap)
+    classes: dict = {}
+    for coords in cones.coordinates():
+        classes.setdefault(cones.cone_class(coords), []).append(
+            tuple(itertools.chain.from_iterable(coords)))
+    _check_class_total(ctx, "orbit_stabilizer_check", x, z,
+                       sum(map(len, classes.values())))
+    matrices = precompositions(cat, x, z, derived_automorphisms(ctx, x))
 
     def act(k):
         images = [tuple(sum(map(operator.mul, k, col)) % cat.p for col in cols)
                   for cols in matrices]
         return set(images), images.count(k)
 
-    return classes.get(y, []), act, len(matrices)
+    return classes, act, len(matrices)
 
 
 # -- the suite ---------------------------------------------------------------------
@@ -368,21 +377,14 @@ def _check_span(ctx, span, pairs):
     return _verdict(cases, failures)
 
 
-def _orbit_triples(ctx: HallContext, pairs) -> list:
-    """Triples (x, z, y) with nonzero structure constant reachable from the
-    in-bound pair sweep, deduplicated and sorted."""
-    triples = set()
-    if ctx.mode == "classical":
-        for x, y in pairs:
-            for z, g in basis_product(ctx, x, y).items():
-                if g:
-                    triples.add((x, z, y))
-    else:
-        for x, y in pairs:
-            for z in derived_support(ctx, x, y):
-                triples.update((x, z, cone) for cone in cone_histogram(ctx, x, z)
-                               if cone is not None)
-    return sorted(triples)
+def _orbit_pairs(ctx: HallContext, pairs) -> list:
+    """The sorted (x, z) with z in the support of chi_x * chi_y for some
+    (x, y) of pairs: every y with g(x, y; z) != 0 is a class of _action(x,
+    z).  A classical product stores only its nonzero constants, and every
+    cokernel of a mono x -> z fits the bound with x; a derived product's
+    keys are exactly its support, which raises OutOfUniverseError when it
+    leaves the universe."""
+    return sorted({(x, z) for x, y in pairs for z in basis_product(ctx, x, y)})
 
 
 def _check_orbit(ctx, span, pairs):
@@ -390,15 +392,17 @@ def _check_orbit(ctx, span, pairs):
     uninverted_failures = 0
     non_free = 0
     cases = 0
-    for x, z, y in _orbit_triples(ctx, pairs):
-        rep = orbit_stabilizer_check(ctx, x, z, y)
-        cases += 1
-        if not rep["identity_holds"]:
-            failures.append(rep)
-        if not rep["uninverted_matches"]:
-            uninverted_failures += 1
-        if not rep["free_action"]:
-            non_free += 1
+    for x, z in _orbit_pairs(ctx, pairs):
+        action = _action(ctx, x, z)
+        for y in sorted(y for y in action[0] if y is not None):
+            rep = orbit_stabilizer_check(ctx, x, z, y, action)
+            cases += 1
+            if not rep["identity_holds"]:
+                failures.append(rep)
+            if not rep["uninverted_matches"]:
+                uninverted_failures += 1
+            if not rep["free_action"]:
+                non_free += 1
     out = _verdict(cases, failures)
     out["uninverted_reading_failures"] = uninverted_failures
     out["non_free_triples"] = non_free

@@ -35,7 +35,7 @@ def derived_aut_lifts(ctx, x: DerivedClass) -> list:
         return cache[x]
     cat = ctx.catalog
     table = hom_class_table(cat, x, x, cap=ctx.cap)
-    pp = HomotopyClasses(table.X, table.X, cap=ctx.cap)
+    pp = HomotopyClasses(table.X, table.X)
     eps = augmentation_map(cat, x)
     cones = {table.canon(vec): cone for vec, cone in cone_table(ctx, x, x)}
     basis = [table.canon(table.vector_of(eps.compose(pp.lift(b))))

@@ -32,9 +32,8 @@ KRONECKER = Quiver(2, ((0, 1), (0, 1)))
 
 
 def orbit_pairs(ctx) -> list:
-    """The (x, z) of every triple the orbit check visits."""
-    triples = verify._orbit_triples(ctx, verify.in_bound_pairs(ctx))
-    return sorted({(x, z) for x, z, _ in triples})
+    """The (x, z) whose Hom space the orbit check splits."""
+    return verify._orbit_pairs(ctx, verify.in_bound_pairs(ctx))
 
 
 def mismatches(ctx, sample=None) -> tuple:

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from hallalg import derived, hall
+from hallalg import hall
 from hallalg.catalog import catalog_build
 from hallalg.cli import main as cli_main
 from hallalg.derived import (
@@ -49,6 +49,17 @@ def oracle_rows(cat, x, z, vectors=None):
         (vec, derived_class_of(mapping_cone(table.lift(vec)), cat, strict=False))
         for vec in vectors
     ]
+
+
+def check_rows(cat, x, z, rows):
+    """cone_table rows against the oracle read at the rows' own class
+    vectors, and their classes against every class of the oracle table:
+    the rows come in ConeBlocks.coordinates order, which need not be the
+    order of the table's class_vectors."""
+    table = hom_class_table(cat, x, z)
+    assert rows == oracle_rows(cat, x, z, [v for v, _ in rows]), (x, z)
+    assert (sorted(table.canon(v) for v, _ in rows)
+            == sorted(table.canon(v) for v in table.class_vectors())), (x, z)
 
 
 def reach_both_routes(ctx):
@@ -127,9 +138,23 @@ def test_kernel_matches_oracle_on_random_quivers(universe, data):
         x = data.draw(st.sampled_from(keys))
         z = data.draw(st.sampled_from(keys))
         rows = cone_table(ctx, x, z)
-        assert rows == oracle_rows(ctx.catalog, x, z)
+        check_rows(ctx.catalog, x, z, rows)
         if any(dc is None for _, dc in rows):
             event("out-of-bound cone")
+
+
+def test_kernel_rows_in_block_order_match_the_oracle():
+    # a falsifying case of the comparison in class_vectors order: the block
+    # coordinates list (0,1,0) -> None before (0,0,1) -> c3[1], the whole
+    # table the other way round
+    ctx = HallContext("derived", catalog_build(Quiver(3, ((2, 0),)), 2, (1, 0, 1)),
+                      window=(-1, 0))
+    keys = {k.name(ctx.catalog): k for k in ctx.basis_keys()}
+    x, z = keys["c1[1]+c1"], keys["c3[1]"]
+    rows = cone_table(ctx, x, z)
+    table = hom_class_table(ctx.catalog, x, z)
+    assert [v for v, _ in rows] != list(table.class_vectors())
+    check_rows(ctx.catalog, x, z, rows)
 
 
 def test_random_quiver_sweep_reaches_out_of_bound_cones():
@@ -141,7 +166,7 @@ def test_random_quiver_sweep_reaches_out_of_bound_cones():
     for x in keys[:12]:
         for z in keys[:12]:
             got = cone_table(ctx, x, z)
-            assert got == oracle_rows(ctx.catalog, x, z)
+            check_rows(ctx.catalog, x, z, got)
             seen_none = seen_none or any(dc is None for _, dc in got)
     assert seen_none
 
@@ -221,16 +246,13 @@ def test_solve_matrix_outside_span_raises():
 # -- cap messages name the layer and the object ----------------------------------------
 
 
-def test_hom_class_table_cap_message(monkeypatch, a2_cat):
+def test_hom_class_table_cap_message(a2_cat):
     x = DerivedClass.from_module(2)
     z = DerivedClass.from_module(1).shift(1)
     with pytest.raises(EnumerationCapError,
                        match=r"^hom_class_table\(c2 -> c1\[1\]\): 2\*\*1 homotopy "
                              r"classes exceed cap 1$"):
         hom_class_table(a2_cat, x, z, cap=1)
-    monkeypatch.setattr(derived, "HOM_EXPONENT_CAP", 0)
-    with pytest.raises(EnumerationCapError, match="exceed hom exponent cap 0$"):
-        hom_class_table(a2_cat, x, z)
 
 
 def test_cached_hom_class_table_is_capped_on_every_call(a2_cat):

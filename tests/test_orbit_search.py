@@ -195,19 +195,20 @@ ORBIT_CHECK_UNIVERSES = [
 def test_orbit_check_orbits_match_the_element_images(quiver, p, bound):
     ctx = HallContext("classical", catalog_build(quiver, p, bound))
     cat = ctx.catalog
-    triples = verify._orbit_triples(ctx, verify.in_bound_pairs(ctx))
-    assert triples
-    for x, z, y in triples:
-        keys, act, order = verify._classical_action(ctx, x, z, y)
+    pairs = verify._orbit_pairs(ctx, verify.in_bound_pairs(ctx))
+    assert pairs
+    for x, z in pairs:
+        classes, act, order = verify._action(ctx, x, z)
         assert order == cat.aut_order(x)
-        seen = set()
-        for k in keys:
-            if k in seen:
-                continue
-            orbit, stab = act(k)
-            images = aut_element_images(cat.rep(x), cat.rep(z), k)
-            assert orbit == set(images), (x, z, y, k)
-            assert stab == images.count(k) == 1, (x, z, y, k)
-            assert len(orbit) == order, (x, z, y, k)
-            seen |= orbit
-        assert seen == set(keys), (x, z, y)
+        for y, keys in classes.items():
+            seen = set()
+            for k in keys:
+                if k in seen:
+                    continue
+                orbit, stab = act(k)
+                images = aut_element_images(cat.rep(x), cat.rep(z), k)
+                assert orbit == set(images), (x, z, y, k)
+                assert stab == images.count(k) == 1, (x, z, y, k)
+                assert len(orbit) == order, (x, z, y, k)
+                seen |= orbit
+            assert seen == set(keys), (x, z, y)

@@ -25,7 +25,6 @@ from hallalg.hall import (
     derived_aut_order,
     derived_hall_number,
     derived_product,
-    derived_support,
 )
 from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.verify import in_bound_pairs
@@ -41,7 +40,6 @@ def mismatches(ctx, pairs) -> tuple:
     bad, terms = [], 0
     for x, y in pairs:
         got = derived_product(ctx, x, y)
-        assert list(got) == derived_support(ctx, x, y), (x, y)
         for z, g in got.items():
             terms += 1
             if g != derived_hall_number(ctx, x, y, z):
@@ -84,7 +82,7 @@ def test_a_factor_of_p_moved_in_one_z_fails_the_comparison(monkeypatch, factor):
     z0 = DerivedClass.from_module(indec)
     # the terms whose z is z0 and whose x and y are not: only the rotated
     # route reads |Aut z0| and E(z0, z0) for them
-    expected = {(x, y, z) for x, y in pairs for z in derived_support(ctx, x, y)
+    expected = {(x, y, z) for x, y in pairs for z in derived_product(ctx, x, y)
                 if z == z0 and z0 not in (x, y)}
     assert expected
     if factor == "aut":

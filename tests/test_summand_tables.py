@@ -177,7 +177,7 @@ def test_block_dim_disagreeing_with_the_module_route_raises(monkeypatch):
     cat = catalog_build(a_n_quiver(2), 2, (1, 1))
     monkeypatch.setattr(cat, "ext1_dim", lambda a, b: 5)
     with pytest.raises(InvariantError,
-                       match=r"^stalk_hom_dim\(c2 -> c1\[1\]\): the chain-map "
+                       match=r"^hom_block\(c2 -> c1\[1\]\): the chain-map "
                              r"route gives dim 1, the module route 5$"):
         hom_block(cat, 2, 1, 1)
     x = DerivedClass.from_module(2)
