@@ -252,6 +252,8 @@ def cmd_lf_eval(args) -> int:
 
 def cmd_base_change(args) -> int:
     doc = _load_json(args.square)
+    if not isinstance(doc, dict):
+        raise InputError("square JSON must be an object")
     try:
         square = BaseChangeSquare(
             f=ProperMapData.from_json_dict(doc["f"]),

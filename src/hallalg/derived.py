@@ -878,8 +878,10 @@ class ConeBlocks:
     A Hom class is one coefficient tuple per block of summand_blocks(x, z)
     of nonzero dim (`keys`, with `dims`), over that block's complement; the
     whole-table class vector has those coefficients on the embedded block
-    complements (SummandHomClasses.vector).  The class count is capped with
-    the cap message of hom_class_table.
+    complements (SummandHomClasses.vector).  The class count, which
+    coordinates() enumerates exactly, is p^sum(dims): it is capped with the
+    cap message of hom_class_table and checked against p^ext_dim(x, z, 0)
+    when the blocks are built, so every sweep of them is checked once.
 
     cone(f)^n = p0(x_(n+1)) (+) p1(x_(n+2)) (+) z_n.  The kernel of d^n
     vanishes on p1(x_(n+2)), because the resolution map delta of x_(n+2) is
@@ -901,6 +903,10 @@ class ConeBlocks:
         dim = sum(self.dims)
         if cat.p ** dim > cap:   # name the table only to raise
             _check_class_count(_table_label(cat, x, z), cat.p, dim, cap)
+        if dim != (expected := ext_dim(x, z, 0, cat)):
+            raise InvariantError(
+                f"{_table_label(cat, x, z)}: hom class count p^{dim} != "
+                f"p^ext_dim = p^{expected}: enumeration routes disagree")
         slot = {key: i for i, key in enumerate(self.keys)}
         xs, zs = dict(x.entries), dict(z.entries)
         memo = cat.derived_cone_homology
@@ -1050,8 +1056,7 @@ def ext_dim(x: DerivedClass, z: DerivedClass, i: int, cat: Catalog) -> int:
     """dim of derived Hom(x, z[i]); additive over the hereditary summand
     decomposition.  Each summand pair reads the dim of its hom_block, a
     chain-map solve that hom_block checks against the module Hom and Ext^1
-    dimensions; no class is enumerated, so no cap applies.  Each sweep of
-    the Hom classes x -> z compares its count with p**ext_dim(x, z, 0)
-    (hall._check_class_total)."""
+    dimensions; no class is enumerated, so no cap applies.  ConeBlocks
+    compares its class count with p**ext_dim(x, z, 0) when it is built."""
     return sum(hom_block(cat, a, b, i + a_deg - b_deg).dim
                for a_deg, a in x.entries for b_deg, b in z.entries)

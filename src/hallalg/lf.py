@@ -149,12 +149,16 @@ class FiniteSupportFn:
     @classmethod
     def from_json_dict(cls, base: LFType, obj: dict) -> "FiniteSupportFn":
         vals = {}
-        for k, v in obj.get("values", {}).items():
-            if isinstance(v, str):
-                num, _, den = v.partition("/")
-                vals[k] = Fraction(int(num), int(den) if den else 1)
-            else:
-                vals[k] = Fraction(v)
+        try:
+            for k, v in obj.get("values", {}).items():
+                if isinstance(v, str):
+                    num, _, den = v.partition("/")
+                    vals[k] = Fraction(int(num), int(den) if den else 1)
+                else:
+                    vals[k] = Fraction(v)
+        except (AttributeError, TypeError, ValueError, OverflowError,
+                ZeroDivisionError) as exc:
+            raise InputError(f"bad function JSON: {exc}") from exc
         return cls(base, vals)
 
 
@@ -278,13 +282,16 @@ class ProperMapData:
         fibers = None
         if "fibers" in obj:
             fibers = []
-            for t in target.components:
-                entries = obj["fibers"].get(str(t), [])
-                lft = LFType.from_pairs(
-                    [(e["id"], tuple(e.get("orders", ()))) for e in entries]
-                )
-                incl = tuple(e["maps_to"] for e in entries)
-                fibers.append(Fiber(lft, incl))
+            try:
+                for t in target.components:
+                    entries = obj["fibers"].get(str(t), [])
+                    lft = LFType.from_pairs(
+                        [(e["id"], tuple(e.get("orders", ()))) for e in entries]
+                    )
+                    incl = tuple(e["maps_to"] for e in entries)
+                    fibers.append(Fiber(lft, incl))
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise InputError(f"bad map JSON: {exc}") from exc
             fibers = tuple(fibers)
         return cls(source, target, component_map, fibers)
 

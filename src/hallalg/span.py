@@ -22,8 +22,8 @@ path.
 Every arrow class is swept by reps.orbit, the package's orbit search on
 Hom keys, which acts on the entry tuples of RepMorphism.key(): the
 generators of Aut(a) and Aut(b) become moves on the keys of Hom(a, b)
-(reps.composition_moves).  The injective keys and their images come from
-hall.mono_keys, the one enumeration of monos a -> b that the
+(reps.composition_moves).  The injective keys come from hall.mono_keys,
+the one record of the monos a -> b, grouped by image, that the
 exact-sequence count and the orbit check read too; a morphism is built
 only for the least key of each arrow class, and its cokernel is
 classified by the key reps.quotient_key reads off its image.  The orbit
@@ -113,18 +113,20 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     # g in Aut(a).  Ranks follow orbit minima, so the enumeration order
     # never reaches an id.  Injectivity is constant on an orbit, so the
     # orbits of the injective keys alone are exactly the arrow classes.
+    # image_of inverts the mono_keys record for one (a, b) while its
+    # orbits are swept and split by image.
     arrow_classes: Dict[tuple, ArrowClass] = {}
     x1_pairs = []
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
     for a in range(n):
         for b in range(n):
-            monos = dict(mono_keys(ctx, a, b))
-            if not monos:
+            image_of = {k: im for im, ks in mono_keys(ctx, a, b).items() for k in ks}
+            if not image_of:
                 continue
             ra, rb = cat.rep(a), cat.rep(b)
             both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
             comma = []
-            for rank, (canon_key, orbit) in enumerate(_orbits(monos, both, cat.p)):
+            for rank, (canon_key, orbit) in enumerate(_orbits(image_of, both, cat.p)):
                 comp = ("m", a, b, rank)
                 stab = _stabilizer_order(
                     auts[a] * auts[b], orbit,
@@ -138,12 +140,12 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                     orbit_size=len(orbit),
                     stabilizer_order=stab,
                     cokernel_class=cat.classify_key(
-                        reps.quotient_key(rb, monos[canon_key])),
+                        reps.quotient_key(rb, image_of[canon_key])),
                 )
                 x1_pairs.append((comp, (stab,)))
                 images: dict = {}
                 for k in orbit:
-                    images.setdefault(monos[k], []).append(k)
+                    images.setdefault(image_of[k], []).append(k)
                 for sub in images.values():
                     fstab = _stabilizer_order(
                         auts[a], sub, f"maps {cat.name(a)} -> {cat.name(b)}, Aut"

@@ -18,10 +18,10 @@ The check sweeps the pairs (x, z) with z in the support of some product
 chi_x * chi_y.  Each Hom(x, z) is split into its sets [x,z]_y once, and
 every y of the split is checked from it, in the order of the sorted
 triples.  In the classical mode the split is by the cokernel class of each
-mono x -> z (hall.mono_keys), and f g = f forces g = 1 for an injective f,
-so Aut(x) acts freely: each orbit is swept by reps.orbit over the
-generators the span model reads, and must hold exactly Catalog.aut_order(x)
-keys.  In the derived mode the split is by the cone class of each Hom class
+image of the monos x -> z (hall.mono_keys groups them by image), and
+f g = f forces g = 1 for an injective f, so Aut(x) acts freely: each orbit
+is swept by reps.orbit over the generators the span model reads, and must
+hold exactly Catalog.aut_order(x) keys.  In the derived mode the split is by the cone class of each Hom class
 in ConeBlocks coordinates, and every derived automorphism
 (hall.derived_automorphisms) acts on those coordinates
 (derived.precompositions); its stabilizers can be nontrivial, so each is
@@ -40,7 +40,6 @@ from .errors import InputError, InvariantError
 from .hall import (
     BasisKey,
     HallContext,
-    _check_class_total,
     basis_product,
     count_exact_sequences,
     derived_automorphisms,
@@ -115,7 +114,8 @@ def _action(ctx: HallContext, x: BasisKey, z: BasisKey) -> tuple:
 
 def _classical_action(ctx: HallContext, x: int, z: int) -> tuple:
     """_action on the monos x -> z (hall.mono_keys), split by the class of
-    their cokernel, classified once per image.  The orbit is swept by
+    their cokernel: each image's cokernel is classified once, and its
+    monos join that class's keys.  The orbit is swept by
     reps.orbit over the moves of reps.aut_generators, the generating set
     the span model reads.  An injective f has f g = f only for g = 1, so
     the stabilizer is 1 and orbit_stabilizer_check holds every orbit to
@@ -124,12 +124,9 @@ def _classical_action(ctx: HallContext, x: int, z: int) -> tuple:
     xr, zr = cat.rep(x), cat.rep(z)
     order = cat.aut_order(x)
     classes: dict = {}
-    cokernels = {}    # image key -> class of the cokernel, which it fixes
-    for k, image in mono_keys(ctx, x, z):
-        y = cokernels.get(image)
-        if y is None:
-            y = cokernels[image] = cat.classify_key(reps.quotient_key(zr, image))
-        classes.setdefault(y, []).append(k)
+    for image, keys in mono_keys(ctx, x, z).items():
+        y = cat.classify_key(reps.quotient_key(zr, image))
+        classes.setdefault(y, []).extend(keys)
     moves = reps.composition_moves((), reps.aut_generators(xr, order),
                                    xr.dims, zr.dims)
     return classes, lambda k: (reps.orbit(k, moves, cat.p), 1), order
@@ -137,18 +134,16 @@ def _classical_action(ctx: HallContext, x: int, z: int) -> tuple:
 
 def _derived_action(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> tuple:
     """_action on the flattened ConeBlocks coordinates of Hom(x, z), split
-    by cone class (None for a cone that leaves the catalog bound) with the
-    enumerated total checked against p^ext_dim as cone_histogram checks
-    it.  Every derived automorphism is applied (derived.precompositions),
-    so the stabilizer counts those that fix the class."""
+    by cone class (None for a cone that leaves the catalog bound); their
+    count is checked against p^ext_dim when ConeBlocks is built.  Every
+    derived automorphism is applied (derived.precompositions), so the
+    stabilizer counts those that fix the class."""
     cat = ctx.catalog
     cones = ConeBlocks(cat, x, z, cap=ctx.cap)
     classes: dict = {}
     for coords in cones.coordinates():
         classes.setdefault(cones.cone_class(coords), []).append(
             tuple(itertools.chain.from_iterable(coords)))
-    _check_class_total(ctx, "orbit_stabilizer_check", x, z,
-                       sum(map(len, classes.values())))
     matrices = precompositions(cat, x, z, derived_automorphisms(ctx, x))
 
     def act(k):

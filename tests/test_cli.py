@@ -255,6 +255,46 @@ def test_lf_eval_pullback(capsys, tmp_path):
     assert doc["values"] == {"a": "1/1", "b": "1/1"}
 
 
+IDENTITY_MAP = {"source": {"components": [{"id": "a"}]},
+                "target": {"components": [{"id": "a"}]},
+                "component_map": {"a": "a"}}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("lf-eval", {"values": {"a": "1/0"}}),
+    ("lf-eval", {"values": {"a": "x/2"}}),
+    ("lf-eval", [{"a": 1}]),
+    ("lf-eval", {**IDENTITY_MAP, "fibers": {"a": [{"id": "fa"}]}}),
+    ("base-change", [IDENTITY_MAP]),
+], ids=["zero-denominator", "bad-numerator", "fn-list", "fiber-without-maps-to",
+        "square-list"])
+def test_malformed_lf_json_exits_2_without_traceback(tmp_path, command, doc):
+    # doc replaces one file of an otherwise well-formed call: the function
+    # of lf-eval, or its map when doc has fibers, or the square of base-change
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    good = tmp_path / "map.json"
+    good.write_text(json.dumps(IDENTITY_MAP))
+    if command == "base-change":
+        argv = ["base-change", "--square", str(path)]
+    elif "fibers" in doc:
+        fn = tmp_path / "fn.json"
+        fn.write_text(json.dumps({"values": {"a": "1"}}))
+        argv = ["lf-eval", "--map", str(path), "--fn", str(fn)]
+    else:
+        argv = ["lf-eval", "--map", str(good), "--fn", str(path)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallalg.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
 def test_base_change_square_roundtrip(capsys, tmp_path):
     rng = random.Random(7)
     square = random_base_change_square(rng)

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from hallalg import hall
+from hallalg import derived
 from hallalg.catalog import catalog_build
 from hallalg.cli import main as cli_main
 from hallalg.derived import (
@@ -32,6 +32,7 @@ from hallalg.hall import (
     HallContext,
     cone_histogram,
     cone_table,
+    derived_automorphisms,
     derived_hall_number,
 )
 from hallalg.quivers import Quiver, a_n_quiver
@@ -180,18 +181,30 @@ def a2_cat():
 
 
 def test_cone_table_count_mismatch_raises(monkeypatch, a2_cat):
-    real = hall.ext_dim
-    monkeypatch.setattr(hall, "ext_dim", lambda *a, **k: real(*a, **k) + 1)
+    real = derived.ext_dim
+    monkeypatch.setattr(derived, "ext_dim", lambda *a, **k: real(*a, **k) + 1)
     ctx = HallContext("derived", a2_cat, window=(-1, 1))
     x = DerivedClass.from_module(2)
     z = DerivedClass.from_module(1).shift(1)
-    with pytest.raises(InvariantError, match=r"cone_table\(c2 -> c1\[1\]\)"):
+    with pytest.raises(InvariantError, match=r"hom_class_table\(c2 -> c1\[1\]\)"):
         cone_table(ctx, x, z)
 
 
+def test_derived_automorphisms_count_mismatch_raises(monkeypatch, a2_cat):
+    # the End(x) sweep of the orbit check is counted as every other sweep
+    real = derived.ext_dim
+    monkeypatch.setattr(derived, "ext_dim", lambda *a, **k: real(*a, **k) + 1)
+    ctx = HallContext("derived", a2_cat, window=(-1, 1))
+    x = DerivedClass.from_module(2)
+    with pytest.raises(InvariantError, match=r"^hom_class_table\(c2 -> c2\): hom class "
+                                             r"count p\^1 != p\^ext_dim = p\^2: "
+                                             r"enumeration routes disagree$"):
+        derived_automorphisms(ctx, x)
+
+
 def test_cone_table_count_mismatch_exits_1(monkeypatch, tmp_path, capsys):
-    real = hall.ext_dim
-    monkeypatch.setattr(hall, "ext_dim", lambda *a, **k: real(*a, **k) + 1)
+    real = derived.ext_dim
+    monkeypatch.setattr(derived, "ext_dim", lambda *a, **k: real(*a, **k) + 1)
     quiver_file = tmp_path / "a2.json"
     quiver_file.write_text(
         '{"schema": 1, "vertices": 2, "arrows": [{"src": 0, "dst": 1}]}'

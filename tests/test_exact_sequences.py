@@ -1,6 +1,7 @@
-"""hall.count_exact_sequences, read from two cached histograms, against the
-per-triple oracle of hom_oracle, and a mutation of a cached histogram that
-the Riedtmann check must catch on exactly the triples it touches."""
+"""hall.count_exact_sequences, read from the cached monos grouped by image
+and the cached epi kernel histogram, against the per-triple oracle of
+hom_oracle, and a mono dropped from its cache that the Riedtmann check
+must catch on exactly the triples it touches."""
 
 import pytest
 
@@ -42,9 +43,9 @@ def test_riedtmann_catches_a_dropped_monomorphism():
         if not cat.rep(x).is_zero() and not cat.rep(y).is_zero()
         and count_exact_sequences(ctx, x, y, z)
     )
-    monos = ctx._mono_images[(x, z)]
+    monos = ctx._monos[(x, z)]
     image = next(k for k in ctx._epi_kernels[(z, y)] if monos.get(k))
-    monos[image] -= 1
+    monos[image].pop()
 
     report = verify_suite(ctx, checks=["riedtmann"])["checks"]["riedtmann"]
     failed = [tuple(f["triple"]) for f in report["failures"]]

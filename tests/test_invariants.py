@@ -77,8 +77,8 @@ def test_span_fiber_orbit_divisibility(monkeypatch):
         monos = real(ctx, a, b)
         if (a, b) != (1, 1):
             return monos
-        *rest, (last, _) = monos
-        return (*rest, (last, "another image"))
+        (image, (*rest, last)), = monos.items()
+        return {image: rest, "another image": [last]}
 
     monkeypatch.setattr(span, "mono_keys", relabelled)
     with pytest.raises(InvariantError,

@@ -1,11 +1,12 @@
-"""hall.mono_keys, the one enumeration of monos that the span model, the
+"""hall.mono_keys, the one record of monos that the span model, the
 exact-sequence count and the orbit check share.
 
-It must list the injective keys of reps.hom_keys with their images, in
-order, for every catalog pair; and a key dropped from its cache must make
-the Riedtmann and span checks fail on exactly the triples through that
-pair, since the other side of each check (subobject counting) never reads
-it.
+It must group the injective keys of reps.hom_keys by image, each group in
+hom_keys order, for every catalog pair; an image of b must belong to the
+record of exactly one a, the class of the subobject it spans; and a key
+dropped from its cache must make the Riedtmann and span checks fail on
+exactly the triples through that pair, since the other side of each check
+(subobject counting) never reads it.
 """
 
 import pytest
@@ -20,25 +21,48 @@ from hallalg.verify import verify_suite
 KRONECKER = Quiver(2, ((0, 1), (0, 1)))
 
 
-@pytest.mark.parametrize("quiver,p,bound", [
+CONTEXTS = pytest.mark.parametrize("quiver,p,bound", [
     (a_n_quiver(3), 2, (2, 2, 1)),
     (a_n_quiver(2), 3, (2, 2)),
     (KRONECKER, 2, (2, 2)),
 ], ids=["A3-p2-221", "A2-p3-22", "kronecker-p2-22"])
+
+
+@CONTEXTS
 def test_mono_keys_are_the_injective_hom_keys_in_order(quiver, p, bound):
     ctx = HallContext("classical", catalog_build(quiver, p, bound))
     cat = ctx.catalog
     for a in range(len(cat)):
         for b in range(len(cat)):
             ra, rb = cat.rep(a), cat.rep(b)
-            want = [(k, reps.mono_image_key(ra, rb, k))
-                    for k in reps.hom_keys(ra, rb)
-                    if reps.key_is_injective(ra, rb, k)]
+            keys = list(reps.hom_keys(ra, rb))
+            position = {k: i for i, k in enumerate(keys)}
+            want = [k for k in keys if reps.key_is_injective(ra, rb, k)]
             got = mono_keys(ctx, a, b)
-            assert list(got) == want, (a, b)
+            assert type(got) is dict
             assert mono_keys(ctx, a, b) is got
-            # images are interned: one copy per subspace
-            assert all(ctx._subspaces[image] is image for _, image in got)
+            flat = [k for ks in got.values() for k in ks]
+            assert sorted(flat, key=position.__getitem__) == want, (a, b)
+            for image, ks in got.items():
+                assert ks == sorted(ks, key=position.__getitem__), (a, b)
+                assert all(reps.mono_image_key(ra, rb, k) == image for k in ks)
+            # the images come in the order of their first key
+            firsts = [position[ks[0]] for ks in got.values()]
+            assert firsts == sorted(firsts), (a, b)
+
+
+@CONTEXTS
+def test_an_image_of_b_is_in_the_record_of_its_class_only(quiver, p, bound):
+    ctx = HallContext("classical", catalog_build(quiver, p, bound))
+    cat = ctx.catalog
+    for b in range(len(cat)):
+        rb = cat.rep(b)
+        owner = {}
+        for a in range(len(cat)):
+            for image in mono_keys(ctx, a, b):
+                assert owner.setdefault(image, a) == a, (image, owner[image], a)
+                assert cat.classify_key(reps.sub_key(rb, image)) == a
+        assert owner, b   # b is an image of itself
 
 
 def test_a_dropped_mono_fails_riedtmann_and_span_on_its_pair_only():
@@ -48,16 +72,15 @@ def test_a_dropped_mono_fails_riedtmann_and_span_on_its_pair_only():
     assert clean["failures_total"] == 0
     # a mono alone in its Aut(a) x Aut(b)-orbit, so the span model loses
     # its arrow class and not just one member of it
-    a, b, key, image = next(
-        (a, b, key, image)
+    a, b, image = next(
+        (a, b, image)
         for a in range(len(cat)) for b in range(len(cat))
         if a != b and not cat.rep(a).is_zero()
         and cat.aut_order(a) == cat.aut_order(b) == 1
-        for key, image in mono_keys(ctx, a, b)
+        for image in mono_keys(ctx, a, b)
     )
     y = cat.classify_key(reps.quotient_key(cat.rep(b), image))
-    ctx._monos[(a, b)] = tuple(m for m in ctx._monos[(a, b)] if m[0] != key)
-    ctx._mono_images.clear()
+    ctx._monos[(a, b)][image].pop()
 
     report = verify_suite(ctx, build_span_model(ctx),
                           checks=["riedtmann", "span"])["checks"]
