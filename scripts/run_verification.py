@@ -6,16 +6,16 @@ p = 2 and the three-vertex A_3 quiver at p = 2, classical with the span
 cross-check, the A_2 quiver in derived mode at p = 2 and 3, plus the
 Kronecker quiver (two parallel arrows) at p = 2 in derived mode; the
 derived orbit check acts on the block coordinates of each Hom class
-(derived.precompositions).  A_3 at p = 3 with bound (2,2,2) runs the
-Riedtmann and orbit checks, the two classical checks that read the monos
-of each Hom space (hall.mono_keys) without building the span model, about
-20 s at 147 MiB on a 2-vCPU machine, and A_2 at p = 2 the derived orbit
-check alone on the window [-1,2], 10 to 15 s; the whole script takes
-about 45 s and peaks at about 162 MiB.  A_2 at p = 2 with bound (2,2) runs in derived mode on the
-window [-1,0] with the unit, assoc and stalk checks only: its orbit check
-classifies the cone of every one of the 4,864,384 Hom classes of its
-5,917 pairs (x, z), most of them missing the cone-homology memo, and was
-still unfinished after 600 s, at 402 MiB.
+(derived.precompositions).  A_3 at p = 3 with bound (2,2,2) builds the
+span model and runs every classical check, 20 to 30 s at about 97 MiB on
+a 2-vCPU machine (the span build is about two thirds of it), and A_2 at
+p = 2 the derived orbit check alone on the window [-1,2], 10 to 15 s; the
+whole script takes about 62 s and peaks at about 108 MiB.  A_2 at p = 2
+with bound (2,2) runs in derived mode on the window [-1,0] with the unit,
+assoc and stalk checks only: its orbit check classifies the cone of every
+one of the 4,864,384 Hom classes of its 5,917 pairs (x, z), most of them
+missing the cone-homology memo, and was still unfinished after 600 s, at
+402 MiB.
 Prints one line per (universe, check) and exits nonzero on any failure.
 """
 
@@ -68,7 +68,7 @@ def main():
     failures += run("A_3 p=2 bound (2,2,1)", ctx, span=build_span_model(ctx))
 
     ctx = HallContext("classical", catalog_build(a_n_quiver(3), 3, (2, 2, 2)))
-    failures += run("A_3 p=3 bound (2,2,2)", ctx, checks=("riedtmann", "orbit"))
+    failures += run("A_3 p=3 bound (2,2,2)", ctx, span=build_span_model(ctx))
 
     dctx = HallContext(
         "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 1)

@@ -258,8 +258,9 @@ def count_exact_sequences(ctx: HallContext, x: int, y: int, z: int) -> int:
 
     Reads mono_keys(x, z), the monos grouped by image that the span model
     and the orbit check read, and {kernel: #epis z -> y}, the context's
-    cached sweep of reps.hom_keys; the count is the sum over the epi
-    kernels of #epis times #monos with that image.  Never reads subreps.
+    cached walk of Hom(z, y) by reps.hom_keys with row_kernel; the count is
+    the sum over the epi kernels of #epis times #monos with that image.
+    Never reads subreps.
     """
     cat = ctx.catalog
     if tuple(a + b for a, b in zip(cat.dims(x), cat.dims(y))) != cat.dims(z):
@@ -275,29 +276,32 @@ def count_exact_sequences(ctx: HallContext, x: int, y: int, z: int) -> int:
 def mono_keys(ctx: HallContext, a: int, b: int) -> dict:
     """{image key: [mono keys]} over the injective keys of Hom(a, b) on the
     catalog representatives: the subobject of b that each mono a -> b
-    spans, with the monos spanning it in the order of reps.hom_keys, and
-    the images in the order of their first key.  Cached per (a, b); empty,
-    with no enumeration, when some dim of a exceeds that of b."""
+    spans, with the monos spanning it in ascending key order, and the
+    images in the order of their first key.  One walk of reps.hom_keys
+    with column_space, which drops every key below a vertex block of rank
+    less than its width and values each mono by its image key.  Cached per
+    (a, b); empty, with no walk, when some dim of a exceeds that of b."""
     got = ctx._monos.get((a, b))
     if got is None:
         got = ctx._monos[(a, b)] = {}
         ra, rb = ctx.catalog.rep(a), ctx.catalog.rep(b)
         if all(da <= db for da, db in zip(ra.dims, rb.dims)):
-            for k in reps.hom_keys(ra, rb, cap=ctx.cap):
-                if (im := reps.mono_image_key(ra, rb, k)) is not None:
-                    got.setdefault(im, []).append(k)
+            for k, image in reps.hom_keys(ra, rb, reps.column_space, cap=ctx.cap):
+                got.setdefault(image, []).append(k)
     return got
 
 
 def _subspace_histogram(ctx: HallContext, z: int, y: int) -> dict:
     """{epi kernel key: count} over the surjective keys of Hom(z, y) on the
-    catalog representatives, cached per (z, y) in ctx._epi_kernels."""
+    catalog representatives: one walk of reps.hom_keys with row_kernel,
+    which drops every key below a vertex block of rank less than its height
+    and values each epi by its kernel key.  Cached per (z, y) in
+    ctx._epi_kernels."""
     hist = ctx._epi_kernels.get((z, y))
     if hist is None:
         rz, ry = ctx.catalog.rep(z), ctx.catalog.rep(y)
         hist = ctx._epi_kernels[(z, y)] = Counter(
-            ker for k in reps.hom_keys(rz, ry, cap=ctx.cap)
-            if (ker := reps.epi_kernel_key(rz, ry, k)) is not None)
+            kernel for _, kernel in reps.hom_keys(rz, ry, reps.row_kernel, cap=ctx.cap))
     return hist
 
 

@@ -62,8 +62,8 @@ class Quiver:
             arrows = tuple((a["src"], a["dst"]) for a in obj.get("arrows", []))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad quiver JSON: {exc}") from exc
-        if not isinstance(n, int):
-            raise InputError("quiver 'vertices' must be an integer")
+        if any(type(v) is not int for v in (n, *(v for arrow in arrows for v in arrow))):
+            raise InputError("quiver 'vertices' and arrow endpoints must be integers")
         return cls(n, arrows)
 
     @classmethod

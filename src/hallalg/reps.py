@@ -259,12 +259,16 @@ def morphism_from_flat(x: Representation, y: Representation, flat: Sequence[int]
 
 @lru_cache(maxsize=None)
 def hom_basis(x: Representation, y: Representation) -> tuple:
-    """A deterministic basis of Hom(x, y), the solution space of the
-    intertwining equations f_j @ x_a = y_a @ f_i over all arrows, as flat
-    rows: each basis vector is the tuple of its vertex-matrix entries
-    concatenated (RepMorphism.flat()), so morphism_from_flat(x, y, row)
-    is the basis morphism.  Most readers only count or add the rows, and
-    build no RepMorphism.
+    """The basis of Hom(x, y), the solution space of the intertwining
+    equations f_j @ x_a = y_a @ f_i over all arrows, as flat rows (each the
+    entries of RepMorphism.flat(), so morphism_from_flat(x, y, row) is the
+    basis morphism) in reduced echelon form with ascending pivots.
+
+    The equations are solved with the columns reversed, so each vector of
+    fq.kernel_from_rref, flipped back, has its own free column as its first
+    nonzero.  An element's entries at the pivots are its coefficients:
+    coefficient-lex order is ascending key order, and block v depends only
+    on the rows that pivot in blocks <= v (what hom_keys walks by).
 
     |Hom(x, y)| = p ** len(result).
     """
@@ -279,7 +283,8 @@ def hom_basis(x: Representation, y: Representation) -> tuple:
     rows = []
     for idx, (s, t) in enumerate(q.arrows):
         rows += intertwining_rows(total, offsets[t], x.mats[idx], offsets[s], y.mats[idx])
-    return tuple(map(tuple, kernel_rows(p, rows, total)))
+    flipped = kernel_rows(p, (row[::-1] for row in rows), total)
+    return tuple(tuple(v[::-1]) for v in reversed(flipped))
 
 
 def hom_dim(x: Representation, y: Representation) -> int:
@@ -293,19 +298,23 @@ def morphism_from_key(x: Representation, y: Representation, key: tuple) -> RepMo
     ), validate=False)
 
 
-def hom_keys(x: Representation, y: Representation,
+def hom_keys(x: Representation, y: Representation, keep,
              cap: int = DEFAULT_CAP) -> Iterator[tuple]:
-    """Every element of Hom(x, y) as its key (RepMorphism.key(): one tuple
-    of row-major entries per vertex), lexicographically by coefficients on
-    hom_basis, the first basis element most significant.
+    """(key, values) for each element of Hom(x, y) whose vertex blocks all
+    pass keep, in ascending key order (a key is RepMorphism.key()).
 
-    The lex successor of a coefficient tuple raises its last digit k below
-    p - 1 and wraps the later digits from p - 1 to 0, which adds the step
-    flats[k] + ... + flats[d-1] mod p (as -(p - 1) = 1), so with the steps
-    precomputed an element costs one vector addition and no RepMorphism;
-    the steps are sums of the flat rows of hom_basis.
-    The cap is checked when this is called, before the first key; the keys
-    are then produced lazily.
+    keep(p, cols, rows, block) reads one rows x cols vertex block and
+    returns None to reject it, else a value; values holds them vertex by
+    vertex.  column_space keeps the monos, valued by image, row_kernel the
+    epis, valued by kernel, and any_block every element, valued by itself.
+
+    The walk fixes the key one vertex block at a time: by the echelon form
+    of hom_basis, block v is the tail carried from earlier blocks plus a
+    combination of the rows that pivot in block v, whose p^r sums are made
+    once per call, in lex order.  A rejected block drops its whole subtree,
+    and keys that share a prefix share its block tuples.  The cap bounds
+    |Hom| = p^(dim Hom) and is checked when this is called, before the
+    first key; the keys are then produced lazily.
     """
     basis = hom_basis(x, y)
     p, d = x.p, len(basis)
@@ -314,34 +323,53 @@ def hom_keys(x: Representation, y: Representation,
             f"enumerate_homs(dims {x.dims} -> {y.dims}): |Hom| = {p}**{d} "
             f"exceeds cap {cap}"
         )
-    ends = list(itertools.accumulate(
-        (y.dims[v] * x.dims[v] for v in range(x.quiver.vertex_count)), initial=0))
-    steps = list(itertools.accumulate(
-        reversed(basis),
-        lambda acc, f: tuple([(a + b) % p for a, b in zip(acc, f)])))[::-1]
-    return _carry_keys(p, steps, (0,) * ends[-1], list(zip(ends, ends[1:])))
+    shapes = list(zip(x.dims, y.dims))
+    ends = list(itertools.accumulate((c * r for c, r in shapes), initial=0))
+    # the first nonzero of an echelon row is its pivot entry, a 1
+    pivots = [row.index(1) for row in basis]
+    levels = []
+    for start, end in zip(ends, ends[1:]):
+        combos = [(0,) * (ends[-1] - start)]
+        for row, pivot in zip(reversed(basis), reversed(pivots)):
+            if start <= pivot < end:
+                row = row[start:]
+                combos += [tuple([(c * a + b) % p for a, b in zip(row, rest)])
+                           for c in range(1, p) for rest in combos]
+        levels.append([(combo[:end - start], combo[end - start:]) for combo in combos])
+    return _walk(p, keep, shapes, levels, 0, (0,) * ends[-1], (), ())
 
 
-def _carry_keys(p: int, steps: list, flat: tuple, spans: list) -> Iterator[tuple]:
-    """The keys of hom_keys from flat = 0 on, split at the vertex spans."""
-    digits = [0] * len(steps)
-    while True:
-        yield tuple([flat[a:b] for a, b in spans])
-        k = len(digits) - 1
-        while k >= 0 and digits[k] == p - 1:
-            digits[k] = 0
-            k -= 1
-        if k < 0:
-            return
-        digits[k] += 1
-        flat = tuple([(a + b) % p for a, b in zip(flat, steps[k])])
+def _walk(p: int, keep, shapes: list, levels: list, v: int, tail: tuple,
+          key: tuple, values: tuple) -> Iterator[tuple]:
+    """The (key, values) of hom_keys below the first v blocks, key, with
+    tail the sum of their rows on blocks v and later."""
+    if v == len(levels):
+        yield key, values
+        return
+    cols, rows = shapes[v]
+    head, tail = tail[:cols * rows], tail[cols * rows:]
+    add_head, add_tail = any(head), any(tail)
+    for block, rest in levels[v]:
+        if add_head:
+            block = tuple([(a + b) % p for a, b in zip(head, block)])
+        value = keep(p, cols, rows, block)
+        if value is not None:
+            if add_tail:
+                rest = tuple([(a + b) % p for a, b in zip(tail, rest)])
+            yield from _walk(p, keep, shapes, levels, v + 1, rest,
+                             key + (block,), values + (value,))
+
+
+def any_block(p: int, cols: int, rows: int, block: tuple) -> tuple:
+    """The keep of hom_keys that passes every block, valued by the block."""
+    return block
 
 
 def enumerate_homs(x: Representation, y: Representation,
                    cap: int = DEFAULT_CAP) -> Iterator[RepMorphism]:
     """Every element of Hom(x, y) as a RepMorphism, in the order of
-    hom_keys; the cap is checked when this is called."""
-    return (morphism_from_key(x, y, k) for k in hom_keys(x, y, cap))
+    hom_keys with any_block; the cap is checked when this is called."""
+    return (morphism_from_key(x, y, k) for k, _ in hom_keys(x, y, any_block, cap))
 
 
 @lru_cache(maxsize=None)
@@ -371,77 +399,43 @@ def row_kernel(p: int, cols: int, rows: int, entries: tuple):
     return tuple(v for row in kernel.rows for v in row)
 
 
-def _per_vertex(memo, x: Representation, y: Representation, key: tuple):
-    """memo(p, cols, rows, entries) of each vertex block of key, or None
-    when it is None on some block."""
-    out = []
-    for data, c, r in zip(key, x.dims, y.dims):
-        block = memo(x.p, c, r, data)
-        if block is None:
-            return None
-        out.append(block)
-    return tuple(out)
-
-
-def key_is_injective(x: Representation, y: Representation, key: tuple) -> bool:
-    """RepMorphism.is_injective of morphism_from_key(x, y, key)."""
-    return _per_vertex(column_space, x, y, key) is not None
-
-
-def key_is_invertible(x: Representation, y: Representation, key: tuple) -> bool:
-    """RepMorphism.is_invertible of morphism_from_key(x, y, key)."""
-    return x.dims == y.dims and key_is_injective(x, y, key)
-
-
-def mono_image_key(x: Representation, y: Representation, key: tuple):
-    """RepMorphism.image_key of morphism_from_key(x, y, key) when that
-    morphism is injective, else None, from the column_space memo."""
-    return _per_vertex(column_space, x, y, key)
-
-
-def epi_kernel_key(x: Representation, y: Representation, key: tuple):
-    """RepMorphism.kernel_key of morphism_from_key(x, y, key) when that
-    morphism is surjective, else None, from the row_kernel memo."""
-    return _per_vertex(row_kernel, x, y, key)
-
-
 @lru_cache(maxsize=None)
 def aut_order(x: Representation) -> int:
-    """|Aut(x)|, counted by enumerating all p^(dim End) endomorphisms and
-    keeping those with every vertex matrix invertible.  The test oracle
-    only: production reads Catalog.aut_order."""
+    """|Aut(x)|, the length of aut_elements.  The test oracle only:
+    production reads Catalog.aut_order."""
     return len(aut_elements(x))
 
 
 @lru_cache(maxsize=None)
 def aut_elements(x: Representation) -> tuple:
-    """Every automorphism of x, in the order of hom_keys; a RepMorphism is
-    built only for the keys that pass the invertibility rank test.  The
-    test oracle only: production acts by aut_generators."""
-    return tuple(morphism_from_key(x, x, k) for k in hom_keys(x, x)
-                 if key_is_invertible(x, x, k))
+    """Every automorphism of x, in ascending key order: the walk of End(x)
+    by hom_keys with column_space, which keeps exactly the automorphisms
+    (an injective endomorphism is invertible).  The test oracle only:
+    production acts by aut_generators."""
+    return tuple(morphism_from_key(x, x, k) for k, _ in hom_keys(x, x, column_space))
 
 
 @lru_cache(maxsize=None)
 def aut_generators(x: Representation, order: Optional[int] = None) -> tuple:
     """A small generating set of Aut(x), for orbit breadth-first searches.
 
-    Greedy: walk the keys of hom_keys(x, x), keeping each invertible key
-    not yet in the generated subgroup, until that subgroup has at least
-    `order` elements (|Aut x|, which the caller knows; None walks every
-    key).  Deterministic because the key order is.  The closure grows by
-    the new generator alone: the old elements under its move, then the
-    elements that brings in under every move; a RepMorphism is built only
-    for the generators kept.  Raises InvariantError when the walk ends
-    short of `order`; an order below |Aut x| is left to the caller's orbit
-    divisibility checks.
+    Greedy: walk the automorphisms of x in ascending key order (hom_keys of
+    End(x) with column_space, which prunes the non-invertible blocks),
+    keeping each one not yet in the generated subgroup, until that subgroup
+    has at least `order` elements (|Aut x|, which the caller knows; None
+    walks every automorphism).  Deterministic because the key order is.
+    The closure grows by the new generator alone: the old elements under
+    its move, then the elements that brings in under every move; a
+    RepMorphism is built only for the generators kept.  Raises
+    InvariantError when the walk ends short of `order`; an order below
+    |Aut x| is left to the caller's orbit divisibility checks.
     """
     p = x.p
     closure = {RepMorphism.identity(x).key()}
     gens: list = []
     moves: list = []
-    for k in hom_keys(x, x):
-        if k in closure or not key_is_invertible(x, x, k):
+    for k, _ in hom_keys(x, x, column_space):
+        if k in closure:
             continue
         g = morphism_from_key(x, x, k)
         gens.append(g)
@@ -638,7 +632,7 @@ def enumerate_subreps(z: Representation, cap: int = DEFAULT_CAP) -> list:
 # -- subobjects as keys --------------------------------------------------------
 #
 # A subspace U of F_p^n is held as the flat row-major data of its RREF basis
-# (FqSubspace.basis.data, the per-vertex entries of mono_image_key).  The
+# (FqSubspace.basis.data, the per-vertex values of column_space).  The
 # coordinate of a vector of U along RREF row r is its entry at the pivot of
 # r; the quotient F_p^n / U has the non-pivot columns as coordinates, read
 # off a vector after reducing it modulo U, as kernel_cokernel does.

@@ -224,8 +224,9 @@ def in_bound_triples(ctx: HallContext) -> list:
 
 def verify_suite(ctx: HallContext, span=None,
                  checks: Optional[Sequence[str]] = None) -> dict:
-    """Run the selected identity sweeps and return a JSON-ready report."""
-    selected = tuple(checks) if checks else ALL_CHECKS
+    """Run the selected identity sweeps and return a JSON-ready report; a
+    check named twice runs once, in the order of its first name."""
+    selected = tuple(dict.fromkeys(checks)) if checks else ALL_CHECKS
     for c in selected:
         if c not in ALL_CHECKS:
             raise InputError(f"unknown check {c!r}")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hallalg import verify
 from hallalg.cli import main
 from hallalg.lf import random_base_change_square
 
@@ -382,3 +383,47 @@ def test_derived_cap_error_names_an_enumerated_hom_space(capsys, a2_file):
     assert out == ""
     assert err == ("error: hom_class_table(c2+c2[-1] -> c1[1]+c1): 2**2 "
                    "homotopy classes exceed cap 2\n")
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": 2, "arrows": [{"src": "0", "dst": 1}]},
+    {"vertices": 2, "arrows": [{"src": None, "dst": 1}]},
+    {"vertices": 2, "arrows": [{"src": 0.5, "dst": 1}]},
+    {"vertices": 2, "arrows": [{"src": 0, "dst": 1.0}]},
+    {"vertices": True, "arrows": [{"src": 0, "dst": 0}]},
+    {"vertices": 2, "arrows": [{"src": True, "dst": 1}]},
+], ids=["string-src", "null-src", "fractional-src", "float-dst", "bool-vertices",
+        "bool-src"])
+def test_non_integer_quiver_json_exits_2_without_traceback(tmp_path, doc):
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps(doc))
+    bound = ",".join(["1"] * (1 if doc["vertices"] is True else doc["vertices"]))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallalg.cli", "catalog", "--quiver", str(path),
+         "-p", "2", "--bound", bound], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_a_repeated_check_runs_once(capsys, a2_file, monkeypatch):
+    argv = ["verify", "--quiver", a2_file, "-p", "2", "--bound", "1,1"]
+    code, once, _ = run(capsys, argv + ["--checks", "unit"])
+    assert code == 0
+    calls = []
+    real = verify._CHECK_RUNNERS["unit"]
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setitem(verify._CHECK_RUNNERS, "unit", counting)
+    code, twice, _ = run(capsys, argv + ["--checks", "unit,unit"])
+    assert code == 0
+    assert twice == once
+    assert len(calls) == 1

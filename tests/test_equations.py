@@ -5,6 +5,8 @@ builds with fq.kernel_rows.  On random acyclic quivers (at most 3 vertices,
 parallel arrows allowed, p in {2, 3}, dimensions at most 2) every vector of
 the unknowns' space is tried when there are few enough of them: the span of
 the computed basis must be exactly the vectors that pass validation.
+hom_basis must also be the reduced echelon basis of that span, with
+ascending pivots, which reps.hom_keys walks by.
 """
 
 import itertools
@@ -21,7 +23,7 @@ from hallalg.derived import (
     stalk_realization,
 )
 from hallalg.errors import InputError
-from hallalg.fq import FqMatrix
+from hallalg.fq import FqMatrix, RowSpace, intertwining_rows, kernel_rows
 from hallalg.quivers import Quiver
 from hallalg.reps import Representation, RepMorphism, hom_basis, morphism_from_flat
 
@@ -85,6 +87,37 @@ def test_hom_basis_spans_exactly_the_intertwiners(data):
         }
         assert got == want
         event(f"brute force, Hom dim {len(basis)}")
+
+
+def kernel_basis(x, y):
+    """A basis of the intertwiners x -> y solved with the columns in their
+    own order, as hom_basis solved them before it was put in echelon form."""
+    offsets = [0]
+    for a, b in zip(x.dims, y.dims):
+        offsets.append(offsets[-1] + a * b)
+    rows = []
+    for idx, (s, t) in enumerate(x.quiver.arrows):
+        rows += intertwining_rows(offsets[-1], offsets[t], x.mats[idx],
+                                  offsets[s], y.mats[idx])
+    return kernel_rows(x.p, rows, offsets[-1])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_hom_basis_is_the_reduced_echelon_basis(data):
+    quiver, p = data.draw(quivers())
+    x = representations(data.draw, quiver, p)
+    y = representations(data.draw, quiver, p)
+    basis = hom_basis(x, y)
+    pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for row in basis:
+        assert [row[j] for j in pivots] == [int(row is r) for r in basis]
+    space = RowSpace(p, sum(a * b for a, b in zip(x.dims, y.dims)))
+    for row in kernel_basis(x, y):
+        space.add(row)
+    assert [tuple(r) for r in space.rows] == list(basis)
+    event(f"Hom dim {len(basis)}")
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,12 +1,14 @@
-"""reps.hom_keys and the raw-entry rank tests against the RepMorphism oracle.
+"""reps.hom_keys, the vertex-by-vertex walk of Hom(x, y), against the
+RepMorphism oracle.
 
-hom_keys must yield the keys of hom_oracle.homs_by_addition element for
-element and in order, raise the same cap error when it is called, and the
-rank tests on raw entries (injective and invertible, and the image key of a
-mono and the kernel key of an epi, None on the other elements) must agree
-with the RepMorphism methods on every element.  The per-vertex memos that
-those rank tests read are checked against a fresh FqMatrix elimination on
-every small block.
+With any_block the walk must yield the keys of hom_oracle.homs_by_addition
+element for element, each valued by itself, in strictly ascending order;
+with column_space exactly the injective oracle elements, valued by
+RepMorphism.image_key, and with row_kernel exactly the surjective ones,
+valued by RepMorphism.kernel_key, in the same order; and it must raise the
+same cap error when it is called.  The per-vertex memos that the walk
+prunes by are checked against a fresh FqMatrix elimination on every small
+block, and the pruning itself by counting column_space calls.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from hallalg import reps
 from hallalg.catalog import catalog_build
 from hallalg.errors import EnumerationCapError
 from hallalg.fq import FqMatrix
+from hallalg.hall import HallContext, mono_keys
 from hallalg.quivers import Quiver, a_n_quiver
 
 KRONECKER = Quiver(2, ((0, 1), (0, 1)))
@@ -44,21 +47,19 @@ def cap_message(x, y):
 
 def check_pair(x, y):
     want = list(homs_by_addition(x, y))
-    got = list(reps.hom_keys(x, y))
-    assert got == [f.key() for f in want]
-    assert [f.key() for f in reps.enumerate_homs(x, y)] == got
-    for k, f in zip(got, want):
-        assert reps.key_is_injective(x, y, k) == f.is_injective()
-        assert reps.key_is_invertible(x, y, k) == f.is_invertible()
-        assert reps.mono_image_key(x, y, k) == (
-            f.image_key() if f.is_injective() else None)
-        assert reps.epi_kernel_key(x, y, k) == (
-            f.kernel_key() if f.is_surjective() else None)
+    keys = [f.key() for f in want]
+    assert list(reps.hom_keys(x, y, reps.any_block)) == [(k, k) for k in keys]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert [f.key() for f in reps.enumerate_homs(x, y)] == keys
+    assert list(reps.hom_keys(x, y, reps.column_space)) == [
+        (f.key(), f.image_key()) for f in want if f.is_injective()]
+    assert list(reps.hom_keys(x, y, reps.row_kernel)) == [
+        (f.key(), f.kernel_key()) for f in want if f.is_surjective()]
     # the cap is checked at call time, before any key is asked for
     if reps.hom_dim(x, y):
         with pytest.raises(EnumerationCapError, match="^" + cap_message(x, y)):
-            reps.hom_keys(x, y, cap=x.p ** reps.hom_dim(x, y) - 1)
-    reps.hom_keys(x, y, cap=x.p ** reps.hom_dim(x, y))
+            reps.hom_keys(x, y, reps.any_block, cap=x.p ** reps.hom_dim(x, y) - 1)
+    reps.hom_keys(x, y, reps.any_block, cap=x.p ** reps.hom_dim(x, y))
 
 
 def check_catalog(cat):
@@ -89,7 +90,7 @@ def test_hom_keys_cap_message():
     with pytest.raises(EnumerationCapError,
                        match=r"^enumerate_homs\(dims \(1, 1\) -> \(1, 1\)\): "
                              r"\|Hom\| = 2\*\*1 exceeds cap 1$"):
-        reps.hom_keys(m, m, cap=1)
+        reps.hom_keys(m, m, reps.any_block, cap=1)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
@@ -98,7 +99,8 @@ def test_hom_keys_on_a_deep_basis(p, n):
     # (512 and 81), each a sum over every level of the enumeration
     x = catalog_build(a_n_quiver(1), p, (n,)).rep(n)
     assert x.dims == (n,)
-    assert list(reps.hom_keys(x, x)) == [f.key() for f in homs_by_addition(x, x)]
+    assert [k for k, _ in reps.hom_keys(x, x, reps.any_block)] == [
+        f.key() for f in homs_by_addition(x, x)]
 
 
 def test_hom_keys_of_a_zero_hom_space():
@@ -107,10 +109,11 @@ def test_hom_keys_of_a_zero_hom_space():
     x, y = (next(cat.rep(i) for i in range(len(cat)) if cat.dims(i) == dims)
             for dims in ((1, 0), (0, 1)))
     assert reps.hom_dim(x, y) == 0
-    assert list(reps.hom_keys(x, y)) == [((), ())]
-    assert list(reps.hom_keys(x, y)) == [f.key() for f in homs_by_addition(x, y)]
+    assert list(reps.hom_keys(x, y, reps.any_block)) == [(((), ()), ((), ()))]
+    assert [k for k, _ in reps.hom_keys(x, y, reps.any_block)] == [
+        f.key() for f in homs_by_addition(x, y)]
     with pytest.raises(EnumerationCapError, match="^" + cap_message(x, y)):
-        reps.hom_keys(x, y, cap=0)
+        reps.hom_keys(x, y, reps.any_block, cap=0)
 
 
 def memo_oracle(p, rows, cols, data):
@@ -141,3 +144,36 @@ def test_block_memo_verdicts_match_fqmatrix_rank(p):
         rank = FqMatrix(p, rows, cols, data).rank()
         assert (reps.column_space(p, cols, rows, data) is not None) == (rank == cols)
         assert (reps.row_kernel(p, cols, rows, data) is not None) == (rank == rows)
+
+
+def test_the_mono_walk_prunes_at_the_first_failing_block(monkeypatch):
+    # The walk reads each distinct block prefix of Hom(a, b) once and reads
+    # nothing below a block of rank less than its width: one column_space
+    # call per prefix key[:v + 1] whose first v blocks are injective, 7,291
+    # over the pairs whose monos mono_keys walks on A3 p=2 (2,2,1).  A
+    # key-by-key sweep reads up to 3 blocks for each of their 8,986 keys.
+    ctx = HallContext("classical", catalog_build(a_n_quiver(3), 2, (2, 2, 1)))
+    cat = ctx.catalog
+    pairs = [(a, b) for a in range(len(cat)) for b in range(len(cat))
+             if all(da <= db for da, db in zip(cat.dims(a), cat.dims(b)))]
+    prefixes = set()
+    homs = 0
+    for a, b in pairs:
+        for f in homs_by_addition(cat.rep(a), cat.rep(b)):
+            homs += 1
+            for v, m in enumerate(f.mats):
+                prefixes.add((a, b, f.key()[:v + 1]))
+                if m.rank() < m.cols:
+                    break
+    assert homs == 8986
+    calls = []
+    real = reps.column_space
+
+    def counting(p, cols, rows, block):
+        calls.append(block)
+        return real(p, cols, rows, block)
+
+    monkeypatch.setattr(reps, "column_space", counting)
+    monos = sum(len(ks) for a, b in pairs for ks in mono_keys(ctx, a, b).values())
+    assert monos > 0
+    assert len(calls) == len(prefixes) < 3 * homs
