@@ -50,7 +50,7 @@ from .lf import (
 from .quivers import Quiver
 from .reps import DEFAULT_CAP
 from .span import build_span_model
-from .verify import ALL_CHECKS, in_bound_pairs, verify_suite
+from .verify import in_bound_pairs, select_checks, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -227,7 +227,7 @@ def cmd_derived_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
+    checks = select_checks(None if args.checks == "all" else args.checks.split(","))
     ctx = _context(args, args.mode)
     span = None
     if ctx.mode == "classical" and "span" in checks:

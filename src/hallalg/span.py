@@ -19,16 +19,15 @@ mu = t_! o (s x c)^* then reproduces the classical Hall numbers through
 homotopy cardinality alone, with no subobject counting anywhere on the
 path.
 
-Every arrow class is swept by reps.orbit, the package's orbit search on
-Hom keys, which acts on the entry tuples of RepMorphism.key(): the
-generators of Aut(a) and Aut(b) become moves on the keys of Hom(a, b)
-(reps.composition_moves).  The injective keys come from hall.mono_keys,
-the one record of the monos a -> b, grouped by image, that the
-exact-sequence count and the orbit check read too; a morphism is built
-only for the least key of each arrow class, and its cokernel is
-classified by the key reps.quotient_key reads off its image.  The orbit
-code is mode-neutral; only build_span_model restricts it to injective
-keys.
+The monos a -> b come from hall.mono_keys, the one record of them, grouped
+by image, that the exact-sequence count and the orbit check read too; its
+image groups are already the Aut(a)-orbits.  So each arrow class is swept
+by reps.orbit, the package's orbit search on Hom keys, over Aut(b) alone:
+the generators of Aut(b) become moves f |-> h f on the entry tuples of
+RepMorphism.key() (reps.composition_moves), and the images that one
+key's orbit meets are the image groups of its class.  A morphism is built
+only for the least key of each arrow class, and its cokernel is classified
+by the key reps.quotient_key reads off its image.
 """
 
 from __future__ import annotations
@@ -67,25 +66,12 @@ class SpanModel:
     arrow_classes: Dict[tuple, ArrowClass]
 
 
-def _orbits(keys, moves, p: int) -> list:
-    """The orbits of the moves meeting keys, as (least key, orbit) sorted by
-    least key."""
-    seen: set = set()
-    orbits = []
-    for k in keys:
-        if k not in seen:
-            orbit = _orbit(k, moves, p)
-            seen |= orbit
-            orbits.append((min(orbit), orbit))
-    return sorted(orbits, key=lambda o: o[0])
-
-
-def _stabilizer_order(group_order: int, orbit, what: str) -> int:
-    """|Stab| = |group| / |orbit|, which must divide exactly."""
-    stab, rem = divmod(group_order, len(orbit))
+def _stabilizer_order(group_order: int, size: int, what: str) -> int:
+    """|Stab| = |group| / size for an orbit of that size, which must divide."""
+    stab, rem = divmod(group_order, size)
     if rem:
         raise InvariantError(
-            f"build_span_model({what}): orbit of size {len(orbit)} does not "
+            f"build_span_model({what}): orbit of size {size} does not "
             f"divide the group order {group_order}"
         )
     return stab
@@ -107,53 +93,55 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     auts = {i: cat.aut_order(i) for i in range(n)}
     gens = {i: reps.aut_generators(cat.rep(i), auts[i]) for i in range(n)}
 
-    # An Aut(a) x Aut(b)-orbit of injective maps a -> b is an arrow class;
-    # its Aut(a)-orbits, the fiber components over b that include it, are
-    # its image classes, since f, f' have one image iff f' = f g for some
-    # g in Aut(a).  Ranks follow orbit minima, so the enumeration order
-    # never reaches an id.  Injectivity is constant on an orbit, so the
-    # orbits of the injective keys alone are exactly the arrow classes.
-    # image_of inverts the mono_keys record for one (a, b) while its
-    # orbits are swept and split by image.
+    # The Aut(a)-orbits of the monos a -> b are their image groups in
+    # mono_keys, since f, f' have one image iff f' = f g for some g in
+    # Aut(a), and Aut(a) acts freely; they are the fiber components over b.
+    # An arrow class, an Aut(a) x Aut(b)-orbit, is then the union of the
+    # groups of one Aut(b)-orbit of images, read off the Aut(b)-orbit of
+    # any one key.  The record lists its images in the order of their first
+    # key, so each class starts at its least key and ranks follow orbit
+    # minima: the enumeration order never reaches an id.
     arrow_classes: Dict[tuple, ArrowClass] = {}
     x1_pairs = []
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
     for a in range(n):
         for b in range(n):
-            image_of = {k: im for im, ks in mono_keys(ctx, a, b).items() for k in ks}
-            if not image_of:
+            monos = mono_keys(ctx, a, b)
+            if not monos:
                 continue
             ra, rb = cat.rep(a), cat.rep(b)
-            both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
-            comma = []
-            for rank, (canon_key, orbit) in enumerate(_orbits(image_of, both, cat.p)):
+            left = reps.composition_moves(gens[b], (), ra.dims, rb.dims)
+            image_of = {k: im for im, ks in monos.items() for k in ks}
+            fibers = {}   # image -> ((|Stab| in Aut(a),), arrow class)
+            rank = 0
+            for image, keys in monos.items():
+                if image in fibers or not keys:
+                    continue
                 comp = ("m", a, b, rank)
+                rank += 1
+                images = {image_of[k] for k in _orbit(keys[0], left, cat.p)}
+                size = sum(len(monos[im]) for im in images)
                 stab = _stabilizer_order(
-                    auts[a] * auts[b], orbit,
+                    auts[a] * auts[b], size,
                     f"arrows {cat.name(a)} -> {cat.name(b)}, Aut x Aut",
                 )
                 arrow_classes[comp] = ArrowClass(
                     comp_id=comp,
                     source_class=a,
                     target_class=b,
-                    rep=reps.morphism_from_key(ra, rb, canon_key),
-                    orbit_size=len(orbit),
+                    rep=reps.morphism_from_key(ra, rb, keys[0]),
+                    orbit_size=size,
                     stabilizer_order=stab,
-                    cokernel_class=cat.classify_key(
-                        reps.quotient_key(rb, image_of[canon_key])),
+                    cokernel_class=cat.classify_key(reps.quotient_key(rb, image)),
                 )
                 x1_pairs.append((comp, (stab,)))
-                images: dict = {}
-                for k in orbit:
-                    images.setdefault(image_of[k], []).append(k)
-                for sub in images.values():
+                for im in images:
                     fstab = _stabilizer_order(
-                        auts[a], sub, f"maps {cat.name(a)} -> {cat.name(b)}, Aut"
+                        auts[a], len(monos[im]), f"maps {cat.name(a)} -> {cat.name(b)}, Aut"
                     )
-                    comma.append((min(sub), fstab, comp))
-            comma.sort(key=lambda o: o[0])
-            for rank, (_, fstab, comp) in enumerate(comma):
-                fiber_parts[b].append((("f", b, a, rank), (fstab,), comp))
+                    fibers[im] = ((fstab,), comp)
+            for rank, im in enumerate(im for im in monos if im in fibers):
+                fiber_parts[b].append((("f", b, a, rank), *fibers[im]))
 
     x1 = LFType.from_pairs(x1_pairs)
 

@@ -21,11 +21,11 @@ triples.  In the classical mode the split is by the cokernel class of each
 image of the monos x -> z (hall.mono_keys groups them by image), and
 f g = f forces g = 1 for an injective f, so Aut(x) acts freely: each orbit
 is swept by reps.orbit over the generators the span model reads, and must
-hold exactly Catalog.aut_order(x) keys.  In the derived mode the split is by the cone class of each Hom class
-in ConeBlocks coordinates, and every derived automorphism
-(hall.derived_automorphisms) acts on those coordinates
-(derived.precompositions); its stabilizers can be nontrivial, so each is
-counted element by element.
+hold exactly Catalog.aut_order(x) keys.  In the derived mode the split is
+by the cone class of each Hom class in ConeBlocks coordinates, and every
+derived automorphism (hall.derived_automorphisms) acts on those
+coordinates (derived.precompositions); its stabilizers can be nontrivial,
+so each is counted element by element.
 """
 
 from __future__ import annotations
@@ -222,14 +222,21 @@ def in_bound_triples(ctx: HallContext) -> list:
     return _in_bound(ctx, 3)
 
 
-def verify_suite(ctx: HallContext, span=None,
-                 checks: Optional[Sequence[str]] = None) -> dict:
-    """Run the selected identity sweeps and return a JSON-ready report; a
-    check named twice runs once, in the order of its first name."""
+def select_checks(checks: Optional[Sequence[str]]) -> tuple:
+    """The named checks, each once in the order of its first name, or every
+    check when none is named; an unknown name raises InputError."""
     selected = tuple(dict.fromkeys(checks)) if checks else ALL_CHECKS
     for c in selected:
         if c not in ALL_CHECKS:
             raise InputError(f"unknown check {c!r}")
+    return selected
+
+
+def verify_suite(ctx: HallContext, span=None,
+                 checks: Optional[Sequence[str]] = None) -> dict:
+    """Run the selected identity sweeps (select_checks) and return a
+    JSON-ready report."""
+    selected = select_checks(checks)
 
     report: dict = {
         "schema": 1,

@@ -427,3 +427,16 @@ def test_a_repeated_check_runs_once(capsys, a2_file, monkeypatch):
     assert code == 0
     assert twice == once
     assert len(calls) == 1
+
+
+def test_an_unknown_check_exits_2_before_the_span_model_is_built(capsys, a2_file,
+                                                                 monkeypatch):
+    def unexpected(ctx):
+        raise AssertionError("the span model was built")
+
+    monkeypatch.setattr("hallalg.cli.build_span_model", unexpected)
+    code, out, err = run(capsys, ["verify", "--quiver", a2_file, "-p", "2",
+                                  "--bound", "1,1", "--checks", "span,bogus"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown check 'bogus'\n"

@@ -1,12 +1,14 @@
 """reps.orbit, the one orbit search, against the RepMorphism-composing oracle.
 
-On the keys of every Hom(a, b) of a universe, span._orbits with the moves of
-reps.composition_moves must give the same Aut(a) x Aut(b) partition, with
+On the keys of every Hom(a, b) of a universe, span_oracle.key_orbits, which
+sweeps reps.orbit over the moves of reps.composition_moves, must give the same Aut(a) x Aut(b) partition, with
 the same least keys in the same order, and the same Aut(a) sub-partition as
 span_oracle; each move must be exactly one composition; and reps.orbit from
 the identity key over aut_generators must reach all of Aut(x).  The span
-model, which sweeps only the injective keys, must have the arrow classes
-and target-leg fibers of a build over all of Hom with span_oracle's orbits.
+model, which sweeps only the Aut(b)-orbits of the mono images of
+hall.mono_keys, must have the arrow classes and target-leg fibers of a
+build over all of Hom with span_oracle's orbits, with one reps.orbit call
+per arrow class over the Aut(b) moves alone.
 The orbit check's generator sweep must give, on every triple it checks, the
 orbits of the element images of hom_oracle.aut_element_images, each of
 |Aut x| keys and with a trivial stabilizer.
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from hom_oracle import aut_element_images, greedy_aut_generators, homs_by_addition
-from span_oracle import morphism_orbits
+from span_oracle import key_orbits, morphism_orbits
 from test_cone_kernel import universes
 from hallalg import reps, span, verify
 from hallalg.catalog import catalog_build
@@ -60,11 +62,11 @@ def check_against_oracle(cat):
 
             both = reps.composition_moves(gens[b], gens[a], ra.dims, rb.dims)
             pre = reps.composition_moves((), gens[a], ra.dims, rb.dims)
-            got = span._orbits([f.key() for f in homs], both, p)
+            got = key_orbits([f.key() for f in homs], both, p)
             want = morphism_orbits(homs, gens[b], gens[a])
             assert [k for k, _ in got] == [k for k, _ in want], (a, b)
             assert parts(got) == parts(want), (a, b)
-            got_sub = set().union(*(parts(span._orbits(o, pre, p)) for _, o in got))
+            got_sub = set().union(*(parts(key_orbits(o, pre, p)) for _, o in got))
             want_sub = set().union(
                 *(parts(morphism_orbits(o.values(), [], gens[a])) for _, o in want))
             assert got_sub == want_sub, (a, b)
@@ -128,7 +130,14 @@ def oracle_span_data(cat) -> tuple:
     return classes, fibers
 
 
-@pytest.mark.parametrize("quiver,p,bound", UNIVERSES)
+SPAN_UNIVERSES = UNIVERSES + [
+    pytest.param(a_n_quiver(3), 2, (2, 2, 1), id="A3-p2-221"),
+    pytest.param(Quiver(1, ((0, 0),)), 3, (2,), id="jordan-p3-2"),
+    pytest.param(KRONECKER, 2, (2, 1), id="kronecker-p2-21"),
+]
+
+
+@pytest.mark.parametrize("quiver,p,bound", SPAN_UNIVERSES)
 def test_span_model_from_injective_keys_matches_the_oracle(quiver, p, bound):
     cat = catalog_build(quiver, p, bound)
     model = span.build_span_model(HallContext("classical", cat))
@@ -143,6 +152,30 @@ def test_span_model_from_injective_keys_matches_the_oracle(quiver, p, bound):
     for z, fiber in zip(model.x0.components, model.t.fibers):
         got = list(zip(fiber.lftype.components, fiber.lftype.orders, fiber.incl))
         assert got == want_fibers[z], z
+
+
+@pytest.mark.parametrize("quiver,p,bound", [
+    pytest.param(a_n_quiver(2), 3, (2, 2), id="A2-p3-22"),
+    pytest.param(a_n_quiver(3), 2, (2, 2, 1), id="A3-p2-221"),
+])
+def test_span_model_sweeps_one_aut_b_orbit_per_arrow_class(monkeypatch, quiver, p, bound):
+    cat = catalog_build(quiver, p, bound)
+    calls = []
+
+    def recording(start, moves, p):
+        calls.append((start, moves))
+        return reps.orbit(start, moves, p)
+
+    monkeypatch.setattr(span, "_orbit", recording)
+    model = span.build_span_model(HallContext("classical", cat))
+    classes = list(model.arrow_classes.values())
+    assert len(calls) == len(classes)
+    for (start, moves), c in zip(calls, classes):
+        a, b = c.source_class, c.target_class
+        gens_b = reps.aut_generators(cat.rep(b), cat.aut_order(b))
+        assert start == c.rep.key(), c.comp_id
+        assert moves == reps.composition_moves(
+            gens_b, (), cat.rep(a).dims, cat.rep(b).dims), c.comp_id
 
 
 def check_generators_against_greedy(cat):
