@@ -7,16 +7,16 @@ cross-check, the A_2 quiver in derived mode at p = 2 and 3, plus the
 Kronecker quiver (two parallel arrows) at p = 2 in derived mode; the
 derived orbit check acts on the block coordinates of each Hom class
 (derived.precompositions).  A_3 at p = 3 with bound (2,2,2) builds the
-span model and runs every classical check, about 13 s at 97 MiB on a
-2-vCPU machine (the span build is about 8 s of it; the printed total
-times the checks alone), and A_2 at p = 2 the derived orbit check alone
-on the window [-1,2], about 9 s; the whole script takes about 38 s and
-peaks at about 108 MiB.  A_2 at p = 2
-with bound (2,2) runs in derived mode on the window [-1,0] with the unit,
-assoc and stalk checks only: its orbit check classifies the cone of every
-one of the 4,864,384 Hom classes of its 5,917 pairs (x, z), most of them
-missing the cone-homology memo, and was still unfinished after 600 s, at
-402 MiB.
+span model and runs every classical check, about 7.5 s at 97 MiB on a
+2-vCPU machine (the span build is about 3 s of it, most of that the
+generators of each Aut; the printed total times the checks alone), and
+A_2 at p = 2 the derived orbit check alone on the window [-1,2], about
+8 s; the whole script takes about 25 s and peaks at about 108 MiB.  A_2
+at p = 2 with bound (2,2) runs in derived mode on the window [-1,0] with
+the unit, assoc and stalk checks only: its orbit check classifies the
+cone of every one of the 4,864,384 Hom classes of its 5,917 pairs
+(x, z), most of them missing the cone-homology memo, and was still
+unfinished after 600 s, at 402 MiB.
 Prints one line per (universe, check) and exits nonzero on any failure.
 """
 

@@ -277,7 +277,8 @@ def cmd_base_change(args) -> int:
     return EXIT_OK if report.equal else EXIT_CHECK_FAILED
 
 
-def _add_common(parser: argparse.ArgumentParser, derived_mode=False) -> None:
+def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
+    """The options of every computing subcommand, plus those named."""
     parser.add_argument("--quiver", required=True, help="quiver JSON file")
     parser.add_argument("-p", "--modulus", type=int, required=True,
                         help="prime field modulus")
@@ -285,10 +286,12 @@ def _add_common(parser: argparse.ArgumentParser, derived_mode=False) -> None:
                         help="per-vertex dimension bound, e.g. 2,2")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="enumeration candidate cap")
-    parser.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json")
-    parser.add_argument("--window", default="-2,2",
-                        help="derived shift window lo,hi")
+    if "format" in options:
+        parser.add_argument("--format", choices=("json", "csv", "pretty"),
+                            default="json")
+    if "window" in options:
+        parser.add_argument("--window", default="-2,2",
+                            help="derived shift window lo,hi")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,19 +302,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="build the iso-class catalog")
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("hall-table", help="classical multiplication table")
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(func=cmd_hall_table)
 
     p = sub.add_parser("derived-table", help="derived multiplication table")
-    _add_common(p)
+    _add_common(p, "format", "window")
     p.set_defaults(func=cmd_derived_table)
 
     p = sub.add_parser("verify", help="run the identity verification sweeps")
-    _add_common(p)
+    _add_common(p, "window")
     p.add_argument("--mode", choices=("classical", "derived"),
                    default="classical")
     p.add_argument("--checks", default="all",

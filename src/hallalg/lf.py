@@ -55,8 +55,8 @@ class LFType:
         if len(self.component_set) != len(self.components):
             raise InputError("duplicate component ids")
         for os in self.orders:
-            if any(o < 1 for o in os):
-                raise InputError("orders must be positive")
+            if not all(type(o) is int and o >= 1 for o in os):
+                raise InputError(f"orders must be ints >= 1, not {list(os)}")
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple]) -> "LFType":

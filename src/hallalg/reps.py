@@ -19,7 +19,7 @@ import itertools
 import random as _random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, InputError, InvariantError
 from .fq import (
@@ -416,44 +416,30 @@ def aut_elements(x: Representation) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def aut_generators(x: Representation, order: Optional[int] = None) -> tuple:
+def aut_generators(x: Representation, order: int) -> tuple:
     """A small generating set of Aut(x), for orbit breadth-first searches.
 
     Greedy: walk the automorphisms of x in ascending key order (hom_keys of
     End(x) with column_space, which prunes the non-invertible blocks),
     keeping each one not yet in the generated subgroup, until that subgroup
-    has at least `order` elements (|Aut x|, which the caller knows; None
-    walks every automorphism).  Deterministic because the key order is.
-    The closure grows by the new generator alone: the old elements under
-    its move, then the elements that brings in under every move; a
-    RepMorphism is built only for the generators kept.  Raises
-    InvariantError when the walk ends short of `order`; an order below
-    |Aut x| is left to the caller's orbit divisibility checks.
+    has `order` elements (|Aut x|, which the caller knows).  After each
+    kept generator the subgroup is the orbit of the identity key under the
+    moves of every generator kept; a RepMorphism is built only for those.
+    Deterministic because the key order is.  Raises InvariantError when the
+    walk ends short of `order`; an order below |Aut x| is left to the
+    caller's orbit divisibility checks.
     """
-    p = x.p
-    closure = {RepMorphism.identity(x).key()}
+    ident = RepMorphism.identity(x).key()
+    closure = {ident}
     gens: list = []
-    moves: list = []
     for k, _ in hom_keys(x, x, column_space):
         if k in closure:
             continue
-        g = morphism_from_key(x, x, k)
-        gens.append(g)
-        new = composition_moves([g], (), x.dims, x.dims)
-        moves += new
-        todo = [image for state in list(closure) for move in new
-                if (image := act(state, move, p)) not in closure]
-        closure.update(todo)
-        while todo:
-            state = todo.pop()
-            for move in moves:
-                image = act(state, move, p)
-                if image not in closure:
-                    closure.add(image)
-                    todo.append(image)
-        if order is not None and len(closure) >= order:
+        gens.append(morphism_from_key(x, x, k))
+        closure = orbit(ident, composition_moves(gens, (), x.dims, x.dims), x.p)
+        if len(closure) >= order:
             break
-    if order is not None and len(closure) < order:
+    if len(closure) < order:
         raise InvariantError(
             f"aut_generators(dims {x.dims}): the invertible keys generate "
             f"{len(closure)} automorphisms, not |Aut| = {order}"
@@ -483,17 +469,24 @@ def act(state: tuple, move: tuple, p: int) -> tuple:
     return tuple(mats)
 
 
-def orbit(start: tuple, moves: Sequence[tuple], p: int) -> set:
+def orbit(start: tuple, moves: Sequence[tuple], p: int, label=None) -> set:
     """Every state reachable from start by moves (see act); an orbit when
-    the moves generate a group action."""
-    seen = {start}
+    the moves generate a group action.
+
+    With label, a state is expanded only when its label is new, and the set
+    of labels met is returned: the orbit of label(start) whenever
+    label(s) fixes label(act(s, move)), as im(h f) = h . im(f) for a Hom
+    key f and an automorphism h of its target."""
+    label = label or (lambda state: state)
+    seen = {label(start)}
     todo = [start]
     while todo:
         state = todo.pop()
         for move in moves:
             image = act(state, move, p)
-            if image not in seen:
-                seen.add(image)
+            mark = label(image)
+            if mark not in seen:
+                seen.add(mark)
                 todo.append(image)
     return seen
 

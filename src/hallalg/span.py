@@ -22,12 +22,13 @@ path.
 The monos a -> b come from hall.mono_keys, the one record of them, grouped
 by image, that the exact-sequence count and the orbit check read too; its
 image groups are already the Aut(a)-orbits.  So each arrow class is swept
-by reps.orbit, the package's orbit search on Hom keys, over Aut(b) alone:
-the generators of Aut(b) become moves f |-> h f on the entry tuples of
-RepMorphism.key() (reps.composition_moves), and the images that one
-key's orbit meets are the image groups of its class.  A morphism is built
-only for the least key of each arrow class, and its cokernel is classified
-by the key reps.quotient_key reads off its image.
+by reps.orbit, the package's orbit search on Hom keys, over Aut(b) alone
+and on images, not keys: the generators of Aut(b) become moves f |-> h f
+on the entry tuples of RepMorphism.key() (reps.composition_moves), and
+since im(h f) = h . im(f), the search labels each key by its image and
+expands one key per image, returning the image groups of the class.  A
+morphism is built only for the least key of each arrow class, and its
+cokernel is classified by the key reps.quotient_key reads off its image.
 """
 
 from __future__ import annotations
@@ -97,10 +98,10 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     # mono_keys, since f, f' have one image iff f' = f g for some g in
     # Aut(a), and Aut(a) acts freely; they are the fiber components over b.
     # An arrow class, an Aut(a) x Aut(b)-orbit, is then the union of the
-    # groups of one Aut(b)-orbit of images, read off the Aut(b)-orbit of
-    # any one key.  The record lists its images in the order of their first
-    # key, so each class starts at its least key and ranks follow orbit
-    # minima: the enumeration order never reaches an id.
+    # groups of one Aut(b)-orbit of images, swept from any one key.  The
+    # record lists its images in the order of their first key, so each
+    # class starts at its least key and ranks follow orbit minima: the
+    # enumeration order never reaches an id.
     arrow_classes: Dict[tuple, ArrowClass] = {}
     x1_pairs = []
     fiber_parts = {z: [] for z in range(n)}   # (comp, orders, arrow class)
@@ -119,7 +120,7 @@ def build_span_model(ctx: HallContext) -> SpanModel:
                     continue
                 comp = ("m", a, b, rank)
                 rank += 1
-                images = {image_of[k] for k in _orbit(keys[0], left, cat.p)}
+                images = _orbit(keys[0], left, cat.p, image_of.__getitem__)
                 size = sum(len(monos[im]) for im in images)
                 stab = _stabilizer_order(
                     auts[a] * auts[b], size,

@@ -106,6 +106,20 @@ def test_verify_subset_of_checks(capsys, a2_file):
     assert set(doc["checks"]) == {"unit", "riedtmann"}
 
 
+@pytest.mark.parametrize("command, option", [
+    ("verify", ["--format", "csv"]),
+    ("catalog", ["--window", "0,0"]),
+    ("hall-table", ["--window", "0,0"]),
+])
+def test_options_a_subcommand_does_not_read_exit_2(capsys, a2_file, command, option):
+    # verify always prints JSON, and only derived contexts read a window
+    code, out, _ = run(capsys, [
+        command, "--quiver", a2_file, "-p", "2", "--bound", "1,1", *option,
+    ])
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_derived_mode(capsys, a2_file):
     code, out, _ = run(capsys, [
         "verify", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
@@ -261,14 +275,26 @@ IDENTITY_MAP = {"source": {"components": [{"id": "a"}]},
                 "component_map": {"a": "a"}}
 
 
+def fibered(order):
+    """IDENTITY_MAP with one fiber component of pi_1 order `order`."""
+    return {**IDENTITY_MAP,
+            "fibers": {"a": [{"id": "fa", "orders": [order], "maps_to": "a"}]}}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("lf-eval", {"values": {"a": "1/0"}}),
     ("lf-eval", {"values": {"a": "x/2"}}),
     ("lf-eval", [{"a": 1}]),
     ("lf-eval", {**IDENTITY_MAP, "fibers": {"a": [{"id": "fa"}]}}),
     ("base-change", [IDENTITY_MAP]),
+    ("lf-eval", fibered(2.5)),
+    ("lf-eval", fibered(2.0)),
+    ("lf-eval", fibered(True)),
+    ("base-change", {edge: fibered(2.5) for edge in "fuvg"}),
+    ("base-change", {edge: fibered(True) for edge in "fuvg"}),
 ], ids=["zero-denominator", "bad-numerator", "fn-list", "fiber-without-maps-to",
-        "square-list"])
+        "square-list", "fractional-order", "float-order", "bool-order",
+        "square-fractional-order", "square-bool-order"])
 def test_malformed_lf_json_exits_2_without_traceback(tmp_path, command, doc):
     # doc replaces one file of an otherwise well-formed call: the function
     # of lf-eval, or its map when doc has fibers, or the square of base-change

@@ -70,15 +70,15 @@ def test_span_arrow_orbit_divisibility(monkeypatch):
 
 def test_span_fiber_orbit_divisibility(monkeypatch):
     # the 4 monos c1 -> c1 over F_5 share one image; relabelling the image of
-    # one splits the arrow class into image classes of 3 and 1
+    # all but the least splits the arrow class into image classes of 1 and 3
     real = span.mono_keys
 
     def relabelled(ctx, a, b):
         monos = real(ctx, a, b)
         if (a, b) != (1, 1):
             return monos
-        (image, (*rest, last)), = monos.items()
-        return {image: rest, "another image": [last]}
+        (image, (first, *rest)), = monos.items()
+        return {image: [first], "another image": rest}
 
     monkeypatch.setattr(span, "mono_keys", relabelled)
     with pytest.raises(InvariantError,
@@ -105,7 +105,7 @@ def test_orbit_stabilizer_checks(monkeypatch, change, what):
     # S -> S with cokernel 0
     real = reps.aut_generators
     monkeypatch.setattr(reps, "aut_generators",
-                        lambda r, order=None: change(real(r, order), r))
+                        lambda r, order: change(real(r, order), r))
     with pytest.raises(InvariantError, match=rf"^orbit_stabilizer_check\(c1, c1, c0\): {what}$"):
         verify.orbit_stabilizer_check(a1_context(3), 1, 1, 0)
 

@@ -8,11 +8,15 @@ the identity key over aut_generators must reach all of Aut(x).  The span
 model, which sweeps only the Aut(b)-orbits of the mono images of
 hall.mono_keys, must have the arrow classes and target-leg fibers of a
 build over all of Hom with span_oracle's orbits, with one reps.orbit call
-per arrow class over the Aut(b) moves alone.
+per arrow class over the Aut(b) moves alone, labelled by image: a labelled
+orbit must be the labels of the key orbit, and a warm build must make one
+reps.act call per image of each class and per move.
 The orbit check's generator sweep must give, on every triple it checks, the
 orbits of the element images of hom_oracle.aut_element_images, each of
 |Aut x| keys and with a trivial stabilizer.
 """
+
+import functools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,7 +47,7 @@ def parts(orbits) -> set:
 
 def check_against_oracle(cat):
     p = cat.p
-    gens = [reps.aut_generators(cat.rep(i)) for i in range(len(cat))]
+    gens = [reps.aut_generators(cat.rep(i), cat.aut_order(i)) for i in range(len(cat))]
     for a in range(len(cat)):
         for b in range(len(cat)):
             ra, rb = cat.rep(a), cat.rep(b)
@@ -90,7 +94,7 @@ def test_generator_closure_is_the_automorphism_group(quiver, p, bound):
     cat = catalog_build(quiver, p, bound)
     for e in cat.entries:
         x = e.rep
-        gens = reps.aut_generators(x)
+        gens = reps.aut_generators(x, e.aut_order)
         ident = RepMorphism.identity(x).key()
         group = {g.key() for g in reps.aut_elements(x)}
         for left, right in ((gens, ()), ((), gens)):
@@ -102,7 +106,7 @@ def oracle_span_data(cat) -> tuple:
     """Arrow classes and target-leg fiber parts as build_span_model numbers
     them, from morphism_orbits over all of Hom(a, b), non-injective orbits
     dropped after the sweep."""
-    gens = [reps.aut_generators(cat.rep(i)) for i in range(len(cat))]
+    gens = [reps.aut_generators(cat.rep(i), cat.aut_order(i)) for i in range(len(cat))]
     classes = {}
     fibers = {z: [] for z in range(len(cat))}
     for a in range(len(cat)):
@@ -162,9 +166,10 @@ def test_span_model_sweeps_one_aut_b_orbit_per_arrow_class(monkeypatch, quiver, 
     cat = catalog_build(quiver, p, bound)
     calls = []
 
-    def recording(start, moves, p):
+    def recording(start, moves, p, label=None):
+        assert label is not None
         calls.append((start, moves))
-        return reps.orbit(start, moves, p)
+        return reps.orbit(start, moves, p, label)
 
     monkeypatch.setattr(span, "_orbit", recording)
     model = span.build_span_model(HallContext("classical", cat))
@@ -178,11 +183,83 @@ def test_span_model_sweeps_one_aut_b_orbit_per_arrow_class(monkeypatch, quiver, 
             gens_b, (), cat.rep(a).dims, cat.rep(b).dims), c.comp_id
 
 
+LABEL_UNIVERSES = [
+    pytest.param(a_n_quiver(2), 3, (2, 2), id="A2-p3-22"),
+    pytest.param(KRONECKER, 2, (2, 2), id="kronecker-p2-22"),
+    pytest.param(a_n_quiver(3), 2, (2, 2, 1), id="A3-p2-221"),
+]
+
+
+@pytest.mark.parametrize("quiver,p,bound", LABEL_UNIVERSES)
+def test_labelled_orbit_is_the_labels_of_the_key_orbit(quiver, p, bound):
+    # im(h f) = h . im(f), so the image labels the keys of Hom(a, b)
+    # compatibly with the moves f |-> h f of the generators of Aut(b)
+    cat = catalog_build(quiver, p, bound)
+    for a in range(len(cat)):
+        for b in range(len(cat)):
+            ra, rb = cat.rep(a), cat.rep(b)
+            left = reps.composition_moves(
+                reps.aut_generators(rb, cat.aut_order(b)), (), ra.dims, rb.dims)
+            label = functools.cache(
+                lambda k: reps.morphism_from_key(ra, rb, k).image_key())
+            want = {}
+            for k, _ in reps.hom_keys(ra, rb, reps.any_block):
+                if k not in want:
+                    keys = reps.orbit(k, left, p)
+                    want.update(dict.fromkeys(keys, {label(s) for s in keys}))
+                assert reps.orbit(k, left, p, label) == want[k], (a, b, k)
+
+
+@pytest.mark.parametrize("quiver,p,bound", [
+    pytest.param(a_n_quiver(2), 3, (2, 2), id="A2-p3-22"),
+    pytest.param(a_n_quiver(3), 2, (2, 2, 1), id="A3-p2-221"),
+])
+def test_warm_span_build_moves_each_image_once(monkeypatch, quiver, p, bound):
+    # with the mono record and the generators warm, the build acts only in
+    # its sweeps, and each sweep expands one key per image of its class
+    ctx = HallContext("classical", catalog_build(quiver, p, bound))
+    cat = ctx.catalog
+    span.build_span_model(ctx)
+    calls = []
+    real = reps.act
+    monkeypatch.setattr(reps, "act", lambda *args: calls.append(1) or real(*args))
+    model = span.build_span_model(ctx)
+    acts = len(calls)
+    want = 0
+    for c in model.arrow_classes.values():
+        ra, rb = cat.rep(c.source_class), cat.rep(c.target_class)
+        left = reps.composition_moves(
+            reps.aut_generators(rb, cat.aut_order(c.target_class)), (), ra.dims, rb.dims)
+        images = sum(comp == c.comp_id for fiber in model.t.fibers for comp in fiber.incl)
+        want += images * len(left)
+    assert acts == want
+
+
+def test_relabelling_the_greatest_mono_fails_the_arrow_check(monkeypatch):
+    # the 4 monos c1 -> c1 over F_5 share one image, and Aut(c1) = F_5^* is
+    # generated by 2; relabelling the image of the greatest, 4, leaves the
+    # sweep from 1 its first image alone, since 1 moves to 2 under that
+    # label, so the class it counts has 3 keys
+    real = span.mono_keys
+
+    def relabelled(ctx, a, b):
+        monos = real(ctx, a, b)
+        if (a, b) != (1, 1):
+            return monos
+        (image, (*rest, last)), = monos.items()
+        return {image: rest, "another image": [last]}
+
+    monkeypatch.setattr(span, "mono_keys", relabelled)
+    ctx = HallContext("classical", catalog_build(a_n_quiver(1), 5, (1,)))
+    with pytest.raises(InvariantError,
+                       match=r"^build_span_model\(arrows c1 -> c1, Aut x Aut\): orbit "
+                             r"of size 3 does not divide the group order 16$"):
+        span.build_span_model(ctx)
+
 def check_generators_against_greedy(cat):
     for e in cat.entries:
         want = [g.key() for g in greedy_aut_generators(e.rep)]
         assert [g.key() for g in reps.aut_generators(e.rep, e.aut_order)] == want
-        assert [g.key() for g in reps.aut_generators(e.rep)] == want
 
 
 @pytest.mark.parametrize("quiver,p,bound", UNIVERSES)
@@ -210,7 +287,7 @@ def test_generator_walk_short_of_the_order_raises():
 def test_dropping_a_generator_fails_the_closure_test(monkeypatch, quiver, p, bound):
     real = reps.aut_generators
     monkeypatch.setattr(reps, "aut_generators",
-                        lambda x, order=None: real(x, order)[:-1])
+                        lambda x, order: real(x, order)[:-1])
     with pytest.raises(AssertionError):
         test_generator_closure_is_the_automorphism_group(quiver, p, bound)
 

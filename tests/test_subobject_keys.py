@@ -210,7 +210,7 @@ def test_orbit_check_counts_the_identity(monkeypatch):
     ctx = HallContext("classical", catalog_build(a_n_quiver(2), 3, (2, 2)))
     real = reps.aut_generators
     monkeypatch.setattr(reps, "aut_generators",
-                        lambda x, order=None: real(x, order)[:-1])
+                        lambda x, order: real(x, order)[:-1])
     with pytest.raises(InvariantError, match=r"^orbit_stabilizer_check\(c1, c1, c0\): "
                                              r"\|Stab\| 1 \* \|orbit\| 1 != \|Aut\| 2$"):
         verify_suite(ctx, checks=("orbit",))

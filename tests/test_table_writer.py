@@ -67,7 +67,9 @@ def test_cells_with_no_terms_match_the_document_route(capsys, monkeypatch, a2_fi
         return {} if x == y else basis_product(ctx, x, y)
 
     monkeypatch.setattr(cli, "compute_product", product)
-    argv = [command, "--quiver", a2_file, "-p", "2", "--bound", "1,1", "--window=0,0"]
+    argv = [command, "--quiver", a2_file, "-p", "2", "--bound", "1,1"]
+    if command == "derived-table":
+        argv.append("--window=0,0")
     ctx, mode, modulus = oracle_context(argv)
     for fmt in FORMATS:
         out = streamed(capsys, argv + ["--format", fmt])
