@@ -11,10 +11,11 @@ span model and runs every classical check, about 7.5 s at 97 MiB on a
 2-vCPU machine (the span build is about 3 s of it, most of that the
 generators of each Aut; the printed total times the checks alone), and
 A_2 at p = 2 the derived orbit check alone on the window [-1,2], about
-8 s; the whole script takes about 25 s and peaks at about 108 MiB.  A_2
-at p = 2 with bound (2,2) runs in derived mode on the window [-1,0] with
-the unit, assoc and stalk checks only: its orbit check classifies the
-cone of every one of the 4,864,384 Hom classes of its 5,917 pairs
+7 s, and the unit and stalk checks on the CLI default window [-2,2],
+about 1 s; the whole script takes about 24 s and peaks at about 108 MiB.
+A_2 at p = 2 with bound (2,2) runs in derived mode on the window [-1,0]
+with the unit, assoc and stalk checks only: its orbit check classifies
+the cone of every one of the 4,864,384 Hom classes of its 5,917 pairs
 (x, z), most of them missing the cone-homology memo, and was still
 unfinished after 600 s, at 402 MiB.
 Prints one line per (universe, check) and exits nonzero on any failure.
@@ -85,6 +86,11 @@ def main():
         "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 2)
     )
     failures += run("A_2 p=2 derived [-1,2]", dctx, checks=("orbit",))
+
+    dctx = HallContext(
+        "derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-2, 2)
+    )
+    failures += run("A_2 p=2 derived [-2,2]", dctx, checks=("unit", "stalk"))
 
     dctx = HallContext(
         "derived", catalog_build(a_n_quiver(2), 2, (2, 2)), window=(-1, 0)

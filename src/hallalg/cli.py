@@ -119,13 +119,15 @@ def _config(args, mode: str) -> RunConfig:
         bound = tuple(int(v) for v in args.bound.split(","))
     except ValueError as exc:
         raise InputError(f"bad bound {args.bound!r}") from exc
-    window = _parse_window(args.window) if mode == "derived" else None
+    # a subcommand that takes --window parses it in every mode; only a
+    # derived context reads it
+    window = _parse_window(args.window) if "window" in vars(args) else None
     return RunConfig(
         quiver_path=args.quiver,
         modulus=args.modulus,
         bound=bound,
         mode=mode,
-        window=window,
+        window=window if mode == "derived" else None,
         cap=args.cap,
     )
 

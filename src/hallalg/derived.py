@@ -19,9 +19,11 @@ solved block per (summand class, summand class, shift) (hom_block), so a
 Hom class is a tuple of coefficient tuples over the block complements
 (ConeBlocks).  H^n of its cone reads three of those blocks, so its class is
 memoized per signature (x_n, x_(n+1), z_n, z_(n+1)) and the three
-coefficient tuples, and a miss is computed on one local two-degree table
-per signature, of which only the ConeDegree of H^0 and the blocks'
-positions and complements are kept: counting cones builds no (x, z) table.
+coefficient tuples.  A miss of the zero class is read off the signature
+(the cone of 0 is x[1] (+) z), and any other miss is computed on one local
+two-degree table per signature, of which only the ConeDegree of H^0 and
+the blocks' positions and complements are kept: counting cones builds no
+(x, z) table.
 
 P(A) is K-projective, so composing with the augmentation P(B[k]) ->
 C(B[k]) is a bijection [P(A), P(B[k])] -> [P(A), C(B[k])] on Hom classes.
@@ -33,29 +35,61 @@ coordinates, and derived_class_of(mapping_cone(...)) the cone oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Dict, Iterator, Optional, Sequence
 
 from .errors import EnumerationCapError, InputError, InvariantError, OutOfUniverseError
 from .fq import FqMatrix, RowSpace, complement_basis, intertwining_rows, kernel_rows
-from .catalog import Catalog
+from .catalog import Catalog, _direct_sum_key
 from . import reps
 from .reps import Representation, RepMorphism
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class DerivedClass:
     """Quasi-isomorphism class: ((degree, catalog class index), ...) sorted
-    by degree, at most one entry per degree, zero classes omitted."""
+    by degree, at most one entry per degree, zero classes omitted.
 
-    entries: tuple
+    An immutable value ordered, compared and hashed by its entries, as a
+    frozen ordered dataclass of the one field `entries` is; the hash is
+    computed once, since every cell of a derived table hashes and sorts
+    its keys and cone classes."""
 
-    def __post_init__(self):
-        degs = [d for d, _ in self.entries]
-        if sorted(degs) != degs or len(set(degs)) != len(degs):
+    __slots__ = ("entries", "_hash")
+
+    def __init__(self, entries: tuple):
+        if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
             raise InputError("derived class entries must be sorted, one per degree")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash((entries,)))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (DerivedClass, (self.entries,))
+
+    def __repr__(self) -> str:
+        return f"DerivedClass(entries={self.entries!r})"
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not DerivedClass:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self.entries == other.entries)
+
+    def __lt__(self, other):
+        return (self.entries < other.entries if other.__class__ is DerivedClass
+                else NotImplemented)
 
     @classmethod
     def from_module(cls, class_index: int, degree: int = 0) -> "DerivedClass":
@@ -868,6 +902,21 @@ def cone_homology(cat: Catalog, sig: tuple, coords: tuple) -> Optional[int]:
     return degree(_block_vector(cat.p, total, zip(embeds, coords)))
 
 
+def zero_cone_homology(cat: Catalog, sig: tuple) -> Optional[int]:
+    """cone_homology(cat, sig, coords) for the zero Hom class, read off the
+    signature alone: the cone of the zero map x -> z is x[1] (+) z, so H^n
+    is x_(n+1) (+) z_n, classified by its direct-sum key.  None when both
+    are absent, ConeClassifier.OUT_OF_BOUND when their dims sum past the
+    catalog bound.  Builds no local table; cone_homology is its oracle."""
+    _, x_n1, z_n, _ = sig
+    if x_n1 is None or z_n is None:
+        return z_n if x_n1 is None else x_n1
+    a, b = cat.rep(x_n1), cat.rep(z_n)
+    if any(da + db > c for da, db, c in zip(a.dims, b.dims, cat.bound)):
+        return ConeClassifier.OUT_OF_BOUND
+    return cat.classify_key(_direct_sum_key(a, b))
+
+
 _MISS = object()
 
 
@@ -891,7 +940,8 @@ class ConeBlocks:
     Ext^1(x_(n+1), z_n) and Hom(x_(n+1), z_(n+1)).  So its class is
     memoized in cat.derived_cone_homology[(x_n, x_(n+1), z_n, z_(n+1))]
     [the three coefficient tuples], a miss is computed by cone_homology,
-    and equal cone classes are shared through cat.derived_cone_classes.
+    or by zero_cone_homology when all three are zero, and equal cone
+    classes are shared through cat.derived_cone_classes.
     """
 
     def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
@@ -907,18 +957,19 @@ class ConeBlocks:
             raise InvariantError(
                 f"{_table_label(cat, x, z)}: hom class count p^{dim} != "
                 f"p^ext_dim = p^{expected}: enumeration routes disagree")
-        slot = {key: i for i, key in enumerate(self.keys)}
+        slot = {key: i for i, key in enumerate(self.keys)}.get
+        absent = len(self.keys)
         xs, zs = dict(x.entries), dict(z.entries)
         memo = cat.derived_cone_homology
         # per degree n with H^n possibly nonzero: (n, signature, its memo,
-        # the getter of the memo key: the coordinates of the three blocks H^n
-        # reads, () for an absent one, from coords + ((),))
+        # the getter of the memo key: the coordinates of the three blocks
+        # H^n reads (_hn_blocks), () for an absent one, from coords + ((),))
         self.reads = []
-        for n in sorted({d - 1 for d in xs} | set(zs)):
+        for n in sorted({d - 1 for d in xs} | zs.keys()):
             sig = (xs.get(n), xs.get(n + 1), zs.get(n), zs.get(n + 1))
-            slots = [slot.get(key, len(self.keys)) for key in _hn_blocks(n)]
-            self.reads.append((n, sig, memo.setdefault(sig, {}),
-                               operator.itemgetter(*slots)))
+            self.reads.append((n, sig, memo.setdefault(sig, {}), operator.itemgetter(
+                slot((n, n), absent), slot((n + 1, n), absent),
+                slot((n + 1, n + 1), absent))))
 
     def coordinates(self) -> Iterator[tuple]:
         """Every Hom class x -> z as its tuple of block coefficient tuples."""
@@ -935,7 +986,8 @@ class ConeBlocks:
             key = key_of(coords)
             idx = memo.get(key, _MISS)
             if idx is _MISS:
-                idx = memo[key] = cone_homology(self.cat, sig, key)
+                idx = memo[key] = (cone_homology(self.cat, sig, key) if any(map(any, key))
+                                   else zero_cone_homology(self.cat, sig))
             if idx == ConeClassifier.OUT_OF_BOUND:
                 return None
             if idx is not None:

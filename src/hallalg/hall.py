@@ -97,6 +97,7 @@ class HallContext:
         self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
         self._cone_hist: dict = {}     # (x, z) -> cone_histogram(x, z)
         self._aut_formula: dict = {}   # x -> derived_aut_formula(x)
+        self._self_ext: dict = {}      # x -> ext_exponent(x, x)
         self._product_cache: dict = {}
         self._automorphisms: dict = {}  # x -> derived_automorphisms(x)
 
@@ -337,11 +338,7 @@ def cone_counts(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
     it and checks it against p^ext_dim(x, z, 0) when it is built.
     """
     cones = ConeBlocks(ctx.catalog, x, z, cap=ctx.cap)
-    hist = {}
-    for coords in cones.coordinates():
-        dc = cones.cone_class(coords)
-        hist[dc] = hist.get(dc, 0) + 1
-    return hist
+    return Counter(map(cones.cone_class, cones.coordinates()))
 
 
 def cone_histogram(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> dict:
@@ -431,6 +428,16 @@ def ext_exponent(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> int:
     return total
 
 
+def self_ext_exponent(ctx: HallContext, x: DerivedClass) -> int:
+    """ext_exponent(ctx, x, x), cached on the context as one int per key:
+    derived_product reads E(x, x), E(y, y) and E(z, z) for every cell.
+    derived_hall_number, its oracle, calls ext_exponent uncached."""
+    e = ctx._self_ext.get(x)
+    if e is None:
+        e = ctx._self_ext[x] = ext_exponent(ctx, x, x)
+    return e
+
+
 def _ext_factor(ctx: HallContext, a: int, b: int, k: int) -> int:
     """The exponent e of E(a[-k], b) = p^e for catalog module classes a, b,
     cached on the catalog per (a, b, k).  Ext^-i(a[-k], b) is
@@ -489,17 +496,19 @@ def derived_product(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> dict:
     form, prod_n |Aut x_n| * p^(sum_n dim Ext^1(x_(n+1), x_n))
     (derived_aut_formula: End(x) of a hereditary algebra is the product of
     the End(x_n) plus a square-zero ideal of Ext^1s), so no End space is
-    enumerated.  A cap error can name a Hom space the direct count would
-    not have read first; the exit code and the empty stdout of a table are
-    the same."""
+    enumerated, and each E(x, x) is read once per key
+    (self_ext_exponent).  A cap error can name a Hom space the direct count
+    would not have read first; the exit code and the empty stdout of a
+    table are the same."""
     y1 = y.shift(-1)
     hist = cone_counts(ctx, y1, x)
     support = _support(ctx, x, y, hist)
     den = derived_aut_formula(ctx, x) * derived_aut_formula(ctx, y)
-    e = ext_exponent(ctx, y1, x) - ext_exponent(ctx, x, x) - ext_exponent(ctx, y, y)
+    e = (ext_exponent(ctx, y1, x) - self_ext_exponent(ctx, x)
+         - self_ext_exponent(ctx, y))
     return {
         z: _times_p_power(ctx, hist[z] * derived_aut_formula(ctx, z), den,
-                          e + ext_exponent(ctx, z, z))
+                          e + self_ext_exponent(ctx, z))
         for z in support
     }
 

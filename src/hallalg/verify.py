@@ -178,7 +178,7 @@ def _profiles(ctx: HallContext) -> tuple:
 
 
 def _fits(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def _minus(a: tuple, b: tuple) -> tuple:

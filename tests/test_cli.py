@@ -214,6 +214,20 @@ def test_derived_table_cap_error_names_the_hom_table(capsys, a2_file):
                    "2**3 homotopy classes exceed cap 4\n")
 
 
+@pytest.mark.parametrize("mode", ["classical", "derived"])
+def test_verify_rejects_a_bad_window_in_both_modes(capsys, a1_file, mode):
+    base = ["verify", "--quiver", a1_file, "-p", "2", "--bound", "1",
+            "--mode", mode, "--checks", "unit"]
+    code, out, err = run(capsys, base + ["--window", "bogus"])
+    assert code == 2
+    assert out == ""
+    assert "bad window 'bogus' (expected lo,hi)" in err
+    # a valid window is parsed in both modes and read only by derived ones
+    code, out, err = run(capsys, base + ["--window", "0,1"])
+    assert code == 0, err
+    assert json.loads(out)["window"] == (None if mode == "classical" else [0, 1])
+
+
 @pytest.mark.parametrize("argv", [
     ["derived-table"],
     ["verify", "--mode", "derived", "--checks", "unit,stalk"],

@@ -1,3 +1,7 @@
+import dataclasses
+import itertools
+import pickle
+
 import pytest
 
 from hallalg.catalog import catalog_build
@@ -14,7 +18,9 @@ from hallalg.derived import (
     projective_realization,
     stalk_realization,
 )
+from hallalg.errors import InputError
 from hallalg.fq import FqMatrix
+from hallalg.hall import HallContext
 from hallalg.quivers import a_n_quiver
 from hallalg.reps import RepMorphism, is_isomorphic
 
@@ -263,3 +269,53 @@ def test_homotopy_invariance_of_cone_classes(a2_cat):
         if checked >= 60:
             break
     assert checked >= 60
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class DataclassTwin:
+    """What DerivedClass was: a frozen ordered dataclass of its entries, the
+    oracle of its value semantics."""
+
+    entries: tuple
+
+
+def test_derived_class_compares_and_hashes_as_its_entries(a2_cat):
+    ctx = HallContext("derived", a2_cat, window=(-1, 1))
+    keys = ctx.basis_keys()
+    assert len(keys) == 125
+    # the basis order is the order of the entries, and of the dataclass
+    assert keys == sorted(keys) == sorted(reversed(keys))
+    assert [k.entries for k in keys] == sorted(k.entries for k in keys)
+    assert [k.entries for k in keys] == [t.entries for t in sorted(
+        DataclassTwin(k.entries) for k in reversed(keys))]
+    copies = [DerivedClass(k.entries) for k in keys]
+    for a, b in itertools.product(keys, copies):
+        ea, eb = a.entries, b.entries
+        assert (a == b) == (ea == eb) and (a != b) == (ea != eb)
+        assert (a < b) == (ea < eb) and (a <= b) == (ea <= eb)
+        assert (a > b) == (ea > eb) and (a >= b) == (ea >= eb)
+    for a, b in zip(keys, copies):
+        # the hash of the dataclass, so sets and dicts of keys iterate alike
+        assert hash(a) == hash(b) == hash(DataclassTwin(a.entries))
+    assert len(set(keys) | set(copies)) == len(keys)
+    assert pickle.loads(pickle.dumps(keys)) == keys
+
+
+def test_derived_class_is_frozen_and_validated():
+    dc = DerivedClass(((-1, 1), (0, 2)))
+    assert repr(dc) == "DerivedClass(entries=((-1, 1), (0, 2)))"
+    assert repr(DerivedClass.zero()) == "DerivedClass(entries=())"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dc.entries = ()
+    with pytest.raises(AttributeError):
+        dc.other = 1
+    with pytest.raises(AttributeError):
+        del dc.entries
+    assert dc.entries == ((-1, 1), (0, 2))
+    # other types are not derived classes
+    assert dc != dc.entries and not dc == DataclassTwin(dc.entries)
+    with pytest.raises(TypeError):
+        dc < dc.entries
+    for entries in (((1, 1), (0, 2)), ((0, 1), (0, 2)), ((0, 1), (2, 1), (1, 2))):
+        with pytest.raises(InputError, match="sorted, one per degree"):
+            DerivedClass(entries)

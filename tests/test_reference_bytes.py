@@ -15,7 +15,10 @@ derived tables (A2 p=2 window -1,2 and A3 p=2 window -1,0) and one derived
 verify report (A2 p=2 window -1,1) are pinned to the digests of the commit
 before derived products were counted over the rotated triangle, and the
 derived table of A2 p=2 bound (2,2) window -1,0 to that of the commit
-before derived products read |Aut| in closed form.
+before derived products read |Aut| in closed form.  The derived table of
+A2 p=2 at the default window -2,2 is pinned to the digest of the commit
+before per-cell bookkeeping left derived_product (the E(x, x) cache, the
+slotted DerivedClass and zero cones read off their signatures).
 """
 
 import hashlib
@@ -88,8 +91,10 @@ def run_cli(tmp_path, quiver, argv):
      "76d80eedbaa43354ef2595e5a50a4d31e2dd8273682d0660f0655e1d8e526132"),
     ("a2", ["derived-table", "-p", "2", "--bound", "2,2", "--window=-1,0"],
      "ff01d2229ab58084d0fafbb912ea8d826d559e0c88372c87cf7e863add2116c0"),
+    ("a2", ["derived-table", "-p", "2", "--bound", "1,1"],
+     "5f27ddc4bb319115135f3e5f0a98c15ee10863400ab2e4332ab8b76b88b8afbf"),
 ], ids=["a2-p3-window-1,1", "kronecker-p2-window-1,0", "a2-p2-window-1,2",
-        "a3-p2-window-1,0", "a2-p2-22-window-1,0"])
+        "a3-p2-window-1,0", "a2-p2-22-window-1,0", "a2-p2-default-window"])
 def test_derived_table_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
     proc = run_cli(tmp_path, QUIVERS[quiver], argv)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")

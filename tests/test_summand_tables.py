@@ -7,16 +7,20 @@ Cone classes come from one cone-homology memo per catalog, keyed by the
 summand signature and three block coefficient tuples; derived_class_of(
 mapping_cone(...)) is its oracle, and classifying every row afresh from its
 whole-table vector (ConeClassifier) shows that the memo key fixes the class,
-while a key without one of the blocks H^n reads does not.
+while a key without one of the blocks H^n reads does not.  The cone of the
+zero Hom class is read off its signature (zero_cone_homology), and
+cone_homology on the local table is its oracle.
 """
 
 import gc
+import itertools
 import types
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hallalg import derived
 from hallalg.catalog import catalog_build
 from hallalg.derived import (
     Complex,
@@ -27,6 +31,7 @@ from hallalg.derived import (
     GradedMapSpace,
     HomotopyClasses,
     SummandHomClasses,
+    cone_homology,
     derived_class_of,
     hom_block,
     hom_class_table,
@@ -160,10 +165,16 @@ def test_blocks_are_built_once_per_summand_pair():
     cat = ctx.catalog
     nonzero = len(cat) - 1
     # counting cones builds no (x, z) table: one local table per signature
+    # that has a nonzero Hom class, since the cone of the zero class is
+    # read off the signature
     assert len(ctx._cone_hist) == 3165
     assert not cat.derived_hom_tables
-    assert len(cat.derived_cone_tables) == len(cat.derived_cone_homology) == 345
+    assert len(cat.derived_cone_homology) == 345
     assert sum(len(m) for m in cat.derived_cone_homology.values()) == 998
+    with_nonzero = {sig for sig, memo in cat.derived_cone_homology.items()
+                    if any(any(map(any, key)) for key in memo)}
+    assert set(cat.derived_cone_tables) == with_nonzero
+    assert len(cat.derived_cone_tables) == 261
     # one block per pair of nonzero classes and shift -2..3 that ext_dim
     # reads: ext_dim(x, z, 0) reads -2..3, the Ext factors -1..1
     assert len(cat.derived_hom_blocks) == nonzero * nonzero * 6 == 96
@@ -205,3 +216,74 @@ def test_local_cone_tables_keep_only_what_a_miss_reads():
         seen.add(id(obj))
         assert not isinstance(obj, held), type(obj)
         todo.extend(gc.get_referents(obj))
+
+
+def zero_key(cat, sig):
+    """The memo key of the zero Hom class of a signature: a zero tuple on
+    each block H^n reads, () for an absent or zero-dim one."""
+    x_n, x_n1, z_n, z_n1 = sig
+    return tuple(
+        (0,) * hom_block(cat, a, b, k).dim if a is not None and b is not None else ()
+        for a, b, k in ((x_n, z_n, 0), (x_n1, z_n, 1), (x_n1, z_n1, 0)))
+
+
+def zero_cone_mismatches(cat, sigs) -> tuple:
+    """([signatures where derived.zero_cone_homology differs from
+    cone_homology on the zero key], the values of the oracle)."""
+    bad, seen = [], []
+    for sig in sigs:
+        expected = cone_homology(cat, sig, zero_key(cat, sig))
+        seen.append(expected)
+        if derived.zero_cone_homology(cat, sig) != expected:
+            bad.append(sig)
+    return bad, seen
+
+
+ZERO_CONE_UNIVERSES = pytest.mark.parametrize("quiver, p, bound, window", [
+    (a_n_quiver(2), 2, (1, 1), (-1, 1)),
+    (a_n_quiver(2), 3, (1, 1), (-1, 1)),
+    (KRONECKER, 2, (1, 1), (-1, 1)),
+    (a_n_quiver(3), 2, (1, 1, 1), (-1, 0)),
+], ids=["a2-p2", "a2-p3", "kronecker-p2", "a3-p2"])
+
+
+def unreached_zero_signatures(cat) -> list:
+    """The signatures with x_(n+1) and z_n absent, whose H^n is zero:
+    ConeBlocks reads no such degree, so they are added by hand."""
+    nonzero = [e.index for e in cat.entries if not e.rep.is_zero()]
+    return [(a, None, None, b) for a, b in itertools.product([None, *nonzero], repeat=2)]
+
+
+@ZERO_CONE_UNIVERSES
+def test_zero_cones_read_off_the_signature_match_the_local_table(quiver, p, bound,
+                                                                 window):
+    ctx = reached_context(quiver, p, bound, window)
+    cat = ctx.catalog
+    memo = cat.derived_cone_homology
+    assert len(memo) > 300
+    # every reached signature has a zero class, and the memo holds the
+    # shortcut's value for it
+    for sig, classes in memo.items():
+        assert classes[zero_key(cat, sig)] == derived.zero_cone_homology(cat, sig)
+    bad, seen = zero_cone_mismatches(cat, [*memo, *unreached_zero_signatures(cat)])
+    assert bad == []
+    assert None in seen and ConeClassifier.OUT_OF_BOUND in seen
+    assert any(i is not None and i >= 0 for i in seen)
+
+
+def test_a_zero_cone_of_z_n_alone_fails_the_comparison(monkeypatch):
+    ctx = reached_context(a_n_quiver(2), 2, (1, 1), (-1, 1))
+    cat = ctx.catalog
+    monkeypatch.setattr(derived, "zero_cone_homology", lambda cat, sig: sig[2])
+    bad, _ = zero_cone_mismatches(cat, cat.derived_cone_homology)
+    # wrong wherever x_(n+1) is present
+    assert bad
+    assert all(sig[1] is not None for sig in bad)
+    # and the production route reads the shortcut: a fresh catalog's cone
+    # histograms leave the mapping-cone oracle
+    fresh = HallContext("derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 1))
+    x = DerivedClass.from_module(1)
+    oracle = hom_class_table(fresh.catalog, x, x)
+    expected = Counter(derived_class_of(mapping_cone(oracle.lift(v)), fresh.catalog,
+                                        strict=False) for v in oracle.class_vectors())
+    assert cone_histogram(fresh, x, x) != dict(expected)
