@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -237,12 +236,18 @@ def _fmt_dims(dims: tuple) -> str:
     return "(" + ",".join(map(str, dims)) + ")"
 
 
-@dataclass
 class CatalogEntry:
-    index: int
-    rep: Representation
-    aut_order: int
-    indecomposable: bool = False
+    """One class of the catalog: its index, canonical representative and
+    |Aut|; indecomposable is filled in once the catalog is built."""
+
+    __slots__ = ("index", "rep", "aut_order", "indecomposable")
+
+    def __init__(self, index: int, rep: Representation, aut_order: int,
+                 indecomposable: bool = False):
+        self.index = index
+        self.rep = rep
+        self.aut_order = aut_order
+        self.indecomposable = indecomposable
 
     @property
     def dims(self) -> tuple:

@@ -25,7 +25,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional
@@ -79,23 +78,24 @@ def _load_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """A fully parsed run configuration; every subcommand that computes
     algebra data goes through one of these."""
 
-    quiver_path: str
-    modulus: int
-    bound: tuple
-    mode: str
-    window: Optional[tuple]
-    cap: int
+    __slots__ = ("quiver_path", "modulus", "bound", "mode", "window", "cap")
 
-    def __post_init__(self):
-        if self.cap <= 0:
+    def __init__(self, quiver_path: str, modulus: int, bound: tuple, mode: str,
+                 window: Optional[tuple], cap: int):
+        if cap <= 0:
             raise InputError("cap must be positive")
-        if any(b < 0 for b in self.bound):
+        if any(b < 0 for b in bound):
             raise InputError("bound must be componentwise >= 0")
+        self.quiver_path = quiver_path
+        self.modulus = modulus
+        self.bound = bound
+        self.mode = mode
+        self.window = window
+        self.cap = cap
 
     def context(self) -> HallContext:
         quiver = Quiver.load(self.quiver_path)
@@ -168,7 +168,9 @@ def _json_table(mode: str, modulus: int, cells, name):
     """The text of json.dumps({"schema": 1, "mode": mode, "modulus":
     modulus, "table": [one dict per cell]}, sort_keys=True, indent=2) and a
     newline, one cell at a time; name(key) is the key's name as a JSON
-    string.  The table is never empty: it holds 0 * 0."""
+    string.  The table is never empty: it holds 0 * 0.  Like the other
+    writers, it writes each cell's terms in their dict order, which
+    compute_product makes ascending by key."""
     yield (f'{{\n  "mode": {encode_basestring_ascii(mode)},\n  "modulus": '
            f'{modulus},\n  "schema": 1,\n  "table": [')
     sep = "\n    "
@@ -176,7 +178,7 @@ def _json_table(mode: str, modulus: int, cells, name):
         body = ",".join(
             f'\n        {{\n          "coeff_den": {g.denominator},\n          '
             f'"coeff_num": {g.numerator},\n          "z": {name(z)}\n        }}'
-            for z, g in sorted(terms.items()))
+            for z, g in terms.items())
         if body:
             body += "\n      "
         yield (f'{sep}{{\n      "terms": [{body}],\n      "x": {name(x)},'
@@ -190,13 +192,13 @@ def _csv_table(cells, name):
     for x, y, terms in cells:
         head = f"{name(x)},{name(y)},"
         yield "".join(f"{head}{name(z)},{g.numerator}/{g.denominator}\n"
-                      for z, g in sorted(terms.items()))
+                      for z, g in terms.items())
 
 
 def _pretty_table(cells, name):
     for x, y, terms in cells:
         total = " + ".join(f"{g.numerator}/{g.denominator}*{name(z)}"
-                           for z, g in sorted(terms.items()))
+                           for z, g in terms.items())
         yield f"{name(x)} * {name(y)} = {total or '0'}\n"
 
 

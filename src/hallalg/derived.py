@@ -38,10 +38,15 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import FrozenInstanceError
 from typing import Dict, Iterator, Optional, Sequence
 
-from .errors import EnumerationCapError, InputError, InvariantError, OutOfUniverseError
+from .errors import (
+    EnumerationCapError,
+    InputError,
+    InvariantError,
+    OutOfUniverseError,
+    frozen_field_error,
+)
 from .fq import FqMatrix, RowSpace, complement_basis, intertwining_rows, kernel_rows
 from .catalog import Catalog, _direct_sum_key
 from . import reps
@@ -53,10 +58,10 @@ class DerivedClass:
     """Quasi-isomorphism class: ((degree, catalog class index), ...) sorted
     by degree, at most one entry per degree, zero classes omitted.
 
-    An immutable value ordered, compared and hashed by its entries, as a
-    frozen ordered dataclass of the one field `entries` is; the hash is
-    computed once, since every cell of a derived table hashes and sorts
-    its keys and cone classes."""
+    An immutable value ordered, compared and hashed by its entries, with
+    the hash of the tuple (entries,); the hash is computed once, since
+    every cell of a derived table hashes and sorts its keys and cone
+    classes."""
 
     __slots__ = ("entries", "_hash")
 
@@ -67,10 +72,10 @@ class DerivedClass:
         object.__setattr__(self, "_hash", hash((entries,)))
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise frozen_field_error("assign to", name)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise frozen_field_error("delete", name)
 
     def __reduce__(self):
         return (DerivedClass, (self.entries,))

@@ -26,3 +26,11 @@ class InvariantError(HallAlgError):
 
     Raised explicitly rather than asserted, so the check survives python -O.
     """
+
+
+def frozen_field_error(action: str, name: str) -> AttributeError:
+    """The dataclasses.FrozenInstanceError an immutable value class raises
+    when a field is assigned to or deleted; dataclasses is imported here,
+    when one is raised, so that no run of the package pays for it."""
+    from dataclasses import FrozenInstanceError
+    return FrozenInstanceError(f"cannot {action} field {name!r}")

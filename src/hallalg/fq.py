@@ -16,10 +16,9 @@ kernel_rows solves such systems on plain int lists.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import EnumerationCapError, InputError, InvariantError
+from .errors import EnumerationCapError, InputError, InvariantError, frozen_field_error
 
 
 def is_prime(n: int) -> bool:
@@ -448,12 +447,35 @@ def complement_basis(sub: RowSpace, vectors: Iterable[Sequence[int]]) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class FqSubspace:
-    """A subspace of F_p^n, identified by its unique RREF basis."""
+    """A subspace of F_p^n, identified by its unique RREF basis: an
+    immutable value compared and hashed by (ambient_dim, basis)."""
 
-    ambient_dim: int
-    basis: FqMatrix  # rows = basis vectors, in RREF
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, basis: FqMatrix):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", basis)  # rows = basis vectors, in RREF
+
+    def __setattr__(self, name, value):
+        raise frozen_field_error("assign to", name)
+
+    def __delattr__(self, name):
+        raise frozen_field_error("delete", name)
+
+    def __reduce__(self):
+        return (FqSubspace, (self.ambient_dim, self.basis))
+
+    def __repr__(self) -> str:
+        return f"FqSubspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not FqSubspace:
+            return NotImplemented
+        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, self.basis))
 
     @property
     def dim(self) -> int:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Union
 
@@ -70,28 +69,32 @@ from . import reps
 BasisKey = Union[int, DerivedClass]
 
 
-@dataclass
 class HallContext:
     """A fixed algebra universe: catalog plus mode (and shift window for the
-    derived mode).  Products that would leave the universe raise; they are
-    never truncated, and no enumeration runs past `cap` candidates."""
+    derived mode, (-2, 2) unless given).  Products that would leave the
+    universe raise; they are never truncated, and no enumeration runs past
+    `cap` candidates.  The context owns the caches of its products."""
 
-    mode: str
-    catalog: Catalog
-    window: Optional[tuple] = None
-    cap: int = reps.DEFAULT_CAP
+    __slots__ = ("mode", "catalog", "window", "cap", "_subrep_hist", "_monos",
+                 "_epi_kernels", "_cone_hist", "_aut_formula", "_self_ext",
+                 "_product_cache", "_automorphisms")
 
-    def __post_init__(self):
-        if self.mode not in ("classical", "derived"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.mode == "derived":
-            if self.window is None:
-                self.window = (-2, 2)
-            lo, hi = self.window
+    def __init__(self, mode: str, catalog: Catalog, window: Optional[tuple] = None,
+                 cap: int = reps.DEFAULT_CAP):
+        if mode not in ("classical", "derived"):
+            raise InputError(f"unknown mode {mode!r}")
+        if mode == "derived":
+            if window is None:
+                window = (-2, 2)
+            lo, hi = window
             if lo > hi:
                 raise InputError("empty shift window")
-            if not self.catalog.quiver.is_acyclic():
+            if not catalog.quiver.is_acyclic():
                 raise InputError("derived mode needs an acyclic quiver")
+        self.mode = mode
+        self.catalog = catalog
+        self.window = window
+        self.cap = cap
         self._subrep_hist: dict = {}
         self._monos: dict = {}         # (a, b) -> {image key: [mono keys]}
         self._epi_kernels: dict = {}   # (z, y) -> {kernel key: #epis}
@@ -518,7 +521,9 @@ def derived_product(ctx: HallContext, x: DerivedClass, y: DerivedClass) -> dict:
 
 def compute_product(ctx: HallContext, x: BasisKey, y: BasisKey) -> dict:
     """{z: g(x, y; z)} by the context's mode, not cached: the tables
-    compute each cell once."""
+    compute each cell once.  The terms come in ascending key order, which
+    the table writers rely on: classical_product walks classes_with_dims
+    (ascending indices) and derived_product the sorted support."""
     if ctx.mode == "classical":
         return classical_product(ctx, x, y)
     return derived_product(ctx, x, y)

@@ -21,12 +21,11 @@ function they are given, not to the size of the map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Hashable, Mapping, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, frozen_field_error
 
 ComponentId = Hashable
 
@@ -42,21 +41,46 @@ def homotopy_weight(orders: Sequence[int]) -> Fraction:
     return w
 
 
-@dataclass(frozen=True)
 class LFType:
-    """components, and for each one its homotopy group orders."""
+    """components, and for each one its homotopy group orders: an immutable
+    value compared and hashed by (components, orders), as the corner checks
+    of a BaseChangeSquare and the base checks of FiniteSupportFn compare."""
 
-    components: tuple
-    orders: tuple  # aligned with components: tuple of tuples of ints
+    __slots__ = ("components", "orders", "component_set")
 
-    def __post_init__(self):
-        if len(self.components) != len(self.orders):
+    def __init__(self, components: tuple, orders: tuple):
+        # orders is aligned with components: tuple of tuples of ints
+        if len(components) != len(orders):
             raise InputError("components/orders length mismatch")
-        if len(self.component_set) != len(self.components):
+        component_set = frozenset(components)
+        if len(component_set) != len(components):
             raise InputError("duplicate component ids")
-        for os in self.orders:
+        for os in orders:
             if not all(type(o) is int and o >= 1 for o in os):
                 raise InputError(f"orders must be ints >= 1, not {list(os)}")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "component_set", component_set)
+
+    def __setattr__(self, name, value):
+        raise frozen_field_error("assign to", name)
+
+    def __delattr__(self, name):
+        raise frozen_field_error("delete", name)
+
+    def __reduce__(self):
+        return (LFType, (self.components, self.orders))
+
+    def __repr__(self) -> str:
+        return f"LFType(components={self.components!r}, orders={self.orders!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not LFType:
+            return NotImplemented
+        return (self.components, self.orders) == (other.components, other.orders)
+
+    def __hash__(self) -> int:
+        return hash((self.components, self.orders))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple]) -> "LFType":
@@ -64,10 +88,6 @@ class LFType:
             tuple(c for c, _ in pairs),
             tuple(tuple(o) for _, o in pairs),
         )
-
-    @cached_property
-    def component_set(self) -> frozenset:
-        return frozenset(self.components)
 
     @classmethod
     def point(cls) -> "LFType":
@@ -162,20 +182,20 @@ class FiniteSupportFn:
         return cls(base, vals)
 
 
-@dataclass(frozen=True)
 class Fiber:
     """Explicit homotopy fiber over one target component: a locally finite
     type plus the map of its components into the source's components."""
 
-    lftype: LFType
-    incl: tuple  # aligned with lftype.components: source component per fiber comp
+    __slots__ = ("lftype", "incl")
 
-    def __post_init__(self):
-        if len(self.incl) != len(self.lftype.components):
+    def __init__(self, lftype: LFType, incl: tuple):
+        # incl is aligned with lftype.components: source component per fiber comp
+        if len(incl) != len(lftype.components):
             raise InputError("fiber incl length mismatch")
+        self.lftype = lftype
+        self.incl = incl
 
 
-@dataclass(frozen=True)
 class ProperMapData:
     """A map of locally finite types with explicit per-component fiber data.
 
@@ -185,22 +205,24 @@ class ProperMapData:
     maps used exclusively for pullback, which consumes only component_map.
     """
 
-    source: LFType
-    target: LFType
-    component_map: tuple  # aligned with source.components: target component
-    fibers: Optional[tuple] = None  # aligned with target.components, or None
-
-    def __post_init__(self):
-        if len(self.component_map) != len(self.source.components):
+    def __init__(self, source: LFType, target: LFType, component_map: tuple,
+                 fibers: Optional[tuple] = None):
+        # component_map is aligned with source.components: target component;
+        # fibers with target.components, or None
+        if len(component_map) != len(source.components):
             raise InputError("component_map length mismatch")
-        tset = self.target.component_set
-        for t in self.component_map:
+        tset = target.component_set
+        for t in component_map:
             if t not in tset:
                 raise InputError(f"component_map hits unknown target {t!r}")
-        if self.fibers is not None:
-            if len(self.fibers) != len(self.target.components):
+        self.source = source
+        self.target = target
+        self.component_map = component_map
+        self.fibers = fibers
+        if fibers is not None:
+            if len(fibers) != len(target.components):
                 raise InputError("need one fiber per target component")
-            for tcomp, fib in zip(self.target.components, self.fibers):
+            for tcomp, fib in zip(target.components, fibers):
                 preimage = set(self.preimages.get(tcomp, ()))
                 hit = set(fib.incl)
                 if not hit <= preimage:
@@ -343,7 +365,6 @@ def lf_product(x: LFType, y: LFType) -> LFType:
     return LFType(tuple(comps), tuple(orders))
 
 
-@dataclass(frozen=True)
 class BaseChangeSquare:
     """A homotopy pullback square
 
@@ -354,27 +375,31 @@ class BaseChangeSquare:
     with u proper; the fiber data of g must be the transported fiber data of
     f (componentwise equal orders, with incl matching through v)."""
 
-    f: ProperMapData
-    u: ProperMapData
-    v: ProperMapData
-    g: ProperMapData
+    __slots__ = ("f", "u", "v", "g")
 
-    def __post_init__(self):
-        if self.f.source != self.v.target:
+    def __init__(self, f: ProperMapData, u: ProperMapData, v: ProperMapData,
+                 g: ProperMapData):
+        if f.source != v.target:
             raise InputError("square corners disagree at X")
-        if self.f.target != self.u.target:
+        if f.target != u.target:
             raise InputError("square corners disagree at Y")
-        if self.u.source != self.g.target:
+        if u.source != g.target:
             raise InputError("square corners disagree at Y'")
-        if self.g.source != self.v.source:
+        if g.source != v.source:
             raise InputError("square corners disagree at X'")
+        self.f = f
+        self.u = u
+        self.v = v
+        self.g = g
 
 
-@dataclass
 class BaseChangeReport:
-    equal: bool
-    max_deviation: Fraction
-    failures: list
+    __slots__ = ("equal", "max_deviation", "failures")
+
+    def __init__(self, equal: bool, max_deviation: Fraction, failures: list):
+        self.equal = equal
+        self.max_deviation = max_deviation
+        self.failures = failures
 
 
 def check_base_change(square: BaseChangeSquare) -> BaseChangeReport:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import random as _random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -519,12 +518,15 @@ def composition_moves(left: Sequence[RepMorphism], right: Sequence[RepMorphism],
     return moves
 
 
-@dataclass(frozen=True)
 class KernelCokernel:
-    kernel: Representation
-    kernel_incl: RepMorphism    # kernel -> source
-    cokernel: Representation
-    cokernel_proj: RepMorphism  # target -> cokernel
+    __slots__ = ("kernel", "kernel_incl", "cokernel", "cokernel_proj")
+
+    def __init__(self, kernel: Representation, kernel_incl: RepMorphism,
+                 cokernel: Representation, cokernel_proj: RepMorphism):
+        self.kernel = kernel
+        self.kernel_incl = kernel_incl      # kernel -> source
+        self.cokernel = cokernel
+        self.cokernel_proj = cokernel_proj  # target -> cokernel
 
 
 def _restrict(x: Representation, bases: Sequence[FqMatrix]) -> tuple:
@@ -598,11 +600,13 @@ def kernel_cokernel(f: RepMorphism) -> KernelCokernel:
     return KernelCokernel(kernel, incl, cokernel, proj)
 
 
-@dataclass(frozen=True)
 class Subrep:
-    bases: tuple              # per-vertex flat RREF data, as in subobjects
-    sub: Representation
-    quot: Representation
+    __slots__ = ("bases", "sub", "quot")
+
+    def __init__(self, bases: tuple, sub: Representation, quot: Representation):
+        self.bases = bases  # per-vertex flat RREF data, as in subobjects
+        self.sub = sub
+        self.quot = quot
 
 
 def enumerate_subreps(z: Representation, cap: int = DEFAULT_CAP) -> list:
@@ -768,10 +772,12 @@ def euler_form(q: Quiver, a: Sequence[int], b: Sequence[int]) -> int:
     return val
 
 
-@dataclass(frozen=True)
 class ProjectiveData:
-    rep: Representation
-    paths_at: tuple  # per-vertex tuple of paths (arrow index tuples)
+    __slots__ = ("rep", "paths_at")
+
+    def __init__(self, rep: Representation, paths_at: tuple):
+        self.rep = rep
+        self.paths_at = paths_at  # per-vertex tuple of paths (arrow index tuples)
 
 
 @lru_cache(maxsize=None)
@@ -791,13 +797,17 @@ def projective_rep(q: Quiver, p: int, vertex: int) -> ProjectiveData:
     return ProjectiveData(Representation(q, p, dims, mats), paths_at)
 
 
-@dataclass(frozen=True)
 class Resolution:
     """0 -> p1 -(delta)-> p0 -(aug)-> module -> 0, projective p0 and p1."""
-    p1: Representation
-    p0: Representation
-    delta: RepMorphism
-    aug: RepMorphism
+
+    __slots__ = ("p1", "p0", "delta", "aug")
+
+    def __init__(self, p1: Representation, p0: Representation, delta: RepMorphism,
+                 aug: RepMorphism):
+        self.p1 = p1
+        self.p0 = p0
+        self.delta = delta
+        self.aug = aug
 
 
 def _apply_path(m: Representation, path: tuple, vec: Sequence[int]) -> tuple:

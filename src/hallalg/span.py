@@ -33,7 +33,6 @@ cokernel is classified by the key reps.quotient_key reads off its image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 from .errors import InputError, InvariantError
@@ -43,28 +42,37 @@ from . import reps
 from .reps import RepMorphism, orbit as _orbit
 
 
-@dataclass
 class ArrowClass:
     """One isomorphism class of monomorphisms a -> b with its groupoid data."""
 
-    comp_id: tuple
-    source_class: int
-    target_class: int
-    rep: RepMorphism          # lexicographically least orbit member
-    orbit_size: int
-    stabilizer_order: int     # |{(g, h) : h f = f g}|
-    cokernel_class: int
+    __slots__ = ("comp_id", "source_class", "target_class", "rep", "orbit_size",
+                 "stabilizer_order", "cokernel_class")
+
+    def __init__(self, comp_id: tuple, source_class: int, target_class: int,
+                 rep: RepMorphism, orbit_size: int, stabilizer_order: int,
+                 cokernel_class: int):
+        self.comp_id = comp_id
+        self.source_class = source_class
+        self.target_class = target_class
+        self.rep = rep                            # lexicographically least orbit member
+        self.orbit_size = orbit_size
+        self.stabilizer_order = stabilizer_order  # |{(g, h) : h f = f g}|
+        self.cokernel_class = cokernel_class
 
 
-@dataclass
 class SpanModel:
-    context: HallContext
-    x0: LFType
-    x00: LFType               # X0 x X0, components are (class, class) pairs
-    x1: LFType
-    t: ProperMapData          # target leg with subobject-groupoid fibers
-    sc: ProperMapData         # (source, cokernel) leg: pullback only
-    arrow_classes: Dict[tuple, ArrowClass]
+    __slots__ = ("context", "x0", "x00", "x1", "t", "sc", "arrow_classes")
+
+    def __init__(self, context: HallContext, x0: LFType, x00: LFType, x1: LFType,
+                 t: ProperMapData, sc: ProperMapData,
+                 arrow_classes: Dict[tuple, ArrowClass]):
+        self.context = context
+        self.x0 = x0
+        self.x00 = x00    # X0 x X0, components are (class, class) pairs
+        self.x1 = x1
+        self.t = t        # target leg with subobject-groupoid fibers
+        self.sc = sc      # (source, cokernel) leg: pullback only
+        self.arrow_classes = arrow_classes
 
 
 def _stabilizer_order(group_order: int, size: int, what: str) -> int:

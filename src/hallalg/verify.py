@@ -196,9 +196,10 @@ def _in_bound(ctx: HallContext, arity: int) -> list:
     """Sorted arity-tuples of basis keys whose per-degree dims sum within
     the bound.  Keys with one profile extend a tuple alike, so each profile
     group is matched once against what each prefix of groups leaves of the
-    bound."""
+    bound.  The keys come sorted, so the tuples are sorted as tuples of
+    ranks, ints, and no two keys are compared."""
     keys, profiles, bound = _profiles(ctx)
-    groups = _profile_groups(keys, profiles)
+    groups = _profile_groups(range(len(keys)), [profiles[k] for k in keys])
 
     def match(rem: tuple, depth: int):
         for prof, ks in groups.items():
@@ -209,7 +210,8 @@ def _in_bound(ctx: HallContext, arity: int) -> list:
                     for rest in match(_minus(rem, prof), depth - 1):
                         yield (ks, *rest)
 
-    return sorted(t for parts in match(bound, arity) for t in itertools.product(*parts))
+    ranked = sorted(t for parts in match(bound, arity) for t in itertools.product(*parts))
+    return [tuple(map(keys.__getitem__, t)) for t in ranked]
 
 
 def in_bound_pairs(ctx: HallContext) -> list:

@@ -22,7 +22,8 @@ from hallalg.hall import cone_table, derived_aut_order
 
 def derived_aut_lifts(ctx, x: DerivedClass) -> list:
     """One chain map P(x) -> P(x) per derived automorphism class of x;
-    cached on the context.
+    cached on the context's catalog (a HallContext has fixed slots), which
+    holds the derived caches, and the lifts depend on nothing else.
 
     Composing with the augmentation eps is a bijection [P(x), P(x)] ->
     [P(x), C(x)] (see hallalg.derived) and linear, so each class of
@@ -30,7 +31,7 @@ def derived_aut_lifts(ctx, x: DerivedClass) -> list:
     of its complement, and the classes whose image has a zero cone are
     lifted.  The bijection and the count |Aut x| are checked.
     """
-    cache = vars(ctx).setdefault("_aut_lifts", {})
+    cache = vars(ctx.catalog).setdefault("_aut_lifts", {})
     if x in cache:
         return cache[x]
     cat = ctx.catalog

@@ -14,7 +14,9 @@ import pytest
 
 from hallalg import cli
 from hallalg.errors import EnumerationCapError, OutOfUniverseError
-from hallalg.hall import basis_product
+from hallalg.catalog import catalog_build
+from hallalg.hall import HallContext, basis_product, compute_product
+from hallalg.quivers import a_n_quiver
 from hallalg.verify import in_bound_pairs
 from cli_oracle import table_text
 
@@ -56,6 +58,19 @@ def test_streamed_table_matches_the_document_route(capsys, a2_file, argv):
     for fmt in FORMATS:
         out = streamed(capsys, argv + ["--format", fmt])
         assert out == table_text(ctx, mode, modulus, fmt), fmt
+
+
+@pytest.mark.parametrize("mode, p, bound, window", [
+    ("classical", 3, (2, 2), None),
+    ("derived", 2, (1, 1), (-1, 1)),
+], ids=["classical-a2-p3-22", "derived-a2-p2-w-1,1"])
+def test_products_list_their_terms_in_ascending_key_order(mode, p, bound, window):
+    # the table writers print each cell's terms in dict order
+    ctx = HallContext(mode, catalog_build(a_n_quiver(2), p, bound), window=window)
+    cells = [compute_product(ctx, x, y) for x, y in in_bound_pairs(ctx)]
+    assert sum(map(len, cells)) > len(cells)
+    for terms in cells:
+        assert list(terms) == sorted(terms)
 
 
 @pytest.mark.parametrize("command", ["hall-table", "derived-table"])
