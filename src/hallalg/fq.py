@@ -130,7 +130,7 @@ class FqMatrix:
         return [self.row(i) for i in range(self.rows)]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        return self.data[j::self.cols]
 
     @property
     def shape(self) -> tuple:

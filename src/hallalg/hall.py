@@ -164,8 +164,9 @@ class HallElement:
     """Finite-support exact-rational combination of basis classes.
 
     A coefficient is an int when it is integral, else a Fraction: an int
-    is kept as it is, a Fraction with denominator 1 becomes its numerator,
-    and anything else goes through Fraction, so no float is ever stored.
+    or a proper Fraction is kept as it is, a Fraction with denominator 1
+    becomes its numerator, and only any other number goes through
+    Fraction, so no float is ever stored.
     Classical structure constants count subobjects, so classical elements
     hold ints only; the span route and the derived constants bring in
     proper fractions."""
@@ -177,7 +178,8 @@ class HallElement:
         self.values: Dict[BasisKey, Union[int, Fraction]] = {}
         for k, v in (values or {}).items():
             if type(v) is not int:
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v.denominator == 1:
                     v = v.numerator
             if v:
@@ -231,7 +233,10 @@ def subrep_histogram(ctx: HallContext, z: int) -> dict:
     One closure search (reps.subobjects) over the per-vertex subspace
     tables; each closed tuple is classified by two key lookups, of
     reps.sub_key and reps.quotient_key, with no Representation or
-    morphism built."""
+    morphism built.  The search keeps the arrow images of subspace rows
+    for its sweep of z; both keys read reductions modulo a subspace from
+    the memo of reps._reduce, which outlives the sweep; the histogram
+    itself is cached on the context."""
     hist = ctx._subrep_hist.get(z)
     if hist is None:
         hist = {}

@@ -633,6 +633,15 @@ def enumerate_subreps(z: Representation, cap: int = DEFAULT_CAP) -> list:
 # coordinate of a vector of U along RREF row r is its entry at the pivot of
 # r; the quotient F_p^n / U has the non-pivot columns as coordinates, read
 # off a vector after reducing it modulo U, as kernel_cokernel does.
+#
+# Two computations repeat across the subspace tuples of a sweep, and each is
+# done once and then only read.  The reduction of v modulo U is memoized in
+# _REDUCTIONS, keyed by (p, n, U, v) like _split_rref and filled by _reduce
+# only as vectors are asked for, never as a table over F_p^n; it is shared
+# by every caller of sub_key and quotient_key (the subrep histograms, the
+# span model's cokernel classes and the orbit check).  The images z_a w of
+# the RREF rows w of U_s are kept by subobjects for its one sweep of z and
+# handed to sub_key; nothing keeps them past the sweep.
 
 
 @lru_cache(maxsize=None)
@@ -645,14 +654,22 @@ def _split_rref(data: tuple, n: int) -> tuple:
     return rows, pivots, free
 
 
-def _reduce(v: Sequence[int], space: tuple, p: int) -> tuple:
-    """(v at the pivots of U, v modulo U at the free columns of U) for U
-    given as _split_rref: the coordinates of v along the RREF rows when v
-    lies in U, and those of its class in F_p^n / U."""
-    rows, pivots, free = space
-    coords = [v[j] for j in pivots]
-    return coords, [(v[j] - sum(c * r[j] for c, r in zip(coords, rows))) % p
-                    for j in free]
+_REDUCTIONS: dict = {}
+
+
+def _reduce(p: int, n: int, data: tuple, v: tuple) -> tuple:
+    """(v at the pivots of U, v modulo U at the free columns of U) for the
+    subspace U of F_p^n with flat RREF data `data`: the coordinates of v
+    along the RREF rows when v lies in U, and those of its class in
+    F_p^n / U.  Read from _REDUCTIONS, which this fills on first ask."""
+    key = (p, n, data, v)
+    got = _REDUCTIONS.get(key)
+    if got is None:
+        rows, pivots, free = _split_rref(data, n)
+        coords = tuple(v[j] for j in pivots)
+        got = _REDUCTIONS[key] = coords, tuple(
+            (v[j] - sum(c * r[j] for c, r in zip(coords, rows))) % p for j in free)
+    return got
 
 
 def _row_major(cols: list, rows: int) -> tuple:
@@ -660,18 +677,27 @@ def _row_major(cols: list, rows: int) -> tuple:
     return tuple(col[i] for i in range(rows) for col in cols)
 
 
-def sub_key(z: Representation, bases: Sequence[tuple]):
+def sub_key(z: Representation, bases: Sequence[tuple], images: Sequence[dict] = ()):
     """Representation.key() of the subrepresentation of z on the per-vertex
     subspaces U with flat RREF data `bases`, or None when some arrow map
     leaves them: also the closure test of subobjects.  Column c of the
     arrow a: s -> t holds the coordinates of z_a applied to RREF row c of
-    U_s, as _restrict builds it."""
-    split = [_split_rref(b, n) for b, n in zip(bases, z.dims)]
+    U_s, as _restrict builds it, read off its memoized reduction modulo U_t.
+
+    `images` holds one dict per arrow a, {w: z_a w}, which this reads and
+    fills: subobjects passes the dicts of its sweep of z, so each row is
+    mapped once per sweep.  Without them each image is computed afresh."""
+    p, dims = z.p, z.dims
+    split = [_split_rref(b, n) for b, n in zip(bases, dims)]
     entries = []
     for idx, (s, t) in enumerate(z.quiver.arrows):
+        m, seen = z.mats[idx], images[idx] if images else {}
         cols = []
         for w in split[s][0]:
-            coords, rest = _reduce(z.mats[idx].mul_vec(w), split[t], z.p)
+            im = seen.get(w)
+            if im is None:
+                im = seen[w] = m.mul_vec(w)
+            coords, rest = _reduce(p, dims[t], bases[t], im)
             if any(rest):
                 return None
             cols.append(coords)
@@ -683,11 +709,12 @@ def quotient_key(z: Representation, bases: Sequence[tuple]) -> tuple:
     """Representation.key() of z / U for the subrepresentation U with
     per-vertex flat RREF data `bases`, in the coordinates of
     kernel_cokernel: column c of the arrow a: s -> t is z_a e_c, for each
-    free column c of U_s, reduced modulo U_t and read at the free columns
-    of U_t."""
-    split = [_split_rref(b, n) for b, n in zip(bases, z.dims)]
+    free column c of U_s, reduced modulo U_t (read from the memo of _reduce)
+    and read at the free columns of U_t."""
+    p, dims = z.p, z.dims
+    split = [_split_rref(b, n) for b, n in zip(bases, dims)]
     entries = tuple(
-        _row_major([_reduce(z.mats[idx].col(c), split[t], z.p)[1]
+        _row_major([_reduce(p, dims[t], bases[t], z.mats[idx].col(c))[1]
                     for c in split[s][2]], len(split[t][2]))
         for idx, (s, t) in enumerate(z.quiver.arrows)
     )
@@ -705,7 +732,8 @@ def _subspace_table(p: int, n: int) -> tuple:
 def subobjects(z: Representation, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
     """(bases, sub_key(z, bases)) for every subrepresentation of z: the one
     closure search, over the per-vertex subspace tables with the last
-    vertex fastest, sub_key deciding closure.
+    vertex fastest, sub_key deciding closure.  The arrow images of the
+    subspace rows are kept for this one sweep and handed to sub_key.
 
     The cap bounds the number of subspace tuples searched and is checked
     when this is called, vertex by vertex from the Gaussian binomials,
@@ -719,8 +747,9 @@ def subobjects(z: Representation, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
                 f"exceed cap {cap}"
             )
     tables = [_subspace_table(z.p, n) for n in z.dims]
+    images = tuple({} for _ in z.mats)
     return ((bases, key) for bases in itertools.product(*tables)
-            if (key := sub_key(z, bases)) is not None)
+            if (key := sub_key(z, bases, images)) is not None)
 
 
 _ISO_SAMPLE_ROUNDS = 200

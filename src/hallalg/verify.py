@@ -177,10 +177,6 @@ def _profiles(ctx: HallContext) -> tuple:
     return keys, profiles, bound_profile
 
 
-def _fits(a: tuple, b: tuple) -> bool:
-    return all(map(operator.le, a, b))
-
-
 def _minus(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -192,23 +188,46 @@ def _profile_groups(keys, profiles) -> dict:
     return groups
 
 
+def _profile_trie(groups: dict) -> dict:
+    """The profile groups nested by coordinate: trie[d_0][d_1]...[d_m] is
+    the group of the profile (d_0, ..., d_m)."""
+    trie: dict = {}
+    for prof, ks in groups.items():
+        node = trie
+        for d in prof[:-1]:
+            node = node.setdefault(d, {})
+        node[prof[-1]] = ks
+    return trie
+
+
+def _within(trie: dict, rem: tuple) -> list:
+    """[(profile, group)] for every group whose profile is <= rem in each
+    coordinate, reached one coordinate at a time through the prefixes that
+    still fit: no group outside the box of rem is visited."""
+    level = [((), trie)]
+    for r in rem:
+        level = [(prefix + (d,), child) for prefix, node in level
+                 for d, child in node.items() if d <= r]
+    return level
+
+
 def _in_bound(ctx: HallContext, arity: int) -> list:
     """Sorted arity-tuples of basis keys whose per-degree dims sum within
-    the bound.  Keys with one profile extend a tuple alike, so each profile
-    group is matched once against what each prefix of groups leaves of the
-    bound.  The keys come sorted, so the tuples are sorted as tuples of
-    ranks, ints, and no two keys are compared."""
+    the bound.  Keys with one profile extend a tuple alike, so each prefix
+    of profile groups reaches, through the profile trie, only the groups
+    that fit what it leaves of the bound.  The keys come sorted, so the
+    tuples are sorted as tuples of ranks, ints, and no two keys are
+    compared."""
     keys, profiles, bound = _profiles(ctx)
-    groups = _profile_groups(range(len(keys)), [profiles[k] for k in keys])
+    trie = _profile_trie(_profile_groups(range(len(keys)), [profiles[k] for k in keys]))
 
     def match(rem: tuple, depth: int):
-        for prof, ks in groups.items():
-            if _fits(prof, rem):
-                if depth == 1:
-                    yield (ks,)
-                else:
-                    for rest in match(_minus(rem, prof), depth - 1):
-                        yield (ks, *rest)
+        for prof, ks in _within(trie, rem):
+            if depth == 1:
+                yield (ks,)
+            else:
+                for rest in match(_minus(rem, prof), depth - 1):
+                    yield (ks, *rest)
 
     ranked = sorted(t for parts in match(bound, arity) for t in itertools.product(*parts))
     return [tuple(map(keys.__getitem__, t)) for t in ranked]

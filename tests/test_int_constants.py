@@ -74,6 +74,20 @@ def test_hall_element_keeps_ints_and_reduces_integral_fractions():
     assert all(map(is_int, (ctx.chi(1) + ctx.chi(1).scale(2)).values.values()))
 
 
+def test_hall_element_keeps_each_coefficient_kind():
+    # an int and a proper Fraction are stored as given, an integral Fraction
+    # as its numerator, and any other number as the Fraction of its value
+    ctx = HallContext("classical", catalog_build(a_n_quiver(1), 2, (1,)))
+    big, half = 10 ** 30, Fraction(1, 2)
+    e = HallElement(ctx, {0: big, 1: half})
+    assert e.values[0] is big and e.values[1] is half
+    assert HallElement(ctx, {0: Fraction(-6, 3)}).values == {0: -2}
+    assert type(HallElement(ctx, {0: Fraction(-6, 3)}).values[0]) is int
+    for number, stored in ((0.25, Fraction(1, 4)), (3.0, 3), (Fraction(0), None)):
+        got = HallElement(ctx, {0: number}).values.get(0)
+        assert got == stored and type(got) is type(stored)
+
+
 def test_derived_values_are_ints_or_fractions():
     ctx = HallContext("derived", catalog_build(a_n_quiver(2), 2, (1, 1)), window=(-1, 0))
     seen = set()

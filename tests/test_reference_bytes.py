@@ -18,7 +18,11 @@ derived table of A2 p=2 bound (2,2) window -1,0 to that of the commit
 before derived products read |Aut| in closed form.  The derived table of
 A2 p=2 at the default window -2,2 is pinned to the digest of the commit
 before per-cell bookkeeping left derived_product (the E(x, x) cache, the
-slotted DerivedClass and zero cones read off their signatures).
+slotted DerivedClass and zero cones read off their signatures).  Three
+more classical tables (A3 p=3 bound (2,2,2), Kronecker p=2 bound (2,2) and
+A2 p=3 bound (4,3)) are pinned to the digests of the commit before subobject
+keys read memoized reductions modulo a subspace and the subobject sweep kept
+the arrow images of subspace rows.
 """
 
 import hashlib
@@ -130,8 +134,15 @@ def test_verify_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path)
      "7b9c59b29a2a5f90bbc069356fd7549d761318108d9573c5f89715942b5ae204"),
     ("sink", ["hall-table", "-p", "2", "--bound", "2,3,2"],
      "99b732a0774a2d9d7b76c7100885bb0d97e2f921ea25e0902a53760dcfc7c931"),
+    ("a3", ["hall-table", "-p", "3", "--bound", "2,2,2"],
+     "c8b478cda929a01b12662bfab614e520bc19912121a9e297a01059a0928b25d3"),
+    ("kronecker", ["hall-table", "-p", "2", "--bound", "2,2"],
+     "f9b617d7a1f9ef315cad793df828f78a290909786ae4295697a4c6c4be1de2fb"),
+    ("a2", ["hall-table", "-p", "3", "--bound", "4,3"],
+     "93d842205c528a26e26b33dafce530853fccf38752c36ef8792fa2ac7400f7ce"),
 ], ids=["catalog-a2-p3-33", "catalog-a3-p3-222", "catalog-jordan-p3-3",
-        "catalog-sink-p2-232", "hall-table-jordan-p3-3", "hall-table-sink-p2-232"])
+        "catalog-sink-p2-232", "hall-table-jordan-p3-3", "hall-table-sink-p2-232",
+        "hall-table-a3-p3-222", "hall-table-kronecker-p2-22", "hall-table-a2-p3-43"])
 def test_catalog_stdout_matches_the_pinned_digest(quiver, argv, digest, tmp_path):
     proc = run_cli(tmp_path, QUIVERS[quiver], argv)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")

@@ -3,18 +3,27 @@
 reps.sub_key and reps.quotient_key read the Representation.key() of a
 subrepresentation and of its quotient straight off per-vertex flat RREF
 data; reps.enumerate_subreps (with _restrict and kernel_cokernel) builds the
-same objects and is their oracle.  The mutation tests show that the
-Riedtmann check of `hall verify` guards the key route of subrep_histogram,
-and the orbit check the identity count of verify._classical_action.
+same objects and is their oracle.  Both keys read the memoized reductions
+of reps._REDUCTIONS, filled only for the (U, v) pairs asked for.  The
+mutation tests show that the Riedtmann check of `hall verify` guards the
+key route of subrep_histogram, the orbit check the identity count of
+verify._classical_action, and the object oracle and a pinned table digest
+each memoized class.
 """
 
+import contextlib
+import hashlib
+import io
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from hom_oracle import homs_by_addition
+from test_cone_kernel import universes
 from hallalg import hall, reps
 from hallalg.catalog import catalog_build
 from hallalg.cli import main
@@ -61,6 +70,30 @@ def test_keys_match_the_subrep_objects(cat):
         for (bases, sub), sr in zip(found, subreps):
             assert sub == sr.sub.key()
             assert reps.quotient_key(e.rep, bases) == sr.quot.key()
+
+
+def _key_mismatches(cat) -> list:
+    """(dims, bases) of every subobject whose sub or quotient key differs
+    from the object enumerate_subreps builds."""
+    return [
+        (e.dims, sr.bases) for e in cat.entries
+        for sr in reps.enumerate_subreps(e.rep)
+        if (reps.sub_key(e.rep, sr.bases) != sr.sub.key()
+            or reps.quotient_key(e.rep, sr.bases) != sr.quot.key())
+    ]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(universe=universes())
+def test_memoized_keys_match_the_subrep_objects_on_random_quivers(universe):
+    cat = catalog_build(*universe)
+    assert _key_mismatches(cat) == []
+    for e in cat.entries:
+        z = e.rep
+        tables = [reps._subspace_table(z.p, n) for n in z.dims]
+        assert [b for b, _ in reps.subobjects(z)] == [
+            b for b in itertools.product(*tables) if _closed(z, b)]
 
 
 def test_subobjects_are_exactly_the_closed_tuples(cat):
@@ -190,7 +223,7 @@ def test_quotient_read_at_the_pivots_fails_riedtmann(monkeypatch, tmp_path, caps
         # quotient_key with the pivot columns of U in place of its free ones
         split = [reps._split_rref(b, n) for b, n in zip(bases, z.dims)]
         return tuple(len(sp[1]) for sp in split), tuple(
-            reps._row_major([reps._reduce(z.mats[idx].col(c), split[t], z.p)[0]
+            reps._row_major([reps._reduce(z.p, z.dims[t], bases[t], z.mats[idx].col(c))[0]
                              for c in split[s][1]], len(split[t][1]))
             for idx, (s, t) in enumerate(z.quiver.arrows)
         )
@@ -200,6 +233,61 @@ def test_quotient_read_at_the_pivots_fails_riedtmann(monkeypatch, tmp_path, caps
     assert code == 1
     assert report["checks"]["riedtmann"]["status"] == "fail"
     assert report["failures_total"] > 0
+
+
+# The class of (0, 1) modulo the zero subspace of F_3^2, read by the quotient
+# of the A2 representation with arrow matrix [[0, 1], [1, 0]] (dims (2, 2)) by
+# its zero subobject.  Corrupted to (1, 0), the quotient has rank 1, while
+# every closure decision and sub key stays as it was.
+_CORRUPT_KEY, _CORRUPT_CLASS = (3, 2, (), (0, 1)), ((), (1, 0))
+
+
+def _hall_table_digest(tmp_path) -> str:
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(
+        {"schema": 1, "vertices": 2, "arrows": [{"src": 0, "dst": 1}]}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["hall-table", "-p", "3", "--bound", "3,3", "--quiver", str(path)])
+    assert code == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_one_corrupted_memoized_class_fails_the_oracle_and_the_digest(
+        monkeypatch, tmp_path):
+    references = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                             / "references.json").read_text())
+    pinned = references["hall_table_a2p3"]["0,1"]
+    cat = catalog_build(a_n_quiver(2), 3, (2, 2))
+    assert _key_mismatches(cat) == []
+    assert reps._REDUCTIONS[_CORRUPT_KEY] == ((), (0, 1))   # read by the sweep
+    assert _hall_table_digest(tmp_path) == pinned
+
+    monkeypatch.setitem(reps._REDUCTIONS, _CORRUPT_KEY, _CORRUPT_CLASS)
+    assert _key_mismatches(cat)
+    assert _hall_table_digest(tmp_path) != pinned
+
+
+def test_memo_holds_only_the_reductions_asked_for(monkeypatch):
+    """After every histogram of A2 p=5 bound (4, 2), the memo holds just the
+    distinct (p, n, U, v) asked of _reduce: vectors are only reduced at the
+    arrow's target, F_5^n with n <= 2, so at most 1 + 2*5 + 8*25 = 211
+    pairs, against 1,120 * 625 = 700,000 for a table over F_5^4 per
+    subspace."""
+    ctx = HallContext("classical", catalog_build(a_n_quiver(2), 5, (4, 2)))
+    monkeypatch.setattr(reps, "_REDUCTIONS", {})
+    asked = set()
+    real = reps._reduce
+
+    def recording(p, n, data, v):
+        asked.add((p, n, data, v))
+        return real(p, n, data, v)
+
+    monkeypatch.setattr(reps, "_reduce", recording)
+    for z in range(len(ctx.catalog)):
+        subrep_histogram(ctx, z)
+        assert set(reps._REDUCTIONS) == asked, ctx.catalog.name(z)
+    assert 0 < len(asked) <= 1 + 2 * 5 + 8 * 25
 
 
 def test_orbit_check_counts_the_identity(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -192,9 +193,13 @@ def test_in_bound_enumeration_matches_bruteforce(a2_ctx):
 
 
 
+def _fits(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
 def _per_key_pairs(ctx):
     # the enumeration before profile groups: each key against every group
-    from hallalg.verify import _fits, _minus, _profile_groups, _profiles
+    from hallalg.verify import _minus, _profile_groups, _profiles
     keys, profiles, bound = _profiles(ctx)
     groups = _profile_groups(keys, profiles)
     out = []
@@ -221,9 +226,23 @@ def test_in_bound_pairs_by_profile_group_match_the_per_key_enumeration(
     assert pairs and pairs == _per_key_pairs(ctx)
 
 
+def test_profile_trie_reaches_exactly_the_groups_that_fit():
+    # every remainder in the box of the default window's bound profile
+    from hallalg.verify import _profile_groups, _profile_trie, _profiles, _within
+    ctx = HallContext("derived", catalog_build(a_n_quiver(2), 2, (1, 1)))
+    keys, profiles, bound = _profiles(ctx)
+    groups = _profile_groups(keys, profiles)
+    trie = _profile_trie(groups)
+    for rem in itertools.product(*(range(b + 1) for b in bound)):
+        got = _within(trie, rem)
+        assert sorted(prof for prof, _ in got) == sorted(
+            prof for prof in groups if _fits(prof, rem))
+        assert all(ks is groups[prof] for prof, ks in got)
+
+
 def _sorted_triples(ctx, pairs):
     # every in-bound pair extended by every key, sorted by comparing keys
-    from hallalg.verify import _fits, _profiles
+    from hallalg.verify import _profiles
     keys, profiles, bound = _profiles(ctx)
     return sorted(
         (x, y, z) for x, y in pairs for z in keys
