@@ -26,7 +26,6 @@ from .errors import (
 )
 from .fq import (
     FqMatrix,
-    FqSubspace,
     enumerate_subspaces,
     gaussian_binomial,
     solve,

@@ -42,10 +42,10 @@ from typing import Dict, Iterator, Optional, Sequence
 
 from .errors import (
     EnumerationCapError,
+    Frozen,
     InputError,
     InvariantError,
     OutOfUniverseError,
-    frozen_field_error,
 )
 from .fq import FqMatrix, RowSpace, complement_basis, intertwining_rows, kernel_rows
 from .catalog import Catalog, _direct_sum_key
@@ -54,34 +54,23 @@ from .reps import Representation, RepMorphism
 
 
 @functools.total_ordering
-class DerivedClass:
+class DerivedClass(Frozen):
     """Quasi-isomorphism class: ((degree, catalog class index), ...) sorted
     by degree, at most one entry per degree, zero classes omitted.
 
-    An immutable value ordered, compared and hashed by its entries, with
-    the hash of the tuple (entries,); the hash is computed once, since
-    every cell of a derived table hashes and sorts its keys and cone
-    classes."""
+    An immutable value (errors.Frozen) ordered, compared and hashed by its
+    entries, with the hash of the tuple (entries,); the hash is computed
+    once, and equality and order are written out, since every cell of a
+    derived table hashes and sorts its keys and cone classes."""
 
-    __slots__ = ("entries", "_hash")
+    _fields = ("entries",)
+    __slots__ = (*_fields, "_hash")
 
     def __init__(self, entries: tuple):
         if any(a[0] >= b[0] for a, b in zip(entries, entries[1:])):
             raise InputError("derived class entries must be sorted, one per degree")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_hash", hash((entries,)))
-
-    def __setattr__(self, name, value):
-        raise frozen_field_error("assign to", name)
-
-    def __delattr__(self, name):
-        raise frozen_field_error("delete", name)
-
-    def __reduce__(self):
-        return (DerivedClass, (self.entries,))
-
-    def __repr__(self) -> str:
-        return f"DerivedClass(entries={self.entries!r})"
 
     def __hash__(self) -> int:
         return self._hash

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import EnumerationCapError, InputError, InvariantError, frozen_field_error
+from .errors import EnumerationCapError, InputError, InvariantError
 
 
 def is_prime(n: int) -> bool:
@@ -447,41 +447,6 @@ def complement_basis(sub: RowSpace, vectors: Iterable[Sequence[int]]) -> list:
     return out
 
 
-class FqSubspace:
-    """A subspace of F_p^n, identified by its unique RREF basis: an
-    immutable value compared and hashed by (ambient_dim, basis)."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: FqMatrix):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)  # rows = basis vectors, in RREF
-
-    def __setattr__(self, name, value):
-        raise frozen_field_error("assign to", name)
-
-    def __delattr__(self, name):
-        raise frozen_field_error("delete", name)
-
-    def __reduce__(self):
-        return (FqSubspace, (self.ambient_dim, self.basis))
-
-    def __repr__(self) -> str:
-        return f"FqSubspace(ambient_dim={self.ambient_dim!r}, basis={self.basis!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not FqSubspace:
-            return NotImplemented
-        return (self.ambient_dim, self.basis) == (other.ambient_dim, other.basis)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """(n choose k)_p by the product formula; the independent oracle for
     subspace counts and one-vertex Hall numbers."""
@@ -502,7 +467,8 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 
 
 def enumerate_subspaces(p: int, n: int, k: int, cap: int = 10_000_000) -> list:
-    """All k-dimensional subspaces of F_p^n as RREF-based FqSubspace values.
+    """All k-dimensional subspaces of F_p^n, each as its unique RREF basis:
+    a k x n FqMatrix whose rows span it.
 
     Enumerates pivot column sets and free entries directly, so each subspace
     appears exactly once, already in canonical form.
@@ -511,7 +477,7 @@ def enumerate_subspaces(p: int, n: int, k: int, cap: int = 10_000_000) -> list:
     if not 0 <= k <= n:
         raise InputError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
-        return [FqSubspace(n, FqMatrix(p, 0, n, ()))]
+        return [FqMatrix(p, 0, n, ())]
     out = []
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
@@ -534,5 +500,5 @@ def enumerate_subspaces(p: int, n: int, k: int, cap: int = 10_000_000) -> list:
                 rows[i][pivots[i]] = 1
             for (i, j), v in zip(free, assignment):
                 rows[i][j] = v
-            out.append(FqSubspace(n, FqMatrix.from_rows(p, rows)))
+            out.append(FqMatrix.from_rows(p, rows))
     return out

@@ -300,6 +300,20 @@ def mono_keys(ctx: HallContext, a: int, b: int) -> dict:
     return got
 
 
+def check_walk_caps(ctx: HallContext, pairs: Iterable[tuple]) -> None:
+    """reps.check_hom_cap under ctx.cap on Hom(a, b) for each pair of
+    catalog indices in turn, skipping, as mono_keys does, those where some
+    dim of a exceeds that of b.  A caller passes every space it is about to
+    walk by mono_keys, or End(a) by reps.aut_generators, in the order it
+    walks them, so a space over the cap raises before any is walked and is
+    the one a walk would meet first."""
+    cat = ctx.catalog
+    for a, b in pairs:
+        ra, rb = cat.rep(a), cat.rep(b)
+        if all(da <= db for da, db in zip(ra.dims, rb.dims)):
+            reps.check_hom_cap(ra, rb, ctx.cap)
+
+
 def _subspace_histogram(ctx: HallContext, z: int, y: int) -> dict:
     """{epi kernel key: count} over the surjective keys of Hom(z, y) on the
     catalog representatives: one walk of reps.hom_keys with row_kernel,

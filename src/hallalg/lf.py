@@ -25,7 +25,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Hashable, Mapping, Optional, Sequence
 
-from .errors import InputError, frozen_field_error
+from .errors import Frozen, InputError
 
 ComponentId = Hashable
 
@@ -41,12 +41,14 @@ def homotopy_weight(orders: Sequence[int]) -> Fraction:
     return w
 
 
-class LFType:
+class LFType(Frozen):
     """components, and for each one its homotopy group orders: an immutable
-    value compared and hashed by (components, orders), as the corner checks
-    of a BaseChangeSquare and the base checks of FiniteSupportFn compare."""
+    value (errors.Frozen) compared and hashed by (components, orders), as
+    the corner checks of a BaseChangeSquare and the base checks of
+    FiniteSupportFn compare.  component_set is computed, not a field."""
 
-    __slots__ = ("components", "orders", "component_set")
+    _fields = ("components", "orders")
+    __slots__ = (*_fields, "component_set")
 
     def __init__(self, components: tuple, orders: tuple):
         # orders is aligned with components: tuple of tuples of ints
@@ -61,26 +63,6 @@ class LFType:
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "component_set", component_set)
-
-    def __setattr__(self, name, value):
-        raise frozen_field_error("assign to", name)
-
-    def __delattr__(self, name):
-        raise frozen_field_error("delete", name)
-
-    def __reduce__(self):
-        return (LFType, (self.components, self.orders))
-
-    def __repr__(self) -> str:
-        return f"LFType(components={self.components!r}, orders={self.orders!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not LFType:
-            return NotImplemented
-        return (self.components, self.orders) == (other.components, other.orders)
-
-    def __hash__(self) -> int:
-        return hash((self.components, self.orders))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple]) -> "LFType":
@@ -299,6 +281,7 @@ class ProperMapData:
             target = LFType.from_json_dict(obj["target"])
             cmap = obj["component_map"]
             component_map = tuple(cmap[str(c)] for c in source.components)
+            hash(component_map)   # a list or object as an id raises TypeError
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad map JSON: {exc}") from exc
         fibers = None
@@ -311,6 +294,7 @@ class ProperMapData:
                         [(e["id"], tuple(e.get("orders", ()))) for e in entries]
                     )
                     incl = tuple(e["maps_to"] for e in entries)
+                    hash(incl)
                     fibers.append(Fiber(lft, incl))
             except (AttributeError, KeyError, TypeError) as exc:
                 raise InputError(f"bad map JSON: {exc}") from exc

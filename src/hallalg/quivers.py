@@ -5,21 +5,21 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .errors import InputError, frozen_field_error
+from .errors import Frozen, InputError
 
 
-class Quiver:
+class Quiver(Frozen):
     """A finite quiver: vertex_count vertices 0..n-1, arrows as (src, dst).
 
     Parallel arrows and loops are allowed at this level; the derived engine
     additionally requires acyclicity (hereditary path algebra).
 
-    An immutable value, compared and hashed by (vertex_count, arrows): a
-    quiver keys lru_caches (paths_from, reps.projective_rep) and is part of
-    every Representation's hash.
+    An immutable value (errors.Frozen), compared and hashed by
+    (vertex_count, arrows): a quiver keys lru_caches (paths_from,
+    reps.projective_rep) and is part of every Representation's hash.
     """
 
-    __slots__ = ("vertex_count", "arrows")
+    __slots__ = _fields = ("vertex_count", "arrows")
 
     def __init__(self, vertex_count: int, arrows: tuple):
         if vertex_count <= 0:
@@ -30,26 +30,6 @@ class Quiver:
                 raise InputError(f"arrow ({s},{t}) out of range")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "arrows", arrows)
-
-    def __setattr__(self, name, value):
-        raise frozen_field_error("assign to", name)
-
-    def __delattr__(self, name):
-        raise frozen_field_error("delete", name)
-
-    def __reduce__(self):
-        return (Quiver, (self.vertex_count, self.arrows))
-
-    def __repr__(self) -> str:
-        return f"Quiver(vertex_count={self.vertex_count!r}, arrows={self.arrows!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not Quiver:
-            return NotImplemented
-        return (self.vertex_count, self.arrows) == (other.vertex_count, other.arrows)
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.arrows))
 
     @property
     def arrow_count(self) -> int:

@@ -297,6 +297,19 @@ def morphism_from_key(x: Representation, y: Representation, key: tuple) -> RepMo
     ), validate=False)
 
 
+def check_hom_cap(x: Representation, y: Representation, cap: int) -> tuple:
+    """hom_basis(x, y), after checking that |Hom(x, y)| = p^(dim Hom) is
+    within cap: the cap test of hom_keys, which a caller about to walk
+    several Hom spaces runs on all of them before it walks any."""
+    basis = hom_basis(x, y)
+    if x.p ** len(basis) > cap:
+        raise EnumerationCapError(
+            f"hom_keys(dims {x.dims} -> {y.dims}): |Hom| = {x.p}**{len(basis)} "
+            f"exceeds cap {cap}"
+        )
+    return basis
+
+
 def hom_keys(x: Representation, y: Representation, keep,
              cap: int = DEFAULT_CAP) -> Iterator[tuple]:
     """(key, values) for each element of Hom(x, y) whose vertex blocks all
@@ -313,15 +326,10 @@ def hom_keys(x: Representation, y: Representation, keep,
     once per call, in lex order.  A rejected block drops its whole subtree,
     and keys that share a prefix share its block tuples.  The cap bounds
     |Hom| = p^(dim Hom) and is checked when this is called, before the
-    first key; the keys are then produced lazily.
+    first key (check_hom_cap); the keys are then produced lazily.
     """
-    basis = hom_basis(x, y)
-    p, d = x.p, len(basis)
-    if p ** d > cap:
-        raise EnumerationCapError(
-            f"enumerate_homs(dims {x.dims} -> {y.dims}): |Hom| = {p}**{d} "
-            f"exceeds cap {cap}"
-        )
+    basis = check_hom_cap(x, y, cap)
+    p = x.p
     shapes = list(zip(x.dims, y.dims))
     ends = list(itertools.accumulate((c * r for c, r in shapes), initial=0))
     # the first nonzero of an echelon row is its pivot entry, a 1
@@ -415,7 +423,7 @@ def aut_elements(x: Representation) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def aut_generators(x: Representation, order: int) -> tuple:
+def aut_generators(x: Representation, order: int, cap: int = DEFAULT_CAP) -> tuple:
     """A small generating set of Aut(x), for orbit breadth-first searches.
 
     Greedy: walk the automorphisms of x in ascending key order (hom_keys of
@@ -424,14 +432,15 @@ def aut_generators(x: Representation, order: int) -> tuple:
     has `order` elements (|Aut x|, which the caller knows).  After each
     kept generator the subgroup is the orbit of the identity key under the
     moves of every generator kept; a RepMorphism is built only for those.
-    Deterministic because the key order is.  Raises InvariantError when the
-    walk ends short of `order`; an order below |Aut x| is left to the
-    caller's orbit divisibility checks.
+    Deterministic because the key order is.  The cap bounds |End(x)|, as
+    in hom_keys.  Raises InvariantError when the walk ends short of
+    `order`; an order below |Aut x| is left to the caller's orbit
+    divisibility checks.
     """
     ident = RepMorphism.identity(x).key()
     closure = {ident}
     gens: list = []
-    for k, _ in hom_keys(x, x, column_space):
+    for k, _ in hom_keys(x, x, column_space, cap):
         if k in closure:
             continue
         gens.append(morphism_from_key(x, x, k))
@@ -629,10 +638,11 @@ def enumerate_subreps(z: Representation, cap: int = DEFAULT_CAP) -> list:
 # -- subobjects as keys --------------------------------------------------------
 #
 # A subspace U of F_p^n is held as the flat row-major data of its RREF basis
-# (FqSubspace.basis.data, the per-vertex values of column_space).  The
-# coordinate of a vector of U along RREF row r is its entry at the pivot of
-# r; the quotient F_p^n / U has the non-pivot columns as coordinates, read
-# off a vector after reducing it modulo U, as kernel_cokernel does.
+# (the data of its fq.enumerate_subspaces matrix, the per-vertex values of
+# column_space).  The coordinate of a vector of U along RREF row r is its
+# entry at the pivot of r; the quotient F_p^n / U has the non-pivot columns
+# as coordinates, read off a vector after reducing it modulo U, as
+# kernel_cokernel does.
 #
 # Two computations repeat across the subspace tuples of a sweep, and each is
 # done once and then only read.  The reduction of v modulo U is memoized in
@@ -725,7 +735,7 @@ def quotient_key(z: Representation, bases: Sequence[tuple]) -> tuple:
 def _subspace_table(p: int, n: int) -> tuple:
     """Every subspace of F_p^n as flat RREF data, by dimension and then in
     the order of fq.enumerate_subspaces."""
-    return tuple(sp.basis.data for k in range(n + 1)
+    return tuple(sp.data for k in range(n + 1)
                  for sp in enumerate_subspaces(p, n, k, cap=gaussian_binomial(n, k, p)))
 
 
@@ -743,7 +753,7 @@ def subobjects(z: Representation, cap: int = DEFAULT_CAP) -> Iterator[tuple]:
         total *= sum(gaussian_binomial(n, k, z.p) for k in range(n + 1))
         if total > cap:
             raise EnumerationCapError(
-                f"enumerate_subreps(dims {z.dims}): {total}+ subspace tuples "
+                f"subobjects(dims {z.dims}): {total}+ subspace tuples "
                 f"exceed cap {cap}"
             )
     tables = [_subspace_table(z.p, n) for n in z.dims]

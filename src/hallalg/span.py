@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .errors import InputError, InvariantError
-from .hall import HallContext, HallElement, mono_keys
+from .hall import HallContext, HallElement, check_walk_caps, mono_keys
 from .lf import Fiber, FiniteSupportFn, LFType, ProperMapData, lf_product, pullback, pushforward
 from . import reps
 from .reps import RepMorphism, orbit as _orbit
@@ -99,8 +99,11 @@ def build_span_model(ctx: HallContext) -> SpanModel:
     )
     x00 = lf_product(x0, x0)
 
+    # every End(i) and Hom(a, b) walked below is held to the cap first
+    check_walk_caps(ctx, [*((i, i) for i in range(n)),
+                          *((a, b) for a in range(n) for b in range(n))])
     auts = {i: cat.aut_order(i) for i in range(n)}
-    gens = {i: reps.aut_generators(cat.rep(i), auts[i]) for i in range(n)}
+    gens = {i: reps.aut_generators(cat.rep(i), auts[i], ctx.cap) for i in range(n)}
 
     # The Aut(a)-orbits of the monos a -> b are their image groups in
     # mono_keys, since f, f' have one image iff f' = f g for some g in

@@ -41,6 +41,7 @@ from .hall import (
     BasisKey,
     HallContext,
     basis_product,
+    check_walk_caps,
     count_exact_sequences,
     derived_automorphisms,
     derived_hall_number,
@@ -127,7 +128,7 @@ def _classical_action(ctx: HallContext, x: int, z: int) -> tuple:
     for image, keys in mono_keys(ctx, x, z).items():
         y = cat.classify_key(reps.quotient_key(zr, image))
         classes.setdefault(y, []).extend(keys)
-    moves = reps.composition_moves((), reps.aut_generators(xr, order),
+    moves = reps.composition_moves((), reps.aut_generators(xr, order, ctx.cap),
                                    xr.dims, zr.dims)
     return classes, lambda k: (reps.orbit(k, moves, cat.p), 1), order
 
@@ -416,7 +417,11 @@ def _check_orbit(ctx, span, pairs):
     uninverted_failures = 0
     non_free = 0
     cases = 0
-    for x, z in _orbit_pairs(ctx, pairs):
+    orbit_pairs = _orbit_pairs(ctx, pairs)
+    if ctx.mode == "classical":
+        # _classical_action walks Hom(x, z), then End(x), of each pair
+        check_walk_caps(ctx, [s for x, z in orbit_pairs for s in ((x, z), (x, x))])
+    for x, z in orbit_pairs:
         action = _action(ctx, x, z)
         for y in sorted(y for y in action[0] if y is not None):
             rep = orbit_stabilizer_check(ctx, x, z, y, action)

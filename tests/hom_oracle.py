@@ -21,7 +21,7 @@ def homs_by_addition(x, y, cap=reps.DEFAULT_CAP):
     d = len(basis)
     if x.p ** d > cap:
         raise EnumerationCapError(
-            f"enumerate_homs(dims {x.dims} -> {y.dims}): |Hom| = {x.p}**{d} "
+            f"hom_keys(dims {x.dims} -> {y.dims}): |Hom| = {x.p}**{d} "
             f"exceeds cap {cap}"
         )
     zero = RepMorphism.zero(x, y)

@@ -295,6 +295,11 @@ def fibered(order):
             "fibers": {"a": [{"id": "fa", "orders": [order], "maps_to": "a"}]}}
 
 
+# a component id that is a JSON list cannot key a component set
+LIST_IN_COMPONENT_MAP = {**fibered(1), "component_map": {"a": ["a"]}}
+LIST_IN_MAPS_TO = {**IDENTITY_MAP, "fibers": {"a": [{"id": "fa", "maps_to": ["a"]}]}}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("lf-eval", {"values": {"a": "1/0"}}),
     ("lf-eval", {"values": {"a": "x/2"}}),
@@ -306,9 +311,14 @@ def fibered(order):
     ("lf-eval", fibered(True)),
     ("base-change", {edge: fibered(2.5) for edge in "fuvg"}),
     ("base-change", {edge: fibered(True) for edge in "fuvg"}),
+    ("lf-eval", LIST_IN_COMPONENT_MAP),
+    ("lf-eval", LIST_IN_MAPS_TO),
+    ("base-change", {edge: LIST_IN_COMPONENT_MAP for edge in "fuvg"}),
+    ("base-change", {edge: LIST_IN_MAPS_TO for edge in "fuvg"}),
 ], ids=["zero-denominator", "bad-numerator", "fn-list", "fiber-without-maps-to",
         "square-list", "fractional-order", "float-order", "bool-order",
-        "square-fractional-order", "square-bool-order"])
+        "square-fractional-order", "square-bool-order", "list-component-map",
+        "list-maps-to", "square-list-component-map", "square-list-maps-to"])
 def test_malformed_lf_json_exits_2_without_traceback(tmp_path, command, doc):
     # doc replaces one file of an otherwise well-formed call: the function
     # of lf-eval, or its map when doc has fibers, or the square of base-change

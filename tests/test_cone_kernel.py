@@ -281,13 +281,13 @@ def test_cached_hom_class_table_is_capped_on_every_call(a2_cat):
 def test_enumerate_homs_cap_message(a2_cat):
     m = a2_cat.rep(4)
     with pytest.raises(EnumerationCapError,
-                       match=r"^enumerate_homs\(dims \(1, 1\) -> \(1, 1\)\): "
+                       match=r"^hom_keys\(dims \(1, 1\) -> \(1, 1\)\): "
                              r"\|Hom\| = 2\*\*1 exceeds cap 1$"):
         list(enumerate_homs(m, m, cap=1))
 
 
 def test_enumerate_subreps_cap_message(a2_cat):
     with pytest.raises(EnumerationCapError,
-                       match=r"^enumerate_subreps\(dims \(1, 1\)\): 4\+ subspace "
+                       match=r"^subobjects\(dims \(1, 1\)\): 4\+ subspace "
                              r"tuples exceed cap 3$"):
         enumerate_subreps(a2_cat.rep(4), cap=3)

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from hallalg.errors import EnumerationCapError, InputError
 from hallalg.fq import (
     FqMatrix,
-    FqSubspace,
     RowSpace,
     enumerate_subspaces,
     gaussian_binomial,
@@ -73,7 +72,8 @@ def test_enumerate_subspaces_extremes():
 def test_enumerate_subspaces_2_1_f2():
     spaces = enumerate_subspaces(2, 2, 1)
     assert len(spaces) == 3
-    assert len({s.basis.data for s in spaces}) == 3
+    assert all(s.shape == (1, 2) and s.row_space_basis() == s for s in spaces)
+    assert [s.data for s in spaces] == [(1, 0), (1, 1), (0, 1)]
 
 
 def test_enumerate_subspaces_rejects_bad_dims():
@@ -155,9 +155,11 @@ def test_rowspace_canonical_coset_reduction():
 
 
 def test_subspace_identity_is_rref_identity():
-    a = FqSubspace(3, mat(2, [(1, 1, 0), (0, 1, 1)]).row_space_basis())
-    b = FqSubspace(3, mat(2, [(1, 0, 1), (0, 1, 1)]).row_space_basis())
-    assert a == b
+    # two spanning sets of one plane reduce to the one basis enumerated for it
+    a = mat(2, [(1, 1, 0), (0, 1, 1)]).row_space_basis()
+    b = mat(2, [(1, 0, 1), (0, 1, 1)]).row_space_basis()
+    assert a == b and hash(a) == hash(b)
+    assert enumerate_subspaces(2, 3, 2).count(a) == 1
 
 
 def test_enumerate_subspaces_cap_message():

@@ -40,7 +40,7 @@ UNIVERSES = [
 def cap_message(x, y):
     d = reps.hom_dim(x, y)
     return re.escape(
-        f"enumerate_homs(dims {x.dims} -> {y.dims}): |Hom| = {x.p}**{d} "
+        f"hom_keys(dims {x.dims} -> {y.dims}): |Hom| = {x.p}**{d} "
         f"exceeds cap {x.p ** d - 1}"
     ) + "$"
 
@@ -88,7 +88,7 @@ def test_hom_keys_cap_message():
     cat = catalog_build(a_n_quiver(2), 2, (1, 1))
     m = cat.rep(4)
     with pytest.raises(EnumerationCapError,
-                       match=r"^enumerate_homs\(dims \(1, 1\) -> \(1, 1\)\): "
+                       match=r"^hom_keys\(dims \(1, 1\) -> \(1, 1\)\): "
                              r"\|Hom\| = 2\*\*1 exceeds cap 1$"):
         reps.hom_keys(m, m, reps.any_block, cap=1)
 

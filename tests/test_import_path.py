@@ -3,7 +3,9 @@
 The package's classes are written out by hand: a dataclass decorator
 imports dataclasses, which imports inspect (and ast, dis, tokenize), and
 compiles its generated methods from source at every start, a cost no .pyc
-caches.  dataclasses is imported only inside the function that raises its
+caches.  The immutable values (Quiver, LFType, DerivedClass) take the
+frozen-dataclass protocol from one base written once, errors.Frozen, and
+dataclasses is imported only inside the function that raises its
 FrozenInstanceError (errors.frozen_field_error)."""
 
 import ast

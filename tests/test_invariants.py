@@ -105,7 +105,7 @@ def test_orbit_stabilizer_checks(monkeypatch, change, what):
     # S -> S with cokernel 0
     real = reps.aut_generators
     monkeypatch.setattr(reps, "aut_generators",
-                        lambda r, order: change(real(r, order), r))
+                        lambda r, order, cap: change(real(r, order, cap), r))
     with pytest.raises(InvariantError, match=rf"^orbit_stabilizer_check\(c1, c1, c0\): {what}$"):
         verify.orbit_stabilizer_check(a1_context(3), 1, 1, 0)
 

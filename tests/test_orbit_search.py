@@ -287,7 +287,7 @@ def test_generator_walk_short_of_the_order_raises():
 def test_dropping_a_generator_fails_the_closure_test(monkeypatch, quiver, p, bound):
     real = reps.aut_generators
     monkeypatch.setattr(reps, "aut_generators",
-                        lambda x, order: real(x, order)[:-1])
+                        lambda x, order, cap=reps.DEFAULT_CAP: real(x, order, cap)[:-1])
     with pytest.raises(AssertionError):
         test_generator_closure_is_the_automorphism_group(quiver, p, bound)
 

@@ -183,7 +183,7 @@ def a2_cat_11():
 
 def test_cap_is_checked_before_the_search(a2_cat_11):
     z = a2_cat_11.rep(4)
-    message = r"^enumerate_subreps\(dims \(1, 1\)\): 4\+ subspace tuples exceed cap 3$"
+    message = r"^subobjects\(dims \(1, 1\)\): 4\+ subspace tuples exceed cap 3$"
     with pytest.raises(EnumerationCapError, match=message):
         reps.subobjects(z, cap=3)     # raises before the first tuple
     ctx = HallContext("classical", a2_cat_11, cap=3)
@@ -298,7 +298,7 @@ def test_orbit_check_counts_the_identity(monkeypatch):
     ctx = HallContext("classical", catalog_build(a_n_quiver(2), 3, (2, 2)))
     real = reps.aut_generators
     monkeypatch.setattr(reps, "aut_generators",
-                        lambda x, order: real(x, order)[:-1])
+                        lambda x, order, cap: real(x, order, cap)[:-1])
     with pytest.raises(InvariantError, match=r"^orbit_stabilizer_check\(c1, c1, c0\): "
                                              r"\|Stab\| 1 \* \|orbit\| 1 != \|Aut\| 2$"):
         verify_suite(ctx, checks=("orbit",))

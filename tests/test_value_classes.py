@@ -1,17 +1,22 @@
 """The contracts of the package's hand-written classes: the values that are
-compared, hashed or used as cache keys keep value equality, a value hash
-and refuse assignment; every constructor keeps its InputError messages."""
+compared, hashed or used as cache keys (errors.Frozen) keep value
+equality, a value hash and refuse assignment; every constructor keeps its
+InputError messages."""
 
+import ast
+import copy
 import json
+import pickle
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
 from hallalg import reps
 from hallalg.catalog import catalog_build
 from hallalg.cli import RunConfig
-from hallalg.errors import InputError
-from hallalg.fq import FqMatrix, FqSubspace
+from hallalg.derived import DerivedClass
+from hallalg.errors import Frozen, InputError
 from hallalg.hall import HallContext
 from hallalg.lf import BaseChangeSquare, Fiber, LFType, ProperMapData
 from hallalg.quivers import Quiver, a_n_quiver
@@ -41,19 +46,80 @@ def test_separately_loaded_equal_quivers_share_cache_entries(tmp_path):
     assert repr(q1) == "Quiver(vertex_count=3, arrows=((0, 1), (2, 1)))"
 
 
-@pytest.mark.parametrize("make, field", [
-    (lambda: Quiver(2, [[0, 1]]), "arrows"),
-    (lambda: LFType(("a",), ((2,),)), "orders"),
-    (lambda: FqSubspace(2, FqMatrix.from_rows(2, [[1, 0]])), "basis"),
-], ids=["quiver", "lftype", "fqsubspace"])
-def test_values_refuse_assignment(make, field):
+# (constructor, its field tuple, its repr)
+VALUES = [
+    (lambda: Quiver(2, [[0, 1]]), (2, ((0, 1),)),
+     "Quiver(vertex_count=2, arrows=((0, 1),))"),
+    (lambda: LFType(("a",), ((2,),)), (("a",), ((2,),)),
+     "LFType(components=('a',), orders=((2,),))"),
+    (lambda: DerivedClass(((-1, 2), (0, 1))), (((-1, 2), (0, 1)),),
+     "DerivedClass(entries=((-1, 2), (0, 1)))"),
+]
+VALUE_IDS = ["quiver", "lftype", "derivedclass"]
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES, ids=VALUE_IDS)
+def test_values_refuse_assignment(make, fields, text):
     value = make()
-    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
-        setattr(value, field, None)
-    with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
-        delattr(value, field)
-    with pytest.raises(AttributeError):
+    for field in value._fields:
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{field}'"):
+            setattr(value, field, None)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'extra'"):
         value.extra = 1
+
+
+@pytest.mark.parametrize("make, fields, text", VALUES, ids=VALUE_IDS)
+def test_frozen_values_compare_hash_print_and_pickle_as_dataclasses(make, fields, text):
+    value, again = make(), make()
+    assert value is not again and value == again and not value != again
+    assert hash(value) == hash(again) == hash(fields)
+    assert repr(value) == text
+    assert value != fields and fields != value
+
+    class Twin(Frozen):
+        __slots__ = _fields = type(value)._fields
+
+    twin = object.__new__(Twin)
+    for name, field in zip(Twin._fields, fields):
+        object.__setattr__(twin, name, field)
+    assert twin._values() == value._values() and twin != value and value != twin
+
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert copied is not value and type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+        assert repr(copied) == text
+
+
+def frozen_protocol_definitions(tree: ast.AST, module: str) -> list:
+    """(module.class, method) for each class of the tree, but errors.Frozen,
+    that defines a method of the frozen protocol Frozen gives."""
+    return [
+        (f"{module}.{node.name}", item.name)
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        and f"{module}.{node.name}" != "errors.Frozen"
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and item.name in ("__setattr__", "__delattr__", "__reduce__")
+    ]
+
+
+def test_only_frozen_writes_the_frozen_protocol():
+    src = Path(__file__).resolve().parents[1] / "src" / "hallalg"
+    found = [hit for path in sorted(src.glob("*.py"))
+             for hit in frozen_protocol_definitions(ast.parse(path.read_text()), path.stem)]
+    assert not found, f"subclass errors.Frozen instead: {found}"
+
+
+def test_the_protocol_guard_sees_a_copy():
+    tree = ast.parse("class Frozen:\n    def __setattr__(self, n, v): pass\n"
+                     "class A:\n    def __reduce__(self): pass\n"
+                     "    class B:\n        def __delattr__(self, n): pass\n"
+                     "    def __repr__(self): pass\n")
+    assert frozen_protocol_definitions(tree, "errors") == [
+        ("errors.A", "__reduce__"), ("errors.B", "__delattr__")]
+    assert frozen_protocol_definitions(tree, "other")[0] == ("other.Frozen", "__setattr__")
 
 
 def test_quiver_arrows_are_normalised_to_tuples():

@@ -8,6 +8,7 @@ import pytest
 from hallalg import reps
 from hallalg.catalog import catalog_build
 from hallalg.derived import DerivedClass
+from hallalg.errors import EnumerationCapError
 from hallalg.hall import HallContext
 from hallalg.lf import Fiber, LFType, ProperMapData
 from hallalg.quivers import Quiver, a_n_quiver
@@ -265,3 +266,24 @@ def test_in_bound_tuples_ordered_by_rank_match_the_sorted_oracle(
     if triples:
         got = in_bound_triples(ctx)
         assert got and got == _sorted_triples(ctx, pairs)
+
+
+@pytest.mark.parametrize("run", [
+    build_span_model,
+    lambda ctx: verify_suite(ctx, checks=["orbit"]),
+], ids=["span", "orbit"])
+def test_a_late_space_over_the_cap_fails_before_any_walk(a2_ctx, monkeypatch, run):
+    # cap 2**7: End(c11), 2**8, is the first space over it in the span
+    # model's walk order; every End(i) and Hom(a, b) is checked before any
+    # is walked, so reps.hom_keys never starts, not even on End(c0)
+    walks = []
+    walk = reps.hom_keys
+    monkeypatch.setattr(reps, "hom_keys", lambda x, y, *args, **kwargs: (
+        walks.append((x.dims, y.dims)) or walk(x, y, *args, **kwargs)))
+    reps.aut_generators.cache_clear()
+    ctx = HallContext("classical", a2_ctx.catalog, cap=2 ** 7)
+    with pytest.raises(EnumerationCapError, match=r"^hom_keys\(dims \(2, 2\) -> \(2, 2\)\): "
+                                                  r"\|Hom\| = 2\*\*8 exceeds cap 128$"):
+        run(ctx)
+    assert walks == []
+    assert ctx._monos == {}
