@@ -285,7 +285,6 @@ class Catalog:
         self.derived_cone_homology: dict = {}
         self.derived_cone_tables: dict = {}
         self.derived_cone_classes: dict = {}    # entries -> DerivedClass of a cone
-        self.derived_ext_factors: dict = {}     # (a, b, k) -> e, E(a[-k], b) = p^e
         self._mark_indecomposables()
 
     # -- construction ------------------------------------------------------

@@ -49,17 +49,13 @@ from .lf import (
 from .quivers import Quiver
 from .reps import DEFAULT_CAP
 from .span import build_span_model
-from .verify import in_bound_pairs, select_checks, verify_suite
+from .verify import _fmt, in_bound_pairs, select_checks, verify_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_BROKEN_PIPE = 141
-
-
-def _fmt_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _parse_window(text: str) -> tuple:
@@ -271,7 +267,7 @@ def cmd_base_change(args) -> int:
     out = {
         "schema": 1,
         "equal": report.equal,
-        "max_deviation": _fmt_fraction(report.max_deviation),
+        "max_deviation": _fmt(report.max_deviation),
         "failures": [
             {k: (str(v) if isinstance(v, Fraction) else v) for k, v in f.items()}
             for f in report.failures

@@ -603,15 +603,21 @@ class HomotopyClasses:
             itertools.product(range(self.p), repeat=self.dim), self.class_vectors())}
 
 
+def module_dim(cat: Catalog, a: int, b: int, k: int) -> int:
+    """dim of derived Hom(A, B[k]) for catalog module classes A, B by the
+    module route, which builds no complex: dim Hom(A, B) for k = 0, dim
+    Ext^1(A, B) for k = 1 and 0 otherwise, since the path algebra of an
+    acyclic quiver is hereditary.  The one statement of heredity: every
+    derived Hom dim not read off a solved block comes from here."""
+    return (cat.hom_dim(a, b) if k == 0
+            else cat.ext1_dim(a, b) if k == 1 else 0)
+
+
 def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
     """Derived Hom(A, B[k]) for catalog module classes A, B: the
-    whole-table solve of P(A) -> B[k], built once per (a, b, k) and cached
-    on the catalog.  Its dim is checked against the module route, which
-    builds no complex: dim Hom(A, B) for k = 0 (reps.hom_dim), dim
-    Ext^1(A, B) for k = 1 (reps.ext1_dim, the cokernel of Hom(p0, B) ->
-    Hom(p1, B)) and 0 otherwise, since the path algebra of an acyclic
-    quiver is hereditary.  Built without the class count cap; its users
-    apply their own."""
+    whole-table solve of P(A) -> B[k], for the callers that read its class
+    coordinates, cached on the catalog per (a, b, k) and checked against
+    module_dim.  Built without the class count cap; its users apply theirs."""
     cache = cat.derived_hom_blocks
     key = (a, b, k)
     block = cache.get(key)
@@ -621,8 +627,7 @@ def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
         label = f"hom_block({x.name(cat)} -> {z.name(cat)})"
         block = HomotopyClasses(projective_realization(cat, x),
                                 stalk_realization(cat, z), label=label)
-        module = (cat.hom_dim(a, b) if k == 0
-                  else cat.ext1_dim(a, b) if k == 1 else 0)
+        module = module_dim(cat, a, b, k)
         if block.dim != module:
             raise InvariantError(
                 f"{label}: the chain-map route gives dim {block.dim}, the "
@@ -634,14 +639,14 @@ def hom_block(cat: Catalog, a: int, b: int, k: int) -> HomotopyClasses:
 
 def summand_blocks(cat: Catalog, x: DerivedClass, z: DerivedClass) -> dict:
     """{(a, b): hom_block(x_a, z_b, a - b)} over the summand pairs (x_a at
-    degree a, z_b at degree b) with a - b in {0, 1}: the blocks whose direct
-    sum is Hom(x, z) in the derived category.  (n, n) is Hom(x_n, z_n) and
-    (n + 1, n) is Ext^1(x_(n+1), z_n)."""
-    return {
-        (a_deg, b_deg): hom_block(cat, a, b, a_deg - b_deg)
-        for a_deg, a in x.entries for b_deg, b in z.entries
-        if a_deg - b_deg in (0, 1)
-    }
+    degree a, z_b at degree b) with a - b in {0, 1} and a block of nonzero
+    dim: the blocks whose direct sum is Hom(x, z) in the derived category.
+    (n, n) is Hom(x_n, z_n) and (n + 1, n) is Ext^1(x_(n+1), z_n); each is
+    solved, and so checked against module_dim, even when it is dropped."""
+    blocks = (((a_deg, b_deg), hom_block(cat, a, b, a_deg - b_deg))
+              for a_deg, a in x.entries for b_deg, b in z.entries
+              if a_deg - b_deg in (0, 1))
+    return {key: block for key, block in blocks if block.dim}
 
 
 class SummandHomClasses:
@@ -650,12 +655,12 @@ class SummandHomClasses:
 
     P(x)^n = p0(x_n) (+) p1(x_(n+1)) and C(z) has zero differentials, so
     the chain maps P(x) -> C(z) and the null-homotopic ones are the direct
-    sums over the blocks of summand_blocks(x, z) of the same spaces of each
-    block.  A block coordinate (vertex, row, col) of the pair (a, b) sits
-    at (degree b, vertex, row, col + the width of p0(x_b) when a = b + 1)
-    of the table's GradedMapSpace (positions).  So `vector` turns ConeBlocks
-    coordinates into a class vector of hom_class_table, and cone_homology
-    lays out its local tables with it.
+    sums over the summand pairs of the same spaces of each block.  A block
+    coordinate (vertex, row, col) of a pair (a, b) of summand_blocks(x, z)
+    sits at (degree b, vertex, row, col + the width of p0(x_b) when a = b +
+    1) of the table's GradedMapSpace (positions).  So `vector` turns
+    ConeBlocks coordinates into a class vector of hom_class_table, and
+    cone_homology lays out its local tables with it.
     """
 
     def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
@@ -665,8 +670,7 @@ class SummandHomClasses:
         self.p = cat.p
         self.label = label
         self.space = GradedMapSpace(self.X, self.Z, 0)
-        self.blocks = {key: block for key, block in summand_blocks(cat, x, z).items()
-                       if block.space.total}
+        self.blocks = summand_blocks(cat, x, z)
         self._positions: dict = {}
 
     def positions(self, key: tuple) -> list:
@@ -919,12 +923,12 @@ class ConeBlocks:
     classes of their cones through one memo that every (x, z) shares.
 
     A Hom class is one coefficient tuple per block of summand_blocks(x, z)
-    of nonzero dim (`keys`, with `dims`), over that block's complement; the
-    whole-table class vector has those coefficients on the embedded block
-    complements (SummandHomClasses.vector).  The class count, which
-    coordinates() enumerates exactly, is p^sum(dims): it is capped with the
-    cap message of hom_class_table and checked against p^ext_dim(x, z, 0)
-    when the blocks are built, so every sweep of them is checked once.
+    (`keys`, with `dims`), over that block's complement; the whole-table
+    class vector has those coefficients on the embedded block complements
+    (SummandHomClasses.vector).  The class count, which coordinates()
+    enumerates exactly, is p^sum(dims); its module-route value
+    p^ext_dim(x, z, 0) is capped, with hom_class_table's message, before any
+    block is solved, and checked against it after, so every sweep is too.
 
     cone(f)^n = p0(x_(n+1)) (+) p1(x_(n+2)) (+) z_n.  The kernel of d^n
     vanishes on p1(x_(n+2)), because the resolution map delta of x_(n+2) is
@@ -941,13 +945,13 @@ class ConeBlocks:
     def __init__(self, cat: Catalog, x: DerivedClass, z: DerivedClass,
                  cap: int = reps.DEFAULT_CAP):
         self.cat = cat
+        expected = ext_dim(x, z, 0, cat)
+        if cat.p ** expected > cap:   # name the table only to raise
+            _check_class_count(_table_label(cat, x, z), cat.p, expected, cap)
         blocks = summand_blocks(cat, x, z)
-        self.keys = [key for key, block in blocks.items() if block.dim]
-        self.dims = [blocks[key].dim for key in self.keys]
-        dim = sum(self.dims)
-        if cat.p ** dim > cap:   # name the table only to raise
-            _check_class_count(_table_label(cat, x, z), cat.p, dim, cap)
-        if dim != (expected := ext_dim(x, z, 0, cat)):
+        self.keys = list(blocks)
+        self.dims = [block.dim for block in blocks.values()]
+        if (dim := sum(self.dims)) != expected:
             raise InvariantError(
                 f"{_table_label(cat, x, z)}: hom class count p^{dim} != "
                 f"p^ext_dim = p^{expected}: enumeration routes disagree")
@@ -1074,9 +1078,9 @@ def precompositions(cat: Catalog, x: DerivedClass, z: DerivedClass, gs) -> list:
     over c in {a, a - 1} of f_(c, b) g_(a, c): Hom o Hom for a = b, and for
     a = b + 1 the Yoneda products Ext^1 o Hom (c = a) and Hom o Ext^1
     (c = b); Ext^1 o Ext^1 lands in Ext^2 = 0."""
-    # the blocks of nonzero dim, in the order of ConeBlocks.keys
-    hom = {key: block.dim for key, block in summand_blocks(cat, x, z).items() if block.dim}
-    end = [key for key, block in summand_blocks(cat, x, x).items() if block.dim]
+    # the blocks in the order of ConeBlocks.keys
+    hom = {key: block.dim for key, block in summand_blocks(cat, x, z).items()}
+    end = list(summand_blocks(cat, x, x))
     total = sum(hom.values())
     offset = dict(zip(hom, itertools.accumulate(hom.values(), initial=0)))
     slot = {key: s for s, key in enumerate(end)}
@@ -1100,9 +1104,8 @@ def precompositions(cat: Catalog, x: DerivedClass, z: DerivedClass, gs) -> list:
 
 def ext_dim(x: DerivedClass, z: DerivedClass, i: int, cat: Catalog) -> int:
     """dim of derived Hom(x, z[i]); additive over the hereditary summand
-    decomposition.  Each summand pair reads the dim of its hom_block, a
-    chain-map solve that hom_block checks against the module Hom and Ext^1
-    dimensions; no class is enumerated, so no cap applies.  ConeBlocks
-    compares its class count with p**ext_dim(x, z, 0) when it is built."""
-    return sum(hom_block(cat, a, b, i + a_deg - b_deg).dim
+    decomposition, each summand pair read by module_dim, so no chain map
+    is solved and no class enumerated, and no cap applies.  ConeBlocks caps
+    p**ext_dim(x, z, 0) and compares its class count with it."""
+    return sum(module_dim(cat, a, b, i + a_deg - b_deg)
                for a_deg, a in x.entries for b_deg, b in z.entries)

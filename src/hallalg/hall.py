@@ -33,12 +33,13 @@ the differential tests), with derived_aut_order reading the zero cones of
 the cached (x, x) histogram.  A support class whose homology leaves the
 catalog bound raises OutOfUniverseError rather than being silently dropped.
 
-The path algebra is hereditary, so |Aut x| also has a closed form
-(derived_aut_formula).  An entry (n, a) of a DerivedClass is the stalk
-a[-n], and Hom(a[-m], b[-n]) = Ext^(m-n)(a, b) vanishes unless m - n is 0
-or 1.  So End(x) is the product of the End(x_n) plus the square-zero ideal
-of the Ext^1(x_(n+1), x_n) (a product of two of them lands in Ext^2 = 0),
-and an endomorphism is invertible iff its diagonal part is:
+The path algebra is hereditary (derived.module_dim), so |Aut x| and each
+Ext factor have closed forms (derived_aut_formula, ext_exponent).  An entry
+(n, a) of a DerivedClass is the stalk a[-n], and Hom(a[-m], b[-n]) =
+Ext^(m-n)(a, b) vanishes unless m - n is 0 or 1.  So End(x) is the product
+of the End(x_n) plus the square-zero ideal of the Ext^1(x_(n+1), x_n) (a
+product of two of them lands in Ext^2 = 0), and an endomorphism is
+invertible iff its diagonal part is:
 
     |Aut x| = prod_n |Aut x_n| * p^(sum_n dim Ext^1(x_(n+1), x_n))
 
@@ -61,7 +62,7 @@ from .derived import (
     ConeBlocks,
     DerivedClass,
     SummandHomClasses,
-    hom_block,
+    module_dim,
 )
 from .errors import InputError, InvariantError, OutOfUniverseError
 from . import reps
@@ -406,8 +407,8 @@ def derived_aut_formula(ctx: HallContext, x: DerivedClass) -> int:
     order = ctx._aut_formula.get(x)
     if order is None:
         cat = ctx.catalog
-        e = sum(cat.ext1_dim(b, a)
-                for (m, a), (n, b) in zip(x.entries, x.entries[1:]) if n == m + 1)
+        e = sum(module_dim(cat, b, a, n - m)
+                for (m, a), (n, b) in zip(x.entries, x.entries[1:]))
         order = ctx._aut_formula[x] = (
             math.prod(cat.aut_order(a) for _, a in x.entries) * cat.p ** e)
     return order
@@ -436,18 +437,15 @@ def derived_automorphisms(ctx: HallContext, x: DerivedClass) -> list:
 
 def ext_exponent(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> int:
     """sum_(i>0) (-1)^i dim Ext^-i(x, z): over F_p every |Ext^-i(x, z)| is a
-    power of p, so prod_(i>0) |Ext^-i(x, z)|^((-1)^i) = p^ext_exponent.
-    ext_dim is additive over summand pairs, so this is the sum over the
-    pairs (x_a at degree a, z_b at degree b) of the exponent of
-    E(x_a[-a], z_b[-b]), which depends only on (x_a, z_b, a - b) and is
-    cached on the catalog."""
-    factors = ctx.catalog.derived_ext_factors
-    total = 0
-    for a_deg, a in x.entries:
-        for b_deg, b in z.entries:
-            e = factors.get((a, b, a_deg - b_deg))
-            total += _ext_factor(ctx, a, b, a_deg - b_deg) if e is None else e
-    return total
+    power of p, so prod_(i>0) |Ext^-i(x, z)|^((-1)^i) = p^ext_exponent.  A
+    summand pair (x_a at degree a, z_b at degree b), k = a - b, adds
+    (-1)^i dim Hom(x_a, z_b[k - i]), which vanishes unless k - i is 0 or 1
+    (module_dim): -dim Hom(x_a, z_b) for k = 1, (-1)^k (dim Hom - dim
+    Ext^1) for k >= 2 and 0 for k <= 0.  No chain map is solved."""
+    cat = ctx.catalog
+    return sum((-1) ** i * module_dim(cat, a, b, a_deg - b_deg - i)
+               for a_deg, a in x.entries for b_deg, b in z.entries
+               for i in (a_deg - b_deg - 1, a_deg - b_deg) if i > 0)
 
 
 def self_ext_exponent(ctx: HallContext, x: DerivedClass) -> int:
@@ -458,18 +456,6 @@ def self_ext_exponent(ctx: HallContext, x: DerivedClass) -> int:
     if e is None:
         e = ctx._self_ext[x] = ext_exponent(ctx, x, x)
     return e
-
-
-def _ext_factor(ctx: HallContext, a: int, b: int, k: int) -> int:
-    """The exponent e of E(a[-k], b) = p^e for catalog module classes a, b,
-    cached on the catalog per (a, b, k).  Ext^-i(a[-k], b) is
-    hom_block(a, b, k - i), read by its dim alone: no class of it is
-    enumerated, so no class-count cap applies."""
-    cat = ctx.catalog
-    # Ext^-i(a[-k], b) can only be nonzero for i <= k + 1
-    got = cat.derived_ext_factors[(a, b, k)] = sum(
-        (-1) ** i * hom_block(cat, a, b, k - i).dim for i in range(1, k + 2))
-    return got
 
 
 def derived_hall_number(ctx: HallContext, x: DerivedClass, y: DerivedClass,

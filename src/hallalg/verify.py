@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence
 
 from .derived import ConeBlocks, DerivedClass, precompositions
-from .errors import InputError, InvariantError
+from .errors import EnumerationCapError, InputError, InvariantError
 from .hall import (
     BasisKey,
     HallContext,
@@ -212,13 +213,38 @@ def _within(trie: dict, rem: tuple) -> list:
     return level
 
 
+def _check_in_bound_count(ctx: HallContext, arity: int) -> None:
+    """Raise EnumerationCapError when the arity-tuples that _in_bound would
+    list exceed ctx.cap, counted from the catalog's dims alone: a derived
+    key picks a class (the zero class for none) in each degree on its own,
+    under a per-degree bound, so the count is that of one degree raised to
+    the number of degrees; a classical key has one degree."""
+    cat = ctx.catalog
+    classes = Counter(cat.dims(i) for i in range(len(cat)))
+    sums = Counter({(0,) * len(cat.bound): 1})
+    for _ in range(arity):
+        sums, last = Counter(), sums
+        for dims, n in last.items():
+            for more, m in classes.items():
+                total = tuple(map(operator.add, dims, more))
+                if all(map(operator.le, total, cat.bound)):
+                    sums[total] += n * m
+    degrees = 1 if ctx.mode == "classical" else ctx.window[1] - ctx.window[0] + 1
+    count = sum(sums.values()) ** degrees
+    if count > ctx.cap:
+        what = {2: "pairs", 3: "triples"}[arity]
+        raise EnumerationCapError(
+            f"in_bound_{what}: {count} {what} of basis keys exceed cap {ctx.cap}")
+
+
 def _in_bound(ctx: HallContext, arity: int) -> list:
     """Sorted arity-tuples of basis keys whose per-degree dims sum within
-    the bound.  Keys with one profile extend a tuple alike, so each prefix
-    of profile groups reaches, through the profile trie, only the groups
-    that fit what it leaves of the bound.  The keys come sorted, so the
-    tuples are sorted as tuples of ranks, ints, and no two keys are
-    compared."""
+    the bound, counted against ctx.cap before any key is built.  Keys with
+    one profile extend a tuple alike, so each prefix of profile groups
+    reaches, through the profile trie, only the groups that fit what it
+    leaves of the bound.  The keys come sorted, so the tuples are sorted as
+    tuples of ranks, ints, and no two keys are compared."""
+    _check_in_bound_count(ctx, arity)
     keys, profiles, bound = _profiles(ctx)
     trie = _profile_trie(_profile_groups(range(len(keys)), [profiles[k] for k in keys]))
 

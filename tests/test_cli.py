@@ -200,18 +200,31 @@ def test_catalog_cap_error_names_layer_and_object(capsys, a2_file):
 
 
 def test_derived_table_cap_error_names_the_hom_table(capsys, a2_file):
-    # the cone histograms build no Hom table, but cap the class count with
-    # the table's message, before any cell is printed; at cap 4 every
-    # single summand block (at most 2**2 classes) is within the cap, so a
-    # product's histogram over Hom(y[-1], x) is the first to exceed it
+    # the cap bounds the 11^3 = 1331 in-bound pairs of the table before any
+    # product is computed, so they meet it before any Hom table does; the
+    # Hom table that a product's histogram over Hom(y[-1], x) meets first at
+    # this cap is pinned by test_cone_kernel.py's cone_counts cap test
     code, out, err = run(capsys, [
         "derived-table", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
         "--window=-1,1", "--cap", "4",
     ])
     assert code == 3
     assert out == ""
-    assert err == ("error: hom_class_table(c2+c2[-1]+c2[-2] -> c1[1]+c1+c1[-1]): "
-                   "2**3 homotopy classes exceed cap 4\n")
+    assert err == "error: in_bound_pairs: 1331 pairs of basis keys exceed cap 4\n"
+
+
+def test_derived_table_in_bound_pairs_over_the_cap_exit_3_at_once(a2_file):
+    # A2 p=2 (2,2), default window -2,2: 57^5 = 601,692,057 in-bound pairs
+    # of 14^5 basis keys, counted before a key is built
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hallalg.cli", "derived-table", "--quiver", a2_file,
+         "-p", "2", "--bound", "2,2"], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: in_bound_pairs: 601692057 pairs of basis keys "
+                           b"exceed cap 10000000\n")
 
 
 @pytest.mark.parametrize("mode", ["classical", "derived"])
@@ -423,16 +436,17 @@ def test_closed_stdout_while_streaming_a_table_exits_141(a2_file, unbuffered):
 
 
 def test_derived_cap_error_names_an_enumerated_hom_space(capsys, a2_file):
-    # the Ext factors read Hom block dims with no class-count cap, so the
-    # cap is first exceeded by a Hom space whose classes are enumerated
+    # the Ext factors read module dims with no class-count cap, and the
+    # in-bound pairs are what a table enumerates first, so they meet the
+    # cap; the Hom space a product meets first at this cap is pinned by
+    # test_cone_kernel.py's cone_counts cap test
     code, out, err = run(capsys, [
         "derived-table", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
         "--window=-1,1", "--cap", "2",
     ])
     assert code == 3
     assert out == ""
-    assert err == ("error: hom_class_table(c2+c2[-1] -> c1[1]+c1): 2**2 "
-                   "homotopy classes exceed cap 2\n")
+    assert err == "error: in_bound_pairs: 1331 pairs of basis keys exceed cap 2\n"
 
 
 @pytest.mark.parametrize("doc", [

@@ -30,6 +30,7 @@ from hallalg.errors import EnumerationCapError, InvariantError
 from hallalg.fq import FqMatrix
 from hallalg.hall import (
     HallContext,
+    cone_counts,
     cone_histogram,
     cone_table,
     derived_automorphisms,
@@ -276,6 +277,25 @@ def test_cached_hom_class_table_is_capped_on_every_call(a2_cat):
                        match=r"^hom_class_table\(c2 -> c1\[1\]\): 2\*\*1 homotopy "
                              r"classes exceed cap 1$"):
         hom_class_table(a2_cat, x, z, cap=1)
+
+
+@pytest.mark.parametrize("cap, x, z, message", [
+    (4, ((0, 2), (1, 2), (2, 2)), ((-1, 1), (0, 1), (1, 1)),
+     r"^hom_class_table\(c2\+c2\[-1\]\+c2\[-2\] -> c1\[1\]\+c1\+c1\[-1\]\): "
+     r"2\*\*3 homotopy classes exceed cap 4$"),
+    (2, ((0, 2), (1, 2)), ((-1, 1), (0, 1)),
+     r"^hom_class_table\(c2\+c2\[-1\] -> c1\[1\]\+c1\): 2\*\*2 homotopy "
+     r"classes exceed cap 2$"),
+], ids=["cap-4", "cap-2"])
+def test_cone_counts_cap_message_names_the_hom_table(a2_cat, cap, x, z, message):
+    # histograms over y[-1] -> x of products of `hall derived-table` A2 p=2
+    # (1,1) --window=-1,1: cone_counts builds no Hom table, but caps the
+    # class count with the table's message, and does so before any block
+    # is solved
+    ctx = HallContext("derived", a2_cat, window=(-1, 1), cap=cap)
+    with pytest.raises(EnumerationCapError, match=message):
+        cone_counts(ctx, DerivedClass(x), DerivedClass(z))
+    assert not a2_cat.derived_hom_blocks
 
 
 def test_enumerate_homs_cap_message(a2_cat):

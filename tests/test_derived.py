@@ -12,16 +12,18 @@ from hallalg.derived import (
     augmentation_map,
     derived_class_of,
     ext_dim,
+    hom_block,
     hom_class_table,
     homology,
     mapping_cone,
+    module_dim,
     projective_realization,
     stalk_realization,
 )
 from hallalg.errors import InputError
 from hallalg.fq import FqMatrix
 from hallalg.hall import HallContext
-from hallalg.quivers import a_n_quiver
+from hallalg.quivers import Quiver, a_n_quiver
 from hallalg.reps import RepMorphism, is_isomorphic
 
 
@@ -202,6 +204,22 @@ def test_ext_dim_vanishes_outside_band(a2_cat):
         for z in classes:
             for i in (-5, -4, 4, 5):
                 assert ext_dim(x, z, i, a2_cat) == 0
+
+
+@pytest.mark.parametrize("quiver, p, bound", [
+    (a_n_quiver(2), 2, (1, 1)),
+    (a_n_quiver(2), 3, (2, 2)),
+    (Quiver(2, ((0, 1), (0, 1))), 2, (1, 1)),
+], ids=["A2-p2-11", "A2-p3-22", "Kronecker-p2-11"])
+def test_chain_route_block_dims_equal_module_dim(quiver, p, bound):
+    # ext_dim and the Ext factors read module_dim and solve no chain map, so
+    # the chain-map solve of each (a, b, k) stays under test here, also at
+    # the shifts where heredity says it vanishes
+    cat = catalog_build(quiver, p, bound)
+    nonzero = [e.index for e in cat.entries if not e.rep.is_zero()]
+    for a, b in itertools.product(nonzero, repeat=2):
+        for k in range(-3, 4):
+            assert hom_block(cat, a, b, k).dim == module_dim(cat, a, b, k), (a, b, k)
 
 
 def test_hereditary_sanity_roundtrip(a2_cat):

@@ -14,13 +14,14 @@ cone_homology on the local table is its oracle.
 
 import gc
 import itertools
+import json
 import types
 from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hallalg import derived
+from hallalg import cli, derived
 from hallalg.catalog import catalog_build
 from hallalg.derived import (
     Complex,
@@ -36,6 +37,7 @@ from hallalg.derived import (
     hom_block,
     hom_class_table,
     mapping_cone,
+    module_dim,
     projective_realization,
     stalk_realization,
 )
@@ -175,13 +177,41 @@ def test_blocks_are_built_once_per_summand_pair():
                     if any(any(map(any, key)) for key in memo)}
     assert set(cat.derived_cone_tables) == with_nonzero
     assert len(cat.derived_cone_tables) == 261
-    # one block per pair of nonzero classes and shift -2..3 that ext_dim
-    # reads: ext_dim(x, z, 0) reads -2..3, the Ext factors -1..1
-    assert len(cat.derived_hom_blocks) == nonzero * nonzero * 6 == 96
+    # one block per pair of nonzero classes and shift 0 or 1, the blocks
+    # summand_blocks builds; ext_dim and the Ext factors read module_dim
+    # and build none
+    assert len(cat.derived_hom_blocks) == nonzero * nonzero * 2 == 32
     for (a, b, k), block in cat.derived_hom_blocks.items():
-        expected = (cat.hom_dim(a, b) if k == 0
-                    else cat.ext1_dim(a, b) if k == 1 else 0)
-        assert block.dim == expected
+        assert k in (0, 1)
+        assert block.dim == module_dim(cat, a, b, k)
+
+
+@pytest.mark.parametrize("quiver, argv, solves", [
+    (a_n_quiver(2), ["derived-table", "-p", "2", "--bound", "1,1", "--window=-1,1"],
+     18),
+    (KRONECKER, ["verify", "--mode", "derived", "--checks", "all", "-p", "2",
+                 "--bound", "1,1", "--window=-1,1"], 97),
+], ids=["derived-table-A2", "verify-derived-Kronecker"])
+def test_cli_runs_solve_only_the_blocks_a_table_lays_out(monkeypatch, tmp_path,
+                                                         capsys, quiver, argv, solves):
+    # dimensions and Ext factors come from module_dim, so a whole run solves
+    # chain maps only for the Hom blocks of shift 0 and 1 that its tables
+    # lay out, the lifts and compositions of the orbit check, and no other
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({"vertices": quiver.vertex_count, "arrows": [
+        {"src": s, "dst": t} for s, t in quiver.arrows]}))
+    cats, built = [], []
+    monkeypatch.setattr(cli, "catalog_build",
+                        lambda *a, **k: cats.append(catalog_build(*a, **k)) or cats[-1])
+    init = HomotopyClasses.__init__
+    monkeypatch.setattr(HomotopyClasses, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert cli.main([argv[0], "--quiver", str(path), *argv[1:]]) == 0
+    capsys.readouterr()
+    (cat,) = cats
+    assert cat.derived_hom_blocks
+    assert {k for _, _, k in cat.derived_hom_blocks} <= {0, 1}
+    assert len(built) == solves
 
 
 def test_block_dim_disagreeing_with_the_module_route_raises(monkeypatch):

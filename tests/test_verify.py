@@ -268,6 +268,42 @@ def test_in_bound_tuples_ordered_by_rank_match_the_sorted_oracle(
         assert got and got == _sorted_triples(ctx, pairs)
 
 
+@pytest.mark.parametrize("mode, quiver, p, bound, window", [
+    ("classical", a_n_quiver(2), 3, (3, 3), None),
+    ("classical", a_n_quiver(3), 2, (2, 2, 1), None),
+    ("derived", a_n_quiver(2), 2, (1, 1), (-1, 1)),
+    ("derived", Quiver(2, ((0, 1), (0, 1))), 2, (1, 1), (-1, 1)),
+], ids=["a2-p3-33-classical", "a3-p2-221-classical", "a2-p2-w-1,1",
+        "kronecker-p2-w-1,1"])
+def test_the_in_bound_count_checked_against_the_cap_is_exact(mode, quiver, p, bound,
+                                                              window):
+    # the cap is checked on a count made from the catalog's dims before any
+    # key is built: at a cap of exactly the listed tuples they are listed,
+    # one below it raises with that count
+    ctx = HallContext(mode, catalog_build(quiver, p, bound), window=window)
+    for what, listing in (("pairs", in_bound_pairs), ("triples", in_bound_triples)):
+        listed = listing(ctx)
+        ctx.cap = len(listed)
+        assert listing(ctx) == listed
+        ctx.cap = len(listed) - 1
+        with pytest.raises(EnumerationCapError, match=(
+                rf"^in_bound_{what}: {len(listed)} {what} of basis keys exceed "
+                rf"cap {ctx.cap}$")):
+            listing(ctx)
+        ctx.cap = reps.DEFAULT_CAP
+
+
+def test_the_in_bound_cap_raises_before_a_key_is_built(monkeypatch):
+    # A2 p=2 (2,2) has 14 classes and 57 pairs of them within the bound in
+    # each of the default window's five degrees: 57^5 pairs of its 14^5
+    # basis keys, and no key is built to count them
+    ctx = HallContext("derived", catalog_build(a_n_quiver(2), 2, (2, 2)))
+    monkeypatch.setattr(HallContext, "basis_keys", lambda self: pytest.fail("built keys"))
+    with pytest.raises(EnumerationCapError, match=r"^in_bound_pairs: 601692057 pairs "
+                                                  r"of basis keys exceed cap 10000000$"):
+        in_bound_pairs(ctx)
+
+
 @pytest.mark.parametrize("run", [
     build_span_model,
     lambda ctx: verify_suite(ctx, checks=["orbit"]),
