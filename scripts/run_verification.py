@@ -21,11 +21,12 @@ and stalk checks only: its orbit check classifies the cone of every one of
 the 4,864,384 Hom classes of its 5,917 pairs (x, z), most of them missing
 the cone-homology memo, and was still unfinished after 600 s, at 402 MiB.
 
-One whole run on a 2-vCPU machine took 24.0 s and peaked at 107 MiB.  The
-printed totals time the checks alone: 4.2 s for A_3 p=3 (its span build,
-mostly the generators of each Aut, is about 3.8 s more), 7.2 s for the
-derived orbit check on [-1,2], 0.5 s on [-2,2], 2.3 s for A_2 p=2 (2,2) on
-[-1,0] and 2.6 s for the Kronecker quiver.
+One whole run on a 2-vCPU machine took 31.6 s and peaked at 108 MiB.  The
+printed totals time the checks alone: 6.1 s for A_3 p=3 (its span build,
+mostly the generators of each Aut, is not in it), 10.1 s for the derived
+orbit check on [-1,2], 0.3 s on [-2,2] (unit and stalk read no in-bound
+pair, so its 161,051 pairs are not listed), 2.6 s for A_2 p=2 (2,2) on
+[-1,0] and 2.7 s for the Kronecker quiver.
 Prints one line per (universe, check) and exits nonzero on any failure.
 """
 

@@ -64,7 +64,7 @@ from .derived import (
     SummandHomClasses,
     module_dim,
 )
-from .errors import InputError, InvariantError, OutOfUniverseError
+from .errors import EnumerationCapError, InputError, InvariantError, OutOfUniverseError
 from . import reps
 
 BasisKey = Union[int, DerivedClass]
@@ -113,6 +113,15 @@ class HallContext:
         return DerivedClass.zero()
 
     def basis_keys(self) -> list:
+        """Every basis key, sorted: the catalog classes, or in the derived
+        mode one class or none in each degree of the window.  Their count,
+        len(catalog) ** (number of degrees), is checked against cap before
+        any key is built."""
+        degrees = 1 if self.mode == "classical" else self.window[1] - self.window[0] + 1
+        count = len(self.catalog) ** degrees
+        if count > self.cap:
+            raise EnumerationCapError(
+                f"basis_keys: {count} basis keys exceed cap {self.cap}")
         if self.mode == "classical":
             return list(range(len(self.catalog)))
         lo, hi = self.window

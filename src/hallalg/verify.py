@@ -34,7 +34,7 @@ import itertools
 import operator
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from .derived import ConeBlocks, DerivedClass, precompositions
 from .errors import EnumerationCapError, InputError, InvariantError
@@ -53,6 +53,7 @@ from .hall import (
 from . import reps
 
 ALL_CHECKS = ("unit", "assoc", "riedtmann", "stalk", "span", "orbit")
+_PAIR_READERS = ("riedtmann", "span", "orbit")
 
 
 def _fmt(q: Fraction) -> str:
@@ -159,114 +160,69 @@ def _derived_action(ctx: HallContext, x: DerivedClass, z: DerivedClass) -> tuple
 # -- the suite ---------------------------------------------------------------------
 
 
-def _profiles(ctx: HallContext) -> tuple:
-    """Flattened per-degree dimension profile per basis key, plus the bound
-    profile, for fast in-bound triple enumeration."""
+def _add(a: tuple, b: tuple) -> tuple:
+    return tuple(map(operator.add, a, b))
+
+
+def _in_bound(ctx: HallContext, arity: int) -> Iterator[tuple]:
+    """The arity-tuples of basis keys whose per-degree dims sum within the
+    bound, ascending and one at a time.  A key picks one catalog class per
+    degree (the zero class for none) and the bound holds degree by degree,
+    so what extends a prefix in one degree depends only on the dims its
+    picks sum to there: fits = {dims sum: classes that fit on it}, filled
+    with the count of one degree's tuples, which ^ (number of degrees) is
+    checked against ctx.cap before any key is built.  Each prefix is then
+    extended by the ranks of the keys that fit on its sums, ascending."""
     cat = ctx.catalog
-    n = cat.quiver.vertex_count
-    if ctx.mode == "classical":
-        degrees = [0]
-    else:
-        degrees = list(range(ctx.window[0], ctx.window[1] + 1))
-    keys = ctx.basis_keys()
-    profiles = {}
-    for key in keys:
-        per = dict(ctx.key_dims(key))
-        profiles[key] = tuple(
-            d for deg in degrees for d in per.get(deg, (0,) * n)
-        )
-    bound_profile = tuple(b for _ in degrees for b in cat.bound)
-    return keys, profiles, bound_profile
-
-
-def _minus(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _profile_groups(keys, profiles) -> dict:
-    groups: dict = {}
-    for k in keys:
-        groups.setdefault(profiles[k], []).append(k)
-    return groups
-
-
-def _profile_trie(groups: dict) -> dict:
-    """The profile groups nested by coordinate: trie[d_0][d_1]...[d_m] is
-    the group of the profile (d_0, ..., d_m)."""
-    trie: dict = {}
-    for prof, ks in groups.items():
-        node = trie
-        for d in prof[:-1]:
-            node = node.setdefault(d, {})
-        node[prof[-1]] = ks
-    return trie
-
-
-def _within(trie: dict, rem: tuple) -> list:
-    """[(profile, group)] for every group whose profile is <= rem in each
-    coordinate, reached one coordinate at a time through the prefixes that
-    still fit: no group outside the box of rem is visited."""
-    level = [((), trie)]
-    for r in rem:
-        level = [(prefix + (d,), child) for prefix, node in level
-                 for d, child in node.items() if d <= r]
-    return level
-
-
-def _check_in_bound_count(ctx: HallContext, arity: int) -> None:
-    """Raise EnumerationCapError when the arity-tuples that _in_bound would
-    list exceed ctx.cap, counted from the catalog's dims alone: a derived
-    key picks a class (the zero class for none) in each degree on its own,
-    under a per-degree bound, so the count is that of one degree raised to
-    the number of degrees; a classical key has one degree."""
-    cat = ctx.catalog
-    classes = Counter(cat.dims(i) for i in range(len(cat)))
-    sums = Counter({(0,) * len(cat.bound): 1})
+    zero = (0,) * len(cat.bound)
+    groups = [(dims, list(g)) for dims, g in itertools.groupby(range(len(cat)), cat.dims)]
+    fits: dict = {}
+    sums = Counter({zero: 1})
     for _ in range(arity):
         sums, last = Counter(), sums
-        for dims, n in last.items():
-            for more, m in classes.items():
-                total = tuple(map(operator.add, dims, more))
+        for at, n in last.items():
+            fits[at] = []
+            for dims, classes in groups:
+                total = _add(at, dims)
                 if all(map(operator.le, total, cat.bound)):
-                    sums[total] += n * m
-    degrees = 1 if ctx.mode == "classical" else ctx.window[1] - ctx.window[0] + 1
-    count = sum(sums.values()) ** degrees
+                    fits[at] += classes
+                    sums[total] += n * len(classes)
+    degrees = [0] if ctx.mode == "classical" else range(ctx.window[0], ctx.window[1] + 1)
+    count = sum(sums.values()) ** len(degrees)
     if count > ctx.cap:
         what = {2: "pairs", 3: "triples"}[arity]
         raise EnumerationCapError(
             f"in_bound_{what}: {count} {what} of basis keys exceed cap {ctx.cap}")
 
+    keys = ctx.basis_keys()
+    rank_of = {(k,) if ctx.mode == "classical" else
+               tuple(dict(k.entries).get(d, cat.zero_index) for d in degrees): r
+               for r, k in enumerate(keys)}
+    dims = [tuple(map(cat.dims, p)) for p in rank_of]
+    fitting: dict = {}
 
-def _in_bound(ctx: HallContext, arity: int) -> list:
-    """Sorted arity-tuples of basis keys whose per-degree dims sum within
-    the bound, counted against ctx.cap before any key is built.  Keys with
-    one profile extend a tuple alike, so each prefix of profile groups
-    reaches, through the profile trie, only the groups that fit what it
-    leaves of the bound.  The keys come sorted, so the tuples are sorted as
-    tuples of ranks, ints, and no two keys are compared."""
-    _check_in_bound_count(ctx, arity)
-    keys, profiles, bound = _profiles(ctx)
-    trie = _profile_trie(_profile_groups(range(len(keys)), [profiles[k] for k in keys]))
-
-    def match(rem: tuple, depth: int):
-        for prof, ks in _within(trie, rem):
+    def grow(prefix: tuple, at: tuple, depth: int):
+        if at not in fitting:
+            fitting[at] = sorted(map(rank_of.__getitem__,
+                                     itertools.product(*map(fits.__getitem__, at))))
+        for r in fitting[at]:
+            t = prefix + (keys[r],)
             if depth == 1:
-                yield (ks,)
+                yield t
             else:
-                for rest in match(_minus(rem, prof), depth - 1):
-                    yield (ks, *rest)
+                yield from grow(t, tuple(map(_add, at, dims[r])), depth - 1)
 
-    ranked = sorted(t for parts in match(bound, arity) for t in itertools.product(*parts))
-    return [tuple(map(keys.__getitem__, t)) for t in ranked]
+    return grow((), (zero,) * len(degrees), arity)
 
 
 def in_bound_pairs(ctx: HallContext) -> list:
-    """Sorted pairs of basis keys whose per-degree dims sum within the
-    bound."""
-    return _in_bound(ctx, 2)
+    """The in-bound pairs of basis keys as an ascending list (_in_bound)."""
+    return list(_in_bound(ctx, 2))
 
 
-def in_bound_triples(ctx: HallContext) -> list:
+def in_bound_triples(ctx: HallContext) -> Iterator[tuple]:
+    """The in-bound triples of basis keys as an ascending iterator
+    (_in_bound): capped when called, each triple built when it is read."""
     return _in_bound(ctx, 3)
 
 
@@ -283,7 +239,8 @@ def select_checks(checks: Optional[Sequence[str]]) -> tuple:
 def verify_suite(ctx: HallContext, span=None,
                  checks: Optional[Sequence[str]] = None) -> dict:
     """Run the selected identity sweeps (select_checks) and return a
-    JSON-ready report."""
+    JSON-ready report.  The in-bound pairs are listed (and capped) before
+    any check runs, and only when a selected check reads them."""
     selected = select_checks(checks)
 
     report: dict = {
@@ -295,7 +252,7 @@ def verify_suite(ctx: HallContext, span=None,
         "checks": {},
     }
 
-    pairs = in_bound_pairs(ctx)
+    pairs = in_bound_pairs(ctx) if set(selected) & set(_PAIR_READERS) else None
     for name in selected:
         runner = _CHECK_RUNNERS[name]
         report["checks"][name] = runner(ctx, span, pairs)

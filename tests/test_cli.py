@@ -227,6 +227,30 @@ def test_derived_table_in_bound_pairs_over_the_cap_exit_3_at_once(a2_file):
                            b"exceed cap 10000000\n")
 
 
+@pytest.mark.parametrize("checks", ["unit", "stalk", "unit,stalk"])
+def test_verify_lists_no_pairs_for_checks_that_read_none(capsys, a2_file, checks):
+    # the 11^3 = 1331 in-bound pairs exceed the cap, but unit and stalk
+    # read no pair, so the capped run prints what the uncapped one does
+    argv = ["verify", "--quiver", a2_file, "-p", "2", "--bound", "1,1",
+            "--mode", "derived", "--window=-1,1", "--checks", checks]
+    uncapped = run(capsys, argv)
+    assert uncapped[0] == 0
+    assert run(capsys, [*argv, "--cap", "1000"]) == uncapped
+
+
+@pytest.mark.parametrize("window, checks, err", [
+    ("-1,1", "unit,orbit", "in_bound_pairs: 1331 pairs of basis keys"),
+    ("-1,1", "assoc", "in_bound_triples: 6859 triples of basis keys"),
+    ("-50,50", "unit", f"basis_keys: {5 ** 101} basis keys"),
+], ids=["pairs", "triples", "keys"])
+def test_verify_caps_what_the_selected_checks_read(capsys, a2_file, window, checks, err):
+    # each count is checked before any of its tuples or keys is built
+    code, out, got = run(capsys, [
+        "verify", "--quiver", a2_file, "-p", "2", "--bound", "1,1", "--mode",
+        "derived", f"--window={window}", "--cap", "1000", "--checks", checks])
+    assert (code, out, got) == (3, "", f"error: {err} exceed cap 1000\n")
+
+
 @pytest.mark.parametrize("mode", ["classical", "derived"])
 def test_verify_rejects_a_bad_window_in_both_modes(capsys, a1_file, mode):
     base = ["verify", "--quiver", a1_file, "-p", "2", "--bound", "1",

@@ -1,11 +1,12 @@
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from hallalg import reps
+from hallalg import reps, verify
 from hallalg.catalog import catalog_build
 from hallalg.derived import DerivedClass
 from hallalg.errors import EnumerationCapError
@@ -190,29 +191,19 @@ def test_in_bound_enumeration_matches_bruteforce(a2_ctx):
         for z in keys
         if a2_ctx.keys_in_bound((x, y, z))
     ]
-    assert in_bound_triples(a2_ctx) == expected_triples
+    assert list(in_bound_triples(a2_ctx)) == expected_triples
 
 
-
-def _fits(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _per_key_pairs(ctx):
-    # the enumeration before profile groups: each key against every group
-    from hallalg.verify import _minus, _profile_groups, _profiles
-    keys, profiles, bound = _profiles(ctx)
-    groups = _profile_groups(keys, profiles)
-    out = []
-    for x in keys:
-        if not _fits(profiles[x], bound):
-            continue
-        rem = _minus(bound, profiles[x])
-        for prof, ks in groups.items():
-            if _fits(prof, rem):
-                out.extend((x, y) for y in ks)
-    out.sort()
-    return out
+def _sorted_oracle(ctx, arity):
+    # every arity-tuple of key groups tested by keys_in_bound on one key of
+    # each (keys with equal dims in every degree fit alike), expanded and
+    # sorted by comparing the keys themselves
+    groups = {}
+    for k in ctx.basis_keys():
+        groups.setdefault(ctx.key_dims(k), []).append(k)
+    return sorted(t for gs in itertools.product(groups.values(), repeat=arity)
+                  if ctx.keys_in_bound([g[0] for g in gs])
+                  for t in itertools.product(*gs))
 
 
 @pytest.mark.parametrize("mode, quiver, p, bound, window", [
@@ -224,30 +215,7 @@ def test_in_bound_pairs_by_profile_group_match_the_per_key_enumeration(
         mode, quiver, p, bound, window):
     ctx = HallContext(mode, catalog_build(quiver, p, bound), window=window)
     pairs = in_bound_pairs(ctx)
-    assert pairs and pairs == _per_key_pairs(ctx)
-
-
-def test_profile_trie_reaches_exactly_the_groups_that_fit():
-    # every remainder in the box of the default window's bound profile
-    from hallalg.verify import _profile_groups, _profile_trie, _profiles, _within
-    ctx = HallContext("derived", catalog_build(a_n_quiver(2), 2, (1, 1)))
-    keys, profiles, bound = _profiles(ctx)
-    groups = _profile_groups(keys, profiles)
-    trie = _profile_trie(groups)
-    for rem in itertools.product(*(range(b + 1) for b in bound)):
-        got = _within(trie, rem)
-        assert sorted(prof for prof, _ in got) == sorted(
-            prof for prof in groups if _fits(prof, rem))
-        assert all(ks is groups[prof] for prof, ks in got)
-
-
-def _sorted_triples(ctx, pairs):
-    # every in-bound pair extended by every key, sorted by comparing keys
-    from hallalg.verify import _profiles
-    keys, profiles, bound = _profiles(ctx)
-    return sorted(
-        (x, y, z) for x, y in pairs for z in keys
-        if _fits(tuple(map(sum, zip(profiles[x], profiles[y], profiles[z]))), bound))
+    assert pairs and pairs == _sorted_oracle(ctx, 2)
 
 
 @pytest.mark.parametrize("mode, quiver, p, bound, window, triples", [
@@ -257,15 +225,15 @@ def _sorted_triples(ctx, pairs):
 ], ids=["a2-p2-default-window", "kronecker-p2-w-1,1", "a3-p2-221-classical"])
 def test_in_bound_tuples_ordered_by_rank_match_the_sorted_oracle(
         mode, quiver, p, bound, window, triples):
-    # in_bound_* sort tuples of key ranks; the oracle sorts the keys
+    # in_bound_* extend each prefix by key ranks; the oracle sorts the keys
     # themselves.  The default window's 19^5 triples are left out: the
-    # oracle would hold them twice.
+    # oracle would test 1,024^3 tuples of key groups.
     ctx = HallContext(mode, catalog_build(quiver, p, bound), window=window)
     pairs = in_bound_pairs(ctx)
-    assert pairs and pairs == _per_key_pairs(ctx)
+    assert pairs and pairs == _sorted_oracle(ctx, 2)
     if triples:
-        got = in_bound_triples(ctx)
-        assert got and got == _sorted_triples(ctx, pairs)
+        got = list(in_bound_triples(ctx))
+        assert got and got == _sorted_oracle(ctx, 3)
 
 
 @pytest.mark.parametrize("mode, quiver, p, bound, window", [
@@ -282,15 +250,62 @@ def test_the_in_bound_count_checked_against_the_cap_is_exact(mode, quiver, p, bo
     # one below it raises with that count
     ctx = HallContext(mode, catalog_build(quiver, p, bound), window=window)
     for what, listing in (("pairs", in_bound_pairs), ("triples", in_bound_triples)):
-        listed = listing(ctx)
+        listed = list(listing(ctx))
         ctx.cap = len(listed)
-        assert listing(ctx) == listed
+        assert list(listing(ctx)) == listed
         ctx.cap = len(listed) - 1
         with pytest.raises(EnumerationCapError, match=(
                 rf"^in_bound_{what}: {len(listed)} {what} of basis keys exceed "
                 rf"cap {ctx.cap}$")):
             listing(ctx)
         ctx.cap = reps.DEFAULT_CAP
+
+
+def test_default_window_triples_stream_in_order_from_little_memory():
+    # A2 p=2 (1,1) at -2,2: the first 3,125 of the 19^5 triples are
+    # (zero, zero, k) for every basis key k, and taking them builds no
+    # other triple
+    ctx = HallContext("derived", catalog_build(a_n_quiver(2), 2, (1, 1)))
+    keys = ctx.basis_keys()
+    tracemalloc.start()
+    try:
+        first = list(itertools.islice(in_bound_triples(ctx), len(keys)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(keys[0], keys[0], k) for k in keys]
+    assert peak < 4 << 20
+
+
+def test_the_triple_cap_raises_when_the_listing_is_asked_for():
+    ctx = HallContext("derived", catalog_build(a_n_quiver(2), 2, (1, 1)),
+                      window=(-1, 1), cap=6858)
+    with pytest.raises(EnumerationCapError, match=r"^in_bound_triples: 6859 triples "
+                                                  r"of basis keys exceed cap 6858$"):
+        in_bound_triples(ctx)
+
+
+@pytest.mark.parametrize("mode, window, count", [
+    ("classical", None, 5),
+    ("derived", (-1, 1), 5 ** 3),
+])
+def test_basis_keys_are_counted_against_the_cap(mode, window, count):
+    ctx = HallContext(mode, catalog_build(a_n_quiver(2), 2, (1, 1)), window=window,
+                      cap=count)
+    assert len(ctx.basis_keys()) == count
+    ctx.cap = count - 1
+    with pytest.raises(EnumerationCapError, match=rf"^basis_keys: {count} basis keys "
+                                                  rf"exceed cap {count - 1}$"):
+        ctx.basis_keys()
+
+
+@pytest.mark.parametrize("mode, window", [("classical", None), ("derived", (-1, 1))])
+def test_checks_that_read_no_pair_never_list_them(monkeypatch, mode, window):
+    ctx = HallContext(mode, catalog_build(a_n_quiver(1), 2, (2,)), window=window)
+    monkeypatch.setattr(verify, "in_bound_pairs", lambda ctx: pytest.fail("listed pairs"))
+    report = verify_suite(ctx, checks=("unit", "assoc", "stalk"))
+    assert report["failures_total"] == 0
+    assert report["checks"]["assoc"]["cases"] > 0
 
 
 def test_the_in_bound_cap_raises_before_a_key_is_built(monkeypatch):
